@@ -1,9 +1,10 @@
 """Experiment runner: randomized identity checks with reproducible reports.
 
-Each trial draws from a counter-based substream keyed by (seed, trial
-index), so serial and pooled execution produce identical payloads.  The
-report's summary carries seconds=0.0 to keep payloads byte-comparable;
-wall-clock timing goes to stderr.
+Checks run one after another, in record order.  Each trial draws from a
+counter-based substream keyed by (seed, trial index), so its record does
+not depend on the other trials and a prefix of trials does not depend on
+the total trial count.  The report's summary carries seconds=0.0 to keep
+payloads byte-comparable; wall-clock timing goes to stderr.
 """
 
 import argparse
@@ -12,7 +13,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,7 +183,7 @@ def cmd_otsf(cfg):
             },
         }
 
-    return _pool_map(trial, range(cfg.trials))
+    return [trial(i) for i in range(cfg.trials)]
 
 
 def cmd_wallcross(cfg):
@@ -201,7 +201,7 @@ def cmd_wallcross(cfg):
             "values": values,
         }
 
-    return _pool_map(item, cfg.flux)
+    return [item(d) for d in cfg.flux]
 
 
 def _analytic_dirac_residual(cutoff, alpha):
@@ -215,20 +215,16 @@ def _analytic_dirac_residual(cutoff, alpha):
 
 
 def cmd_torus(cfg):
-    jobs = []
-    for i in range(cfg.trials):
-        def spectrum(i=i):
-            rng = _substream(cfg.seed, i)
-            alpha = rng.uniform(-1.0, 1.0, size=3)
-            resid = _analytic_dirac_residual(min(cfg.cutoff, 3), alpha)
-            return {
-                "id": f"spectrum-{i}",
-                "citation": "truncated Dirac spectrum matches the closed form",
-                "pass": resid <= cfg.tol("tol_spectrum"),
-                "values": {"residual": resid, "tolerance": cfg.tol("tol_spectrum")},
-            }
-
-        jobs.append(spectrum)
+    def spectrum(i):
+        rng = _substream(cfg.seed, i)
+        alpha = rng.uniform(-1.0, 1.0, size=3)
+        resid = _analytic_dirac_residual(min(cfg.cutoff, 3), alpha)
+        return {
+            "id": f"spectrum-{i}",
+            "citation": "truncated Dirac spectrum matches the closed form",
+            "pass": resid <= cfg.tol("tol_spectrum"),
+            "values": {"residual": resid, "tolerance": cfg.tol("tol_spectrum")},
+        }
 
     def gauge_period():
         rng = _substream(cfg.seed, cfg.trials)
@@ -245,25 +241,25 @@ def cmd_torus(cfg):
             "values": {"sf": flow},
         }
 
-    jobs.append(gauge_period)
+    def weitz(i):
+        rng = _substream(cfg.seed, 10_000 + i)
+        trunc = tm.TorusTruncation(cfg.cutoff)
+        conn = tm.FlatConnection(rng.uniform(-1.0, 1.0, size=3))
+        mode = rng.integers(-1, 2, size=3)
+        coeff = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        resid = tm.weitzenbock_check(trunc, conn, mode, coeff)
+        return {
+            "id": f"weitzenbock-{i}",
+            "citation": "coupled Dirac square matches its curvature expansion",
+            "pass": resid <= cfg.tol("tol_weitzenbock"),
+            "values": {"residual": resid, "tolerance": cfg.tol("tol_weitzenbock")},
+        }
 
-    for i in range(cfg.trials):
-        def weitz(i=i):
-            rng = _substream(cfg.seed, 10_000 + i)
-            trunc = tm.TorusTruncation(cfg.cutoff)
-            conn = tm.FlatConnection(rng.uniform(-1.0, 1.0, size=3))
-            mode = rng.integers(-1, 2, size=3)
-            coeff = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            resid = tm.weitzenbock_check(trunc, conn, mode, coeff)
-            return {
-                "id": f"weitzenbock-{i}",
-                "citation": "coupled Dirac square matches its curvature expansion",
-                "pass": resid <= cfg.tol("tol_weitzenbock"),
-                "values": {"residual": resid, "tolerance": cfg.tol("tol_weitzenbock")},
-            }
-
-        jobs.append(weitz)
-    return _pool_call(jobs)
+    return (
+        [spectrum(i) for i in range(cfg.trials)]
+        + [gauge_period()]
+        + [weitz(i) for i in range(cfg.trials)]
+    )
 
 
 def _random_tangent(trunc, rng, radius):
@@ -279,93 +275,80 @@ def _random_tangent(trunc, rng, radius):
 def cmd_swcheck(cfg):
     trunc = tm.TorusTruncation(cfg.cutoff)
     radius = cfg.cutoff // 2
-    jobs = []
 
-    for i in range(cfg.trials):
-        def gradient(i=i):
-            rng = _substream(cfg.seed, i)
-            c = sl.random_configuration(trunc, rng)
-            tv = _random_tangent(trunc, rng, radius)
-            pairing = sl.tangent_inner(sl.sw_map(c), tv)
-            step = 1e-4
-            plus = sl.chern_simons_dirac(
-                sl.Configuration(trunc, c.psi + step * tv.phi, c.alpha, c.a_field + step * tv.a)
-            )
-            minus = sl.chern_simons_dirac(
-                sl.Configuration(trunc, c.psi - step * tv.phi, c.alpha, c.a_field - step * tv.a)
-            )
-            err = abs((plus - minus) / (2 * step) - pairing) / max(1.0, abs(pairing))
-            return {
-                "id": f"gradient-{i}",
-                "citation": "monopole map is the L2 gradient of the action",
-                "pass": err <= cfg.tol("tol_gradient"),
-                "values": {"relative_error": err, "tolerance": cfg.tol("tol_gradient")},
-            }
+    def gradient(i):
+        rng = _substream(cfg.seed, i)
+        c = sl.random_configuration(trunc, rng)
+        tv = _random_tangent(trunc, rng, radius)
+        pairing = sl.tangent_inner(sl.sw_map(c), tv)
+        step = 1e-4
+        plus = sl.chern_simons_dirac(
+            sl.Configuration(trunc, c.psi + step * tv.phi, c.alpha, c.a_field + step * tv.a)
+        )
+        minus = sl.chern_simons_dirac(
+            sl.Configuration(trunc, c.psi - step * tv.phi, c.alpha, c.a_field - step * tv.a)
+        )
+        err = abs((plus - minus) / (2 * step) - pairing) / max(1.0, abs(pairing))
+        return {
+            "id": f"gradient-{i}",
+            "citation": "monopole map is the L2 gradient of the action",
+            "pass": err <= cfg.tol("tol_gradient"),
+            "values": {"relative_error": err, "tolerance": cfg.tol("tol_gradient")},
+        }
 
-        jobs.append(gradient)
+    def hessian(i):
+        rng = _substream(cfg.seed, 20_000 + i)
+        c = sl.random_configuration(trunc, rng)
+        h = sl.sw_hessian(c).matrix
+        sym = float(np.max(np.abs(h - h.T)))
+        tv = _random_tangent(trunc, rng, radius)
+        vec = sl.tangent_to_vector(tv)
+        step = 1e-3
+        c_plus = sl.Configuration(
+            trunc, c.psi + step * tv.phi, c.alpha, c.a_field + step * tv.a
+        )
+        c_minus = sl.Configuration(
+            trunc, c.psi - step * tv.phi, c.alpha, c.a_field - step * tv.a
+        )
+        fd = (
+            sl.tangent_to_vector(sl.sw_map(c_plus))
+            - sl.tangent_to_vector(sl.sw_map(c_minus))
+        ) / (2 * step)
+        jac = float(np.max(np.abs(fd - h @ vec)) / max(1.0, np.max(np.abs(fd))))
+        return {
+            "id": f"hessian-{i}",
+            "citation": "linearization is symmetric and matches finite differences",
+            "pass": sym <= cfg.tol("tol_symmetry") and jac <= cfg.tol("tol_jacobian"),
+            "values": {"symmetry": sym, "jacobian_error": jac},
+        }
 
-    for i in range(min(cfg.trials, 3)):
-        def hessian(i=i):
-            rng = _substream(cfg.seed, 20_000 + i)
-            c = sl.random_configuration(trunc, rng)
-            h = sl.sw_hessian(c).matrix
-            sym = float(np.max(np.abs(h - h.T)))
-            tv = _random_tangent(trunc, rng, radius)
-            vec = sl.tangent_to_vector(tv)
-            step = 1e-3
-            c_plus = sl.Configuration(
-                trunc, c.psi + step * tv.phi, c.alpha, c.a_field + step * tv.a
-            )
-            c_minus = sl.Configuration(
-                trunc, c.psi - step * tv.phi, c.alpha, c.a_field - step * tv.a
-            )
-            fd = (
-                sl.tangent_to_vector(sl.sw_map(c_plus))
-                - sl.tangent_to_vector(sl.sw_map(c_minus))
-            ) / (2 * step)
-            jac = float(np.max(np.abs(fd - h @ vec)) / max(1.0, np.max(np.abs(fd))))
-            return {
-                "id": f"hessian-{i}",
-                "citation": "linearization is symmetric and matches finite differences",
-                "pass": sym <= cfg.tol("tol_symmetry") and jac <= cfg.tol("tol_jacobian"),
-                "values": {"symmetry": sym, "jacobian_error": jac},
-            }
+    def adjoint(i):
+        rng = _substream(cfg.seed, 30_000 + i)
+        c = sl.random_configuration(trunc, rng)
+        tv = _random_tangent(trunc, rng, radius)
+        f = np.zeros(trunc.mode_count)
+        mask = np.max(np.abs(trunc.modes), axis=1) <= radius
+        f[mask] = rng.standard_normal(int(mask.sum()))
+        lhs = sl.tangent_inner(sl.gauge_deriv(c, f), tv)
+        rhs = float(f @ sl.gauge_deriv_adjoint(c, tv))
+        err = abs(lhs - rhs) / max(1.0, abs(lhs))
+        return {
+            "id": f"adjoint-{i}",
+            "citation": "gauge derivative and its adjoint pair symmetrically",
+            "pass": err <= cfg.tol("tol_adjoint"),
+            "values": {"relative_error": err, "tolerance": cfg.tol("tol_adjoint")},
+        }
 
-        jobs.append(hessian)
-
-    for i in range(cfg.trials):
-        def adjoint(i=i):
-            rng = _substream(cfg.seed, 30_000 + i)
-            c = sl.random_configuration(trunc, rng)
-            tv = _random_tangent(trunc, rng, radius)
-            f = np.zeros(trunc.mode_count)
-            mask = np.max(np.abs(trunc.modes), axis=1) <= radius
-            f[mask] = rng.standard_normal(int(mask.sum()))
-            lhs = sl.tangent_inner(sl.gauge_deriv(c, f), tv)
-            rhs = float(f @ sl.gauge_deriv_adjoint(c, tv))
-            err = abs(lhs - rhs) / max(1.0, abs(lhs))
-            return {
-                "id": f"adjoint-{i}",
-                "citation": "gauge derivative and its adjoint pair symmetrically",
-                "pass": err <= cfg.tol("tol_adjoint"),
-                "values": {"relative_error": err, "tolerance": cfg.tol("tol_adjoint")},
-            }
-
-        jobs.append(adjoint)
-
-    for i in range(cfg.trials):
-        def coclosure(i=i):
-            rng = _substream(cfg.seed, 40_000 + i)
-            c = sl.random_configuration(trunc, rng)
-            resid = sl.dastq_residual(c)
-            return {
-                "id": f"coclosure-{i}",
-                "citation": "quadratic covector is co-closed against the Dirac pairing",
-                "pass": resid <= cfg.tol("tol_coclosure"),
-                "values": {"residual": resid, "tolerance": cfg.tol("tol_coclosure")},
-            }
-
-        jobs.append(coclosure)
+    def coclosure(i):
+        rng = _substream(cfg.seed, 40_000 + i)
+        c = sl.random_configuration(trunc, rng)
+        resid = sl.dastq_residual(c)
+        return {
+            "id": f"coclosure-{i}",
+            "citation": "quadratic covector is co-closed against the Dirac pairing",
+            "pass": resid <= cfg.tol("tol_coclosure"),
+            "values": {"residual": resid, "tolerance": cfg.tol("tol_coclosure")},
+        }
 
     def kernel():
         rng = _substream(cfg.seed, 50_000)
@@ -383,8 +366,6 @@ def cmd_swcheck(cfg):
             "pass": dims["generic"] == 4 and dims["zero"] == 8,
             "values": dims,
         }
-
-    jobs.append(kernel)
 
     def crossing():
         rng = _substream(cfg.seed, 60_000)
@@ -415,8 +396,13 @@ def cmd_swcheck(cfg):
             "values": values,
         }
 
-    jobs.append(crossing)
-    return _pool_call(jobs)
+    return (
+        [gradient(i) for i in range(cfg.trials)]
+        + [hessian(i) for i in range(min(cfg.trials, 3))]
+        + [adjoint(i) for i in range(cfg.trials)]
+        + [coclosure(i) for i in range(cfg.trials)]
+        + [kernel(), crossing()]
+    )
 
 
 COMMANDS = {
@@ -428,16 +414,6 @@ COMMANDS = {
 
 
 # --------------------------------------------------------------- report
-
-
-def _pool_map(fn, items):
-    items = list(items)
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(items)))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _pool_call(jobs):
-    return _pool_map(lambda job: job(), jobs)
 
 
 def _jsonable(value):

@@ -37,7 +37,6 @@ __all__ = [
     "FORM_DIMS",
     "herm",
     "clifford_matrix",
-    "clifford_mul",
     "clifford_im_matrix",
     "clifford_im",
     "complex_volume_matrix",
@@ -77,11 +76,6 @@ def clifford_matrix(v):
     """Matrix of Clifford multiplication by the real vector v."""
     v = np.asarray(v, dtype=float)
     return np.einsum("j,jab->ab", v, CLIFF)
-
-
-def clifford_mul(v, psi):
-    """Apply Clifford multiplication by a real vector to a spinor."""
-    return clifford_matrix(v) @ np.asarray(psi, dtype=complex)
 
 
 def clifford_im_matrix(alpha):

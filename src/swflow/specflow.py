@@ -62,7 +62,6 @@ class SpectralFlowConfig:
     max_halvings: int = 20
     kernel_threshold_rel: float = 1e-8
     bisection_tol: float = 1e-10
-    fd_step_rel: float = 1e-5
     gap_min: float = 1e-8
     refine_max_depth: int = 80
     endpoint_count_only: bool = False
@@ -140,7 +139,7 @@ class HermitianPath:
                 rawd = derivative
                 derivative = lambda t: realify_matrix(rawd(t))
             realified = True
-        values = values.astype(float)
+        values = values.astype(float, copy=False)
         _check_symmetric(values)
         if values.shape[0] != t_samples.size:
             raise ValueError("sample count mismatch")
@@ -149,10 +148,6 @@ class HermitianPath:
         self._derivative = derivative
         self._func = func
         self.realified = realified
-
-    @classmethod
-    def from_samples(cls, t_samples, values, derivative=None):
-        return cls(t_samples, values, derivative=derivative)
 
     @classmethod
     def from_callable(cls, func, a, b, num_samples=33, derivative=None):

@@ -18,24 +18,6 @@ from swflow import swlocal as sl
 from swflow import torus_model as tm
 
 
-def random_invertible_endpoint_path(rng, n):
-    while True:
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        c = rng.standard_normal((n, n))
-        a, b, c = a + a.T, b + b.T, c + c.T
-        if rng.random() < 0.5:
-            path = sf.HermitianPath.affine(a, b, -1.0, 1.0)
-        else:
-            path = sf.HermitianPath.from_callable(
-                lambda t: a + t * b + np.sin(1.7 * t) * c, -1.0, 1.0, num_samples=25
-            )
-        e0 = np.abs(np.linalg.eigvalsh(path.values[0])).min()
-        e1 = np.abs(np.linalg.eigvalsh(path.values[-1])).min()
-        if min(e0, e1) > 1e-3:
-            return path
-
-
 def random_rank_matrix(rng, m, n, rank):
     u, _ = np.linalg.qr(rng.standard_normal((m, m)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -138,7 +120,7 @@ def test_03_transport_equals_flow_parity_on_a_thousand_paths():
     agree = 0
     for i in range(1000):
         dim = 4 + (i % 7)
-        rep = orient.transport_report(random_invertible_endpoint_path(rng, dim))
+        rep = orient.transport_report(cli._random_symmetric_path(rng, dim))
         agree += rep.eps_det == rep.eps_sf
     assert agree == 1000
     assert time.perf_counter() - started < 120.0

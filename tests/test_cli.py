@@ -7,6 +7,7 @@ byte-identical JSON payloads, and exit codes must encode the outcome
 
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -176,3 +177,14 @@ def test_substreams_are_independent_of_trial_count(tmp_path):
     _, p1 = read_json(out1)
     _, p2 = read_json(out2)
     assert p1["results"] == p2["results"][:2]
+
+
+def test_commands_start_no_threads(tmp_path, monkeypatch):
+    # Parallelism may come back only behind an explicit --jobs flag.
+    def refuse(self):
+        raise AssertionError("the CLI started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = str(tmp_path / "o.json")
+    assert run_cli(["otsf", "--seed", "1", "--trials", "3", "--out", out]) == 0
+    assert run_cli(["swcheck", "--cutoff", "2", "--trials", "2", "--out", out]) == 0

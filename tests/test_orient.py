@@ -114,7 +114,7 @@ def test_realified_paths_transport_positively():
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a, b = a + a.conj().T, b + b.conj().T
         grid = np.linspace(-1.0, 1.0, 33)
-        path = sf.HermitianPath.from_samples(grid, np.array([a + t * b for t in grid]))
+        path = sf.HermitianPath(grid, np.array([a + t * b for t in grid]))
         assert orient.orientation_transport_sf(path) == 1
 
 

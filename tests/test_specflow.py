@@ -240,7 +240,7 @@ def test_homotopy_invariance_random():
 def test_realified_path_doubles_flow_and_is_even():
     t_grid = np.linspace(-1.0, 1.0, 21)
     vals = np.array([np.diag([t + 0.0j, 1.0 + 0.0j]) for t in t_grid])
-    path = sf.HermitianPath.from_samples(t_grid, vals)
+    path = sf.HermitianPath(t_grid, vals)
     assert path.realified
     assert path.values.shape == (21, 4, 4)
     assert sf.spectral_flow(path).sf == 2
@@ -254,7 +254,7 @@ def test_realified_path_doubles_flow_and_is_even():
         b = b + b.conj().T
         grid = np.linspace(-1.0, 1.0, 33)
         vals = np.array([a + t * b for t in grid])
-        rep = sf.spectral_flow(sf.HermitianPath.from_samples(grid, vals))
+        rep = sf.spectral_flow(sf.HermitianPath(grid, vals))
         assert rep.sf % 2 == 0
 
 
@@ -262,7 +262,7 @@ def test_rejects_asymmetric_samples():
     grid = np.array([0.0, 1.0])
     vals = np.array([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValueError):
-        sf.HermitianPath.from_samples(grid, vals)
+        sf.HermitianPath(grid, vals)
 
 
 # ---------------------------------------------------- crossing operator
