@@ -105,8 +105,13 @@ def _max_abs(a):
 
 
 def _check_symmetric(values, tol=1e-12):
+    """Reject a matrix, or a stack of matrices, that is not symmetric.
+
+    The defect is taken one matrix at a time, so the only temporary is
+    the size of one sample."""
     scale = max(1.0, _max_abs(values))
-    defect = _max_abs(values - np.swapaxes(values, -1, -2))
+    mats = values[None] if values.ndim == 2 else values
+    defect = max(_max_abs(v - v.T) for v in mats)
     if defect > tol * scale:
         raise ValueError("path samples are not symmetric within tolerance")
 
@@ -140,6 +145,8 @@ class HermitianPath:
                 derivative = lambda t: realify_matrix(rawd(t))
             realified = True
         values = values.astype(float, copy=False)
+        if values.ndim != 3 or values.shape[1] != values.shape[2]:
+            raise ValueError("samples must be square matrices")
         _check_symmetric(values)
         if values.shape[0] != t_samples.size:
             raise ValueError("sample count mismatch")
@@ -152,7 +159,18 @@ class HermitianPath:
     @classmethod
     def from_callable(cls, func, a, b, num_samples=33, derivative=None):
         grid = np.linspace(a, b, num_samples)
-        vals = np.array([func(t) for t in grid])
+        if grid.size < 2:
+            raise ValueError("need at least two samples")
+        first = np.asarray(func(grid[0]))
+        vals = np.empty((grid.size,) + first.shape, dtype=first.dtype)
+        vals[0] = first
+        for i in range(1, grid.size):
+            sample = np.asarray(func(grid[i]))
+            if sample.shape != first.shape:
+                raise ValueError("path samples change shape")
+            if not np.can_cast(sample.dtype, vals.dtype):
+                vals = vals.astype(np.result_type(vals, sample))
+            vals[i] = sample
         return cls(grid, vals, derivative=derivative, func=func)
 
     @classmethod
@@ -259,25 +277,42 @@ def _make_record(path, tstar, net, delta, kernel_floor, cfg):
     )
 
 
+def _below(eigs, delta):
+    """Number of eigenvalues below the counting line at delta."""
+    return int(np.sum(eigs < delta))
+
+
+def _initial_shift(eigs_a, eigs_b, scale, cfg):
+    """Half the smallest endpoint eigenvalue magnitude above the kernel
+    floor cfg.kernel_threshold_rel * scale, capped at cfg.delta_cap / 2."""
+    mags = np.abs(np.concatenate([eigs_a, eigs_b]))
+    nonzero = mags[mags > cfg.kernel_threshold_rel * scale]
+    return 0.5 * min(float(nonzero.min()) if nonzero.size else cfg.delta_cap, cfg.delta_cap)
+
+
+def _endpoint_flow(eigs_a, eigs_b, scale, cfg):
+    """Endpoint-count spectral flow from the two endpoint spectra.
+
+    Returns (sf, delta): the shift of ``_initial_shift`` and
+    sf = N(a) - N(b), N counting eigenvalues below it.  ``scale`` is the
+    largest entry magnitude over both endpoints, floored at 1, and the
+    spectra need not be sorted.  Only cfg.kernel_threshold_rel and
+    cfg.delta_cap are read."""
+    delta = _initial_shift(eigs_a, eigs_b, scale, cfg)
+    return _below(eigs_a, delta) - _below(eigs_b, delta), delta
+
+
 def _flow_with_delta(path, delta, cfg, scale, spectra):
     kernel_floor = cfg.kernel_threshold_rel * scale
     counts = {}
 
     def count(t, mat):
         if t not in counts:
-            counts[t] = int(np.sum(_spectrum(spectra, t, mat) < delta))
+            counts[t] = _below(_spectrum(spectra, t, mat), delta)
         return counts[t]
 
     na = count(path.a, path.values[0])
     nb = count(path.b, path.values[-1])
-    if cfg.endpoint_count_only:
-        return SpectralFlowReport(
-            sf=na - nb,
-            delta_used=delta,
-            crossings=[],
-            refinement_depth=0,
-            method="endpoint-count",
-        )
     # Each stack entry carries the matrices at its ends, so no point is
     # evaluated twice in one pass and a midpoint matrix is freed once
     # both of its intervals are done.
@@ -342,14 +377,15 @@ def spectral_flow(path, cfg=None):
     if cfg is None:
         cfg = SpectralFlowConfig()
     scale = max(1.0, _max_abs(path.values))
-    kernel_floor = cfg.kernel_threshold_rel * scale
     spectra = {}
-    end_eigs = np.concatenate(
-        [_spectrum(spectra, path.a, path.values[0]), _spectrum(spectra, path.b, path.values[-1])]
-    )
-    mags = np.abs(end_eigs)
-    nonzero = mags[mags > kernel_floor]
-    delta0 = 0.5 * min(float(nonzero.min()) if nonzero.size else cfg.delta_cap, cfg.delta_cap)
+    eigs_a = _spectrum(spectra, path.a, path.values[0])
+    eigs_b = _spectrum(spectra, path.b, path.values[-1])
+    if cfg.endpoint_count_only:
+        sf, delta = _endpoint_flow(eigs_a, eigs_b, scale, cfg)
+        return SpectralFlowReport(
+            sf=sf, delta_used=delta, crossings=[], refinement_depth=0, method="endpoint-count"
+        )
+    delta0 = _initial_shift(eigs_a, eigs_b, scale, cfg)
     err = None
     for halving in range(cfg.max_halvings + 1):
         delta = delta0 / 2.0**halving

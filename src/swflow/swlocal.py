@@ -23,7 +23,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import clifford3 as cl
-from . import orient as omod
 from . import specflow as sfmod
 from .torus_model import (
     FlatConnection,
@@ -71,34 +70,39 @@ _CACHE = {}
 
 
 def _tables(trunc):
+    """Mode tables of a truncation, built once per cutoff.
+
+    A mode k is encoded as the digits k + N in base 2N + 1, which is its
+    position in the lexicographic ordering, so ``shift[p, q]`` (the index
+    of k_p + k_q, or -1 outside the truncation) and ``neg`` (the index of
+    -k) come from broadcasting.  ``first_order`` and ``form_block`` are
+    filled on first use.
+    """
     tab = _CACHE.get(trunc.cutoff)
     if tab is not None:
         return tab
+    n = trunc.cutoff
     m = trunc.mode_count
     modes = trunc.modes
-    neg = np.array([trunc.index(-k) for k in modes])
-    shift = np.full((m, m), -1, dtype=np.int64)
-    for p in range(m):
-        for q in range(m):
-            idx = trunc.index(modes[p] + modes[q])
-            if idx is not None:
-                shift[p, q] = idx
+    place = (2 * n + 1) ** np.arange(2, -1, -1)
+    neg = (n - modes) @ place
+    sums = modes[:, None, :] + modes[None, :, :]
+    shift = np.where(np.all(np.abs(sums) <= n, axis=-1), (sums + n) @ place, -1)
+    # The zero mode sits in the middle; lexicographically positive modes
+    # follow it and carry cos, their negatives precede it and carry sin.
     u = np.zeros((m, m), dtype=complex)
     s = 1.0 / np.sqrt(2.0)
-    for i, k in enumerate(modes):
-        t = tuple(int(v) for v in k)
-        if t == (0, 0, 0):
-            u[i, i] = 1.0
-        elif t > (0, 0, 0):
-            u[i, i] = s
-            u[i, neg[i]] = -1j * s
-        else:
-            u[i, neg[i]] = s
-            u[i, i] = 1j * s
+    zero = m // 2
+    pos = np.arange(zero + 1, m)
+    u[zero, zero] = 1.0
+    u[pos, pos] = s
+    u[pos, neg[pos]] = -1j * s
+    u[neg[pos], pos] = s
+    u[neg[pos], neg[pos]] = 1j * s
     star2 = _star_block(2)
     star_d = np.array([star2 @ _wedge_block(k, 1) for k in modes])
     tab = SimpleNamespace(
-        u=u, neg=neg, shift=shift, star_d=star_d, star2=star2, first_order=None
+        u=u, neg=neg, shift=shift, star_d=star_d, star2=star2, first_order=None, form_block=None
     )
     _CACHE[trunc.cutoff] = tab
     return tab
@@ -574,54 +578,116 @@ def extended_hessian(c):
 # ------------------------------------------------------- sign and count
 
 
+def _checked_spectrum(mat):
+    """(eigenvalues, largest entry magnitude) of a symmetric matrix."""
+    sfmod._check_symmetric(mat)
+    return np.linalg.eigvalsh(mat), sfmod._max_abs(mat)
+
+
+def _form_block(trunc):
+    """Spectrum and largest entry magnitude of the form block of the
+    extended Hessian, F = [[-*d, 2 d0], [2 d*, 0]] on (1-forms, functions).
+
+    F does not depend on the configuration; it is diagonalized once per
+    cutoff, on the first sign request.
+    """
+    tab = _tables(trunc)
+    if tab.form_block is None:
+        fo = _first_order(trunc)
+        n_a = 3 * trunc.mode_count
+        f = np.zeros((n_a + trunc.mode_count,) * 2)
+        f[:n_a, :n_a] = fo.minus_star_d
+        f[:n_a, n_a:] = 2.0 * fo.d0
+        f[n_a:, :n_a] = 2.0 * fo.cod1
+        tab.form_block = _checked_spectrum(f)
+    return tab.form_block
+
+
+def _reducible_spectrum(c):
+    """Spectrum and largest entry magnitude of the extended Hessian at the
+    reducible point (0, A) of c, by blocks.
+
+    With a zero spinor the coupling blocks vanish, so the Hessian is
+    diag(realify(D_A), F): the realified Dirac block is diagonalized and
+    the cached spectrum of F is appended.
+    """
+    eigs, top = _checked_spectrum(sfmod.realify_matrix(_dirac_matrix(c)))
+    form_eigs, form_top = _form_block(c.trunc)
+    return np.concatenate([eigs, form_eigs]), max(top, form_top)
+
+
+def _endpoint_spectrum(c):
+    """Spectrum and largest entry magnitude of the extended Hessian at c:
+    one assembly and one dense eigvalsh, or blocks when c is reducible."""
+    if c.reducible:
+        return _reducible_spectrum(c)
+    return _checked_spectrum(extended_hessian(c).matrix)
+
+
+def _parity(start, end, cfg):
+    """(-1)^SF of the affine path between two endpoints, each given as
+    (spectrum, largest entry magnitude)."""
+    scale = max(1.0, start[1], end[1])
+    sf, _ = sfmod._endpoint_flow(start[0], end[0], scale, cfg)
+    return 1 if sf % 2 == 0 else -1
+
+
+def _sign(c, end, base, cfg):
+    """Sign of c from its endpoint spectrum ``end``: the parity from the
+    reducible point (0, A) of c, checked against the parity from
+    ``base`` when one is given."""
+    eps = _parity(_reducible_spectrum(c), end, cfg)
+    if base is not None and _parity(_reducible_spectrum(base), end, cfg) != eps:
+        raise RuntimeError("base-point route disagrees with the default route")
+    return eps
+
+
 def configuration_sign(c, base=None, cfg=None):
     """Orientation transport along the spinor-scaling path to c.
 
     The path t -> extended Hessian of (t psi, A) is affine in t, so the
-    transport is the endpoint-count spectral flow parity.  A reducible
-    base configuration selects the alternative affine path from the base;
-    both routes are computed and must agree.
+    transport is the parity of the endpoint-count spectral flow.  The
+    Hessian of c is assembled and densely diagonalized once.  Its
+    reducible endpoint (0, A) is taken by blocks: there the coupling
+    blocks vanish, so its spectrum is that of the realified Dirac
+    operator D_A joined with the cached spectrum of the configuration-free
+    form block.  A reducible ``base`` (validated before any work) selects
+    the alternative affine path from the base, whose endpoint is taken by
+    blocks as well; both routes must agree.  Every diagonalized matrix is
+    checked for symmetry.  ``cfg`` supplies only kernel_threshold_rel and
+    delta_cap (the shift choice of spectral_flow).
     """
+    if base is not None and not base.reducible:
+        raise ValueError("base configuration must be reducible")
     if cfg is None:
         cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
-    tr = c.trunc
-    t_end = extended_hessian(c).matrix
-    red = Configuration(tr, np.zeros_like(c.psi), c.alpha, c.a_field)
-    t0 = extended_hessian(red).matrix
-    eps = omod.orientation_transport_sf(sfmod.HermitianPath.affine(t0, t_end - t0), cfg)
-    if base is not None:
-        if not base.reducible:
-            raise ValueError("base configuration must be reducible")
-        tb = extended_hessian(base).matrix
-        eps_base = omod.orientation_transport_sf(sfmod.HermitianPath.affine(tb, t_end - tb), cfg)
-        if eps_base != eps:
-            raise RuntimeError("base-point route disagrees with the default route")
-    return eps
+    return _sign(c, _endpoint_spectrum(c), base, cfg)
 
 
 def signed_count(configs):
     """Sum of configuration signs, cross-checked by the relative form.
 
-    The relative form anchors at the first entry and multiplies its sign
-    into the parities of the affine connecting paths; the two expressions
-    must produce the same integer.
+    Each configuration's extended Hessian is assembled and densely
+    diagonalized once; that spectrum serves both expressions.  The direct
+    sum adds the configuration signs (reducible endpoints by blocks, as
+    in configuration_sign).  The relative form anchors at the first entry
+    and multiplies its sign into the parities of the affine paths from
+    it, each taken from the two endpoint spectra with its own shift; the
+    two expressions must produce the same integer.
     """
     configs = list(configs)
     for c in configs:
         if c.reducible:
             raise ValueError("signed counts are defined for irreducible configurations")
-    total = sum(configuration_sign(c) for c in configs)
-    if configs:
-        cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
-        t_base = extended_hessian(configs[0]).matrix
-        rel = 0
-        for c in configs:
-            t_c = extended_hessian(c).matrix
-            sf = sfmod.spectral_flow(sfmod.HermitianPath.affine(t_base, t_c - t_base), cfg).sf
-            rel += (-1) ** sf
-        rel *= configuration_sign(configs[0])
-        if rel != total:
-            raise RuntimeError("relative count disagrees with the direct sum")
+    if not configs:
+        return 0
+    cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
+    ends = [_endpoint_spectrum(c) for c in configs]
+    signs = [_sign(c, end, None, cfg) for c, end in zip(configs, ends)]
+    total = sum(signs)
+    rel = signs[0] * sum(_parity(ends[0], end, cfg) for end in ends)
+    if rel != total:
+        raise RuntimeError("relative count disagrees with the direct sum")
     return total
 
 

@@ -7,10 +7,13 @@ arriving at zero from above counts -1; branches that stay on one side
 contribute nothing.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from swflow import specflow as sf
+from swflow import torus_model as tm
 
 
 def branch_crossing_oracle(values, delta):
@@ -263,6 +266,27 @@ def test_rejects_asymmetric_samples():
     vals = np.array([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValueError):
         sf.HermitianPath(grid, vals)
+
+
+def test_from_callable_builds_in_one_copy_of_the_samples():
+    # n = 255 magnetic tower with 17 samples: 8.8 MB of values
+    tm.magnetic_family_path(3, 8)
+    tracemalloc.start()
+    try:
+        path = tm.magnetic_family_path(3, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * path.values.nbytes
+
+
+def test_from_callable_keeps_complex_and_rejects_ragged_samples():
+    herm = np.array([[0.0, 1j], [-1j, 0.0]])
+    path = sf.HermitianPath.from_callable(lambda t: t * np.eye(2) + (t > 0.5) * herm, 0.0, 1.0, 3)
+    assert path.realified and path.n == 4
+    assert np.array_equal(path.values[-1], sf.realify_matrix(np.eye(2) + herm))
+    with pytest.raises(ValueError):
+        sf.HermitianPath.from_callable(lambda t: np.eye(2 if t < 0.5 else 3), 0.0, 1.0, 3)
 
 
 # ---------------------------------------------------- crossing operator

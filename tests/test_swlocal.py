@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from swflow import clifford3 as cl
+from swflow import orient
 from swflow import specflow as sfmod
 from swflow import swlocal as sl
 from swflow import torus_model as tm
@@ -73,6 +74,34 @@ def test_realified_spinor_layout_matches_matrix_convention():
     rhs = sl.realify_spinor((mat @ psi.reshape(-1)).reshape(m, 2))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
     assert np.max(np.abs(sl.unrealify_spinor(sl.realify_spinor(psi)) - psi)) == 0.0
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_mode_tables_match_index_lookups(cutoff):
+    # oracle: one trunc.index lookup per entry and a loop over modes
+    tr = tm.TorusTruncation(cutoff)
+    m = tr.mode_count
+    neg = np.array([tr.index(-k) for k in tr.modes])
+    shift = np.full((m, m), -1, dtype=np.int64)
+    for p in range(m):
+        for q in range(m):
+            idx = tr.index(tr.modes[p] + tr.modes[q])
+            if idx is not None:
+                shift[p, q] = idx
+    u = np.zeros((m, m), dtype=complex)
+    s = 1.0 / np.sqrt(2.0)
+    for i, k in enumerate(tr.modes):
+        t = tuple(int(v) for v in k)
+        if t == (0, 0, 0):
+            u[i, i] = 1.0
+        elif t > (0, 0, 0):
+            u[i, i], u[i, neg[i]] = s, -1j * s
+        else:
+            u[i, neg[i]], u[i, i] = s, 1j * s
+    tab = sl._tables(tr)
+    assert np.array_equal(tab.neg, neg)
+    assert np.array_equal(tab.shift, shift)
+    assert np.array_equal(tab.u, u)
 
 
 # ---------------------------------------------------------- product kernels
@@ -379,6 +408,181 @@ def test_signed_count():
     red = sl.Configuration(tr, np.zeros((tr.mode_count, 2), complex), np.zeros(3))
     with pytest.raises(ValueError):
         sl.signed_count([red])
+
+
+def reducible_point(c):
+    return sl.Configuration(c.trunc, np.zeros_like(c.psi), c.alpha, c.a_field)
+
+
+def random_reducible(tr, rng):
+    m = tr.mode_count
+    return sl.Configuration(
+        tr,
+        np.zeros((m, 2)),
+        rng.uniform(-1.0, 1.0, size=3),
+        sl.random_configuration(tr, rng).a_field,
+    )
+
+
+def scaled_configs(count, seed=11):
+    """Cutoff-2 configurations with the spinor scaled by 3, which gives
+    both signs (three negative among the first seven of seed 11)."""
+    tr = tm.TorusTruncation(2)
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        c = sl.random_configuration(tr, rng)
+        configs.append(sl.Configuration(tr, 3.0 * c.psi, c.alpha, c.a_field))
+    return configs, rng
+
+
+def dense_sign(c, start):
+    """Oracle: orientation transport on the assembled Hessians of the
+    affine path from start to c."""
+    t0 = sl.extended_hessian(start).matrix
+    t1 = sl.extended_hessian(c).matrix
+    path = sfmod.HermitianPath.affine(t0, t1 - t0)
+    return orient.orientation_transport_sf(path, sfmod.SpectralFlowConfig(endpoint_count_only=True))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_reducible_extended_hessian_is_block_diagonal(cutoff):
+    rng = np.random.default_rng(100 + cutoff)
+    tr = tm.TorusTruncation(cutoff)
+    n_s = 4 * tr.mode_count
+    red = random_reducible(tr, rng)
+    h = sl.extended_hessian(red).matrix
+    assert np.all(h[:n_s, n_s:] == 0.0)
+    assert np.all(h[n_s:, :n_s] == 0.0)
+    assert np.array_equal(h[:n_s, :n_s], sfmod.realify_matrix(sl._dirac_matrix(red)))
+    # the form block's spectrum is the closed form per mode k != 0:
+    # +-|k| on the transverse 1-forms, +-2|k| on the exact/function pair
+    eigs, top = sl._form_block(tr)
+    assert top == np.abs(h[n_s:, n_s:]).max()
+    k = np.linalg.norm(tr.modes, axis=1)
+    k = k[k > 0]
+    want = np.sort(np.concatenate([k, -k, 2 * k, -2 * k, np.zeros(4)]))
+    assert np.max(np.abs(np.sort(eigs) - want)) < 1e-12
+
+
+def test_signs_match_dense_route_at_cutoff_one():
+    rng = np.random.default_rng(102)
+    tr = tm.TorusTruncation(1)
+    configs = [sl.random_configuration(tr, rng) for _ in range(6)]
+    for c in configs:
+        base = random_reducible(tr, rng)
+        want = dense_sign(c, reducible_point(c))
+        assert dense_sign(c, base) == want
+        assert sl.configuration_sign(c) == want
+        assert sl.configuration_sign(c, base=base) == want
+    red = random_reducible(tr, rng)
+    assert sl.configuration_sign(red, base=random_reducible(tr, rng)) == dense_sign(red, red) == 1
+    assert sl.signed_count(configs) == sum(dense_sign(c, reducible_point(c)) for c in configs)
+
+
+def test_signs_match_dense_route_with_both_signs():
+    configs, rng = scaled_configs(7)
+    want = []
+    for c in configs:
+        base = random_reducible(c.trunc, rng)
+        eps = dense_sign(c, reducible_point(c))
+        assert dense_sign(c, base) == eps
+        assert sl.configuration_sign(c) == eps
+        assert sl.configuration_sign(c, base=base) == eps
+        want.append(eps)
+    assert want.count(-1) == 3
+    for idx in ([0, 1, 2], [1, 5, 6], list(range(7))):
+        assert sl.signed_count([configs[i] for i in idx]) == sum(want[i] for i in idx)
+
+
+def test_sign_route_solves_each_hessian_once(monkeypatch):
+    rng = np.random.default_rng(103)
+    tr = tm.TorusTruncation(1)
+    n_s = 4 * tr.mode_count
+    configs = [sl.random_configuration(tr, rng) for _ in range(3)]
+    base = random_reducible(tr, rng)
+    full = []
+    assembled = []
+    eigvalsh = np.linalg.eigvalsh
+    hessian = sl.extended_hessian
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        if a.shape[-1] == 2 * n_s:
+            full.append(bool(np.any(a[:n_s, n_s:])))
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_hessian(c):
+        assembled.append(c.reducible)
+        return hessian(c)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(sl, "extended_hessian", counting_hessian)
+    for call, solves in (
+        (lambda: sl.configuration_sign(configs[0]), 1),
+        (lambda: sl.configuration_sign(configs[0], base=base), 1),
+        (lambda: sl.signed_count(configs), 3),
+        (lambda: sl.configuration_sign(base), 0),
+    ):
+        full.clear()
+        assembled.clear()
+        call()
+        assert len(full) == solves
+        assert len(assembled) == solves
+        # every full-size solve has coupling blocks: none is reducible
+        assert all(full)
+        assert not any(assembled)
+
+
+def test_irreducible_base_is_rejected_before_any_solve(monkeypatch):
+    rng = np.random.default_rng(104)
+    tr = tm.TorusTruncation(1)
+    c = sl.random_configuration(tr, rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done before the base was validated")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(sl, "extended_hessian", forbidden)
+    monkeypatch.setattr(sl, "_dirac_matrix", forbidden)
+    with pytest.raises(ValueError):
+        sl.configuration_sign(c, base=c)
+
+
+# Signs and signed counts of the earlier route, which ran the affine
+# spectral flow on assembled Hessians at both ends.
+FROZEN_SIGNS_C2 = [
+    1, -1, 1, 1, 1, -1, -1, 1, 1, 1, 1, 1, 1, 1, -1,
+    1, -1, 1, 1, 1, -1, 1, 1, 1, 1, 1, 1, -1, -1, -1,
+]
+FROZEN_COUNTS_C2 = [
+    (list(range(0, 6)), 2),
+    (list(range(6, 12)), 4),
+    (list(range(12, 20)), 4),
+    (list(range(20, 30)), 2),
+    ([3, 3, 7], 3),
+]
+
+
+def test_signs_equal_frozen_corpus():
+    # the acceptance battery's seed-1010 stream at cutoff 1: all positive
+    tr = tm.TorusTruncation(1)
+    rng = np.random.default_rng(1010)
+    for _ in range(50):
+        c = sl.random_configuration(tr, rng)
+        assert sl.configuration_sign(c) == 1
+        assert sl.configuration_sign(c, base=random_reducible(tr, rng)) == 1
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rotated = sl.Configuration(tr, np.exp(1j * theta) * c.psi, c.alpha, c.a_field)
+        assert sl.configuration_sign(rotated) == 1
+    for size in (1, 2, 3, 4, 5):
+        assert sl.signed_count([sl.random_configuration(tr, rng) for _ in range(size)]) == size
+
+    configs, rng = scaled_configs(30)
+    bases = [random_reducible(configs[0].trunc, rng) for _ in configs]
+    got = [sl.configuration_sign(c, base=b) for c, b in zip(configs, bases)]
+    assert got == FROZEN_SIGNS_C2
+    for idx, want in FROZEN_COUNTS_C2:
+        assert sl.signed_count([configs[i] for i in idx]) == want
 
 
 # --------------------------------------------------------- crossing algebra
