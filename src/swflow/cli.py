@@ -210,7 +210,7 @@ def _analytic_dirac_residual(cutoff, alpha):
     for k in trunc.modes:
         r = float(np.linalg.norm(k + alpha / 2.0))
         want.extend([-r, r])
-    got = np.linalg.eigvalsh(tm.fourier_dirac(trunc, tm.FlatConnection(alpha)).matrix)
+    got = np.linalg.eigvalsh(tm.fourier_dirac(trunc, tm.FlatConnection(alpha)))
     return float(np.max(np.abs(np.sort(np.asarray(want)) - got)))
 
 
@@ -299,7 +299,7 @@ def cmd_swcheck(cfg):
     def hessian(i):
         rng = _substream(cfg.seed, 20_000 + i)
         c = sl.random_configuration(trunc, rng)
-        h = sl.sw_hessian(c).matrix
+        h = sl.sw_hessian(c)
         sym = float(np.max(np.abs(h - h.T)))
         tv = _random_tangent(trunc, rng, radius)
         vec = sl.tangent_to_vector(tv)
@@ -358,7 +358,7 @@ def cmd_swcheck(cfg):
             ("zero", np.zeros(3)),
         ):
             c = sl.Configuration(trunc, np.zeros((trunc.mode_count, 2)), alpha)
-            eigs = np.linalg.eigvalsh(sl.extended_hessian(c).matrix)
+            eigs = np.linalg.eigvalsh(sl.extended_hessian(c))
             dims[label] = int(np.sum(np.abs(eigs) <= 1e-8 * np.max(np.abs(eigs))))
         return {
             "id": "kernel",

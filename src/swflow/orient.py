@@ -114,10 +114,10 @@ def _orthonormalize(cols):
     return u[:, :rank]
 
 
-def _collect_stabilizer(path, cfg):
-    """Constant stabilizer covering every near-singular parameter."""
+def _collect_stabilizer(path, cfg, scale):
+    """Constant stabilizer covering every near-singular parameter; ``scale``
+    is the largest entry magnitude of the samples, floored at 1."""
     n = path.n
-    scale = max(1.0, float(np.abs(path.values).max(initial=0.0)))
     trigger = 1e-6 * scale
     collect_tol = 1e-3 * scale
     V = np.zeros((n, 0))
@@ -171,7 +171,7 @@ def _transport_frame(path, K, grid, rng, cfg):
 
 
 def _transport_det(path, cfg, rng, extra_directions, full_stabilizer):
-    scale = max(1.0, float(np.abs(path.values).max(initial=0.0)))
+    scale = max(1.0, sfmod._max_abs(path.values))
     floor = cfg.kernel_threshold_rel * scale
     for idx in (0, -1):
         if np.abs(np.linalg.eigvalsh(path.values[idx])).min() < floor:
@@ -180,7 +180,7 @@ def _transport_det(path, cfg, rng, extra_directions, full_stabilizer):
         V = np.eye(path.n)
         _, _, grid = _scan_stabilizer(path, V, 1e-6 * scale, 1e-3 * scale, cfg)
     else:
-        V, grid = _collect_stabilizer(path, cfg)
+        V, grid = _collect_stabilizer(path, cfg, scale)
     if extra_directions > 0:
         gen = rng if rng is not None else np.random.default_rng(0)
         extra = gen.standard_normal((path.n, extra_directions))
@@ -242,22 +242,16 @@ def ot_axioms(p1, p2, homotopy=None, cfg=None):
     eps_sum = 1 if sfmod.sf_direct_sum(p1, p2, cfg) % 2 == 0 else -1
     report["direct_sum"] = {"ok": eps_sum == e1 * e2, "lhs": eps_sum, "rhs": e1 * e2}
     report["concat"] = None
-    if p1.n == p2.n:
-        scale = max(1.0, float(np.abs(p1.values[-1]).max(initial=0.0)))
-        if np.abs(p1.values[-1] - p2.values[0]).max(initial=0.0) <= 1e-12 * scale:
-            eps_cat = 1 if sfmod.sf_concat(p1, p2, cfg) % 2 == 0 else -1
-            report["concat"] = {
-                "ok": eps_cat == e1 * e2,
-                "lhs": eps_cat,
-                "rhs": e1 * e2,
-            }
+    if p1.n == p2.n and sfmod._joins(p1, p2):
+        eps_cat = 1 if sfmod.sf_concat(p1, p2, cfg) % 2 == 0 else -1
+        report["concat"] = {"ok": eps_cat == e1 * e2, "lhs": eps_cat, "rhs": e1 * e2}
     report["homotopy"] = None
     if homotopy is not None:
         a, b = p1.a, p1.b
         for t in (a, b):
             lo = np.asarray(homotopy(0.0, t), dtype=float)
             hi = np.asarray(homotopy(1.0, t), dtype=float)
-            if np.abs(lo - hi).max() > 1e-12 * max(1.0, np.abs(lo).max()):
+            if sfmod._max_abs(lo - hi) > 1e-12 * max(1.0, sfmod._max_abs(lo)):
                 raise ValueError("homotopy does not fix the endpoints")
         edges = [
             sfmod.HermitianPath.from_callable(lambda t, s=s: homotopy(s, t), a, b)

@@ -94,9 +94,17 @@ class TrackedBranches:
 
 
 def realify_matrix(m):
-    """Real 2n x 2n matrix of a complex n x n map acting on (Re, Im)."""
+    """Real 2n x 2n matrix of a complex n x n map acting on (Re, Im).
+
+    Leading axes are a stack of maps; all are written into one output
+    array, with no other temporary."""
     m = np.asarray(m)
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+    r, n = m.shape[-2:]
+    out = np.empty(m.shape[:-2] + (2 * r, 2 * n), dtype=m.real.dtype)
+    out[..., :r, :n] = out[..., r:, n:] = m.real
+    out[..., r:, :n] = m.imag
+    np.negative(m.imag, out=out[..., :r, n:])
+    return out
 
 
 def _max_abs(a):
@@ -132,11 +140,16 @@ class HermitianPath:
         if np.any(np.diff(t_samples) <= 0):
             raise ValueError("t_samples must be strictly increasing")
         values = np.asarray(values)
+        if values.ndim != 3 or values.shape[1] != values.shape[2]:
+            raise ValueError("samples must be square matrices")
         if np.iscomplexobj(values):
-            herm_defect = np.abs(values - np.conj(np.swapaxes(values, -1, -2))).max()
-            if herm_defect > 1e-12 * max(1.0, float(np.abs(values).max())):
+            # defect and scale one sample at a time, so that no temporary
+            # is larger than one sample
+            scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in values))
+            defect = max(float(np.abs(v - v.conj().T).max(initial=0.0)) for v in values)
+            if defect > 1e-12 * scale:
                 raise ValueError("complex samples are not Hermitian")
-            values = np.array([realify_matrix(v) for v in values])
+            values = realify_matrix(values)
             if func is not None:
                 raw = func
                 func = lambda t: realify_matrix(raw(t))
@@ -145,8 +158,6 @@ class HermitianPath:
                 derivative = lambda t: realify_matrix(rawd(t))
             realified = True
         values = values.astype(float, copy=False)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise ValueError("samples must be square matrices")
         _check_symmetric(values)
         if values.shape[0] != t_samples.size:
             raise ValueError("sample count mismatch")
@@ -421,10 +432,15 @@ def sf_direct_sum(p1, p2, cfg=None):
     return spectral_flow(joined, cfg).sf
 
 
+def _joins(p1, p2):
+    """Whether p2 starts where p1 ends, to 1e-12 relative to p1's end."""
+    end = p1.values[-1]
+    return _max_abs(end - p2.values[0]) <= 1e-12 * max(1.0, _max_abs(end))
+
+
 def sf_concat(p1, p2, cfg=None):
     """Spectral flow of the concatenation (p2 reparametrized after p1)."""
-    scale = max(1.0, float(np.abs(p1.values[-1]).max(initial=0.0)))
-    if np.abs(p1.values[-1] - p2.values[0]).max(initial=0.0) > 1e-12 * scale:
+    if not _joins(p1, p2):
         raise ValueError("concatenation endpoints do not match")
     offset = p1.b - p2.a
     junction = p1.b
@@ -476,8 +492,8 @@ def track_degenerate_eigenvalue(path, cfg=None):
     a, b = path.a, path.b
     if not (a < 0.0 < b):
         raise ValueError("domain must contain 0 in its interior")
-    scale = max(1.0, float(np.abs(path.values).max(initial=0.0)))
-    if np.abs(path.evaluate(0.0)).max(initial=0.0) > 1e-12 * scale:
+    scale = max(1.0, _max_abs(path.values))
+    if _max_abs(path.evaluate(0.0)) > 1e-12 * scale:
         raise ValueError("path does not vanish at t = 0")
     b0 = path.derivative_at(0.0)
     b0 = 0.5 * (b0 + b0.T)
@@ -510,8 +526,6 @@ def track_degenerate_eigenvalue(path, cfg=None):
 
     lam = grid[:, None] * mus
     h = 1e-3 * (b - a)
-    second = np.zeros(n)
-    gplus = gminus = None
     for sgn in (1.0, -1.0):
         t = sgn * h
         e, v = np.linalg.eigh(scaled(t))

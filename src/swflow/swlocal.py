@@ -28,9 +28,10 @@ from .torus_model import (
     FlatConnection,
     MarginError,
     TorusTruncation,
-    TruncatedOperator,
+    _block_diag,
     _star_block,
-    _wedge_block,
+    _wedge_blocks,
+    exterior_d,
     fourier_dirac,
 )
 
@@ -72,53 +73,76 @@ _CACHE = {}
 def _tables(trunc):
     """Mode tables of a truncation, built once per cutoff.
 
-    A mode k is encoded as the digits k + N in base 2N + 1, which is its
-    position in the lexicographic ordering, so ``shift[p, q]`` (the index
-    of k_p + k_q, or -1 outside the truncation) and ``neg`` (the index of
-    -k) come from broadcasting.  ``first_order`` and ``form_block`` are
-    filled on first use.
+    ``shift[p, q]`` is the index of k_p + k_q and ``diff[p, q]`` that of
+    k_p - k_q (-1 outside the truncation); ``neg`` is the index of -k.
+    The trig-to-Fourier unitary u pairs each mode with its negative,
+    (u x)_p = diag_p x_p + off_p x_{-p}: at a lexicographically positive
+    mode (p > neg[p]) the coefficient carries cos, at its negative sin.
+    ``first_order`` and ``form_block`` are filled on first use.
     """
     tab = _CACHE.get(trunc.cutoff)
     if tab is not None:
         return tab
-    n = trunc.cutoff
-    m = trunc.mode_count
-    modes = trunc.modes
-    place = (2 * n + 1) ** np.arange(2, -1, -1)
-    neg = (n - modes) @ place
-    sums = modes[:, None, :] + modes[None, :, :]
-    shift = np.where(np.all(np.abs(sums) <= n, axis=-1), (sums + n) @ place, -1)
-    # The zero mode sits in the middle; lexicographically positive modes
-    # follow it and carry cos, their negatives precede it and carry sin.
-    u = np.zeros((m, m), dtype=complex)
+    neg = trunc.neg
+    p = np.arange(trunc.mode_count)
     s = 1.0 / np.sqrt(2.0)
-    zero = m // 2
-    pos = np.arange(zero + 1, m)
-    u[zero, zero] = 1.0
-    u[pos, pos] = s
-    u[pos, neg[pos]] = -1j * s
-    u[neg[pos], pos] = s
-    u[neg[pos], neg[pos]] = 1j * s
+    diag = np.select([p > neg, p < neg], [s, 1j * s], 1.0)
+    off = np.select([p > neg, p < neg], [-1j * s, s], 0.0)
     star2 = _star_block(2)
-    star_d = np.array([star2 @ _wedge_block(k, 1) for k in modes])
     tab = SimpleNamespace(
-        u=u, neg=neg, shift=shift, star_d=star_d, star2=star2, first_order=None, form_block=None
+        neg=neg,
+        shift=trunc.sums,
+        diff=trunc.sums[:, neg],
+        diag=diag,
+        off=off,
+        star_d=star2 @ _wedge_blocks(trunc.modes, 1),
+        star2=star2,
+        first_order=None,
+        form_block=None,
     )
     _CACHE[trunc.cutoff] = tab
     return tab
 
 
-def _r2c_matrix(trunc):
-    """Unitary sending trig coefficients to complex Fourier coefficients."""
-    return _tables(trunc).u
+def _pair(tab, x, first, second, axis=0):
+    """first_p x_p + second_p x_{-p} along ``axis`` of x, whose length is
+    the mode count times a block size, the mode varying slowest."""
+    y = x.reshape(x.shape[:axis] + (tab.neg.size, -1) + x.shape[axis + 1 :])
+    w = (-1,) + (1,) * (y.ndim - axis - 1)
+    out = second.reshape(w) * np.take(y, tab.neg, axis=axis)
+    out += first.reshape(w) * y
+    return out.reshape(x.shape)
+
+
+def _uh(tab, y):
+    """u^H y along the first axis of y: column p of u holds diag_p and,
+    in row -p, off_{-p}."""
+    return _pair(tab, y, np.conj(tab.diag), np.conj(tab.off[tab.neg]))
+
+
+def _times_u(tab, x):
+    """x u for a matrix x: u^T acts along its rows."""
+    return _pair(tab, x, tab.diag, tab.off[tab.neg], axis=1)
+
+
+def _compress(tab, mat):
+    """Re(u^H mat u): a real operator from its complex Fourier matrix."""
+    return _uh(tab, _times_u(tab, mat)).real
+
+
+def _gather(table, vals):
+    """vals[table] along the first axis, zero where the table holds -1."""
+    padded = np.concatenate([vals, np.zeros((1,) + vals.shape[1:], dtype=vals.dtype)])
+    return padded[table]
 
 
 def real_to_complex(trunc, trig):
-    return np.tensordot(_tables(trunc).u, np.asarray(trig, dtype=float), axes=(1, 0))
+    tab = _tables(trunc)
+    return _pair(tab, np.asarray(trig, dtype=float), tab.diag, tab.off)
 
 
 def complex_to_real(trunc, hat):
-    return np.tensordot(_tables(trunc).u.conj().T, np.asarray(hat, dtype=complex), axes=(1, 0)).real
+    return _uh(_tables(trunc), np.asarray(hat, dtype=complex)).real
 
 
 def realify_spinor(psi):
@@ -450,43 +474,24 @@ def dastq_residual(c):
 
 
 def _dirac_matrix(c):
+    """Dirac operator of c on complex coefficients: the flat operator plus
+    the Toeplitz blocks (1/2) sigma . b_hat[k_t - k_p] of the 1-form."""
     tr = c.trunc
-    tab = _tables(tr)
-    m = tr.mode_count
-    d = fourier_dirac(tr, FlatConnection(c.alpha)).matrix.copy()
-    b_hat = real_to_complex(tr, c.a_field)
-    all_p = np.arange(m)
-    for q in _sparse_rows(b_hat):
-        tgts = tab.shift[:, q]
-        ok = tgts >= 0
-        ps, ts = all_p[ok], tgts[ok]
-        for j in range(3):
-            if b_hat[q, j] == 0:
-                continue
-            for s in range(2):
-                for s2 in range(2):
-                    val = 0.5 * b_hat[q, j] * cl.PAULI[j, s, s2]
-                    if val != 0:
-                        d[2 * ts + s, 2 * ps + s2] += val
+    d = fourier_dirac(tr, FlatConnection(c.alpha))
+    half_b = 0.5 * _gather(_tables(tr).diff, real_to_complex(tr, c.a_field))
+    for j in range(3):
+        d += np.kron(half_b[..., j], cl.PAULI[j])
     return d
 
 
 def _first_order(trunc):
     tab = _tables(trunc)
     if tab.first_order is None:
-        m = trunc.mode_count
-        u3 = np.kron(tab.u, np.eye(3))
-        msd_c = np.zeros((3 * m, 3 * m), dtype=complex)
-        d0_c = np.zeros((3 * m, m), dtype=complex)
-        cod_c = np.zeros((m, 3 * m), dtype=complex)
-        for i, k in enumerate(trunc.modes):
-            msd_c[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = -tab.star_d[i]
-            d0_c[3 * i : 3 * i + 3, i] = 1j * k
-            cod_c[i, 3 * i : 3 * i + 3] = -1j * k
+        d0 = exterior_d(trunc, 0)
         tab.first_order = SimpleNamespace(
-            minus_star_d=(u3.conj().T @ msd_c @ u3).real,
-            d0=(u3.conj().T @ d0_c @ tab.u).real,
-            cod1=(tab.u.conj().T @ cod_c @ u3).real,
+            minus_star_d=_compress(tab, _block_diag(-tab.star_d)),
+            d0=_compress(tab, d0),
+            cod1=_compress(tab, d0.conj().T),
         )
     return tab.first_order
 
@@ -496,53 +501,34 @@ def _coupling_blocks(trunc, psi):
 
     Returns (spinor row from 1-forms, spinor row from functions,
     form row from spinors, function row from spinors); each block is the
-    orthogonal compression of the corresponding pointwise product.
+    orthogonal compression of the corresponding pointwise product, whose
+    complex Fourier matrix gathers the spinor at k_t - k_q or k_t + k_q.
     """
     tab = _tables(trunc)
     m = trunc.mode_count
-    sig_psi = np.einsum("jab,mb->jma", cl.PAULI, psi)
-    nz = _sparse_rows(psi)
+    sig_psi = np.einsum("jab,mb->maj", cl.PAULI, psi)
 
-    ca = np.zeros((2 * m, 3 * m), dtype=complex)
-    cf = np.zeros((2 * m, m), dtype=complex)
-    for p in nz:
-        tgts = tab.shift[p]
-        ok = tgts >= 0
-        qs = np.nonzero(ok)[0]
-        ts = tgts[ok]
-        for s in range(2):
-            rows = 2 * ts + s
-            for j in range(3):
-                ca[rows, 3 * qs + j] += 0.5 * sig_psi[j, p, s]
-            cf[rows, qs] += -1j * psi[p, s]
-    u3 = np.kron(tab.u, np.eye(3))
-    ca_t = ca @ u3
-    cf_t = cf @ tab.u
-    block_a = np.vstack([ca_t.real, ca_t.imag])
-    block_f = np.vstack([cf_t.real, cf_t.imag])
+    # (t, s), (q, j): (1/2) (sigma_j psi)_s at k_t - k_q, and -i psi_s there
+    ca = _times_u(tab, 0.5 * _gather(tab.diff, sig_psi).transpose(0, 2, 1, 3).reshape(2 * m, 3 * m))
+    block_a = np.vstack([ca.real, ca.imag])
+    cf = _times_u(tab, -1j * _gather(tab.diff, psi).transpose(0, 2, 1).reshape(2 * m, m))
+    block_f = np.vstack([cf.real, cf.imag])
 
-    h = np.zeros((3, m, 4 * m), dtype=complex)
-    w = np.zeros((m, 4 * m), dtype=complex)
-    cols = np.arange(m)
-    for r in nz:
-        tgts_q = tab.shift[r, tab.neg]
-        ok_q = tgts_q >= 0
-        tgts_w = tab.shift[tab.neg[r]]
-        ok_w = tgts_w >= 0
-        for s in range(2):
-            for part, z in ((0, 1.0), (2 * m, 1j)):
-                col = part + 2 * cols + s
-                for j in range(3):
-                    h[j, tgts_q[ok_q], col[ok_q]] += sig_psi[j, r, s] * np.conj(z)
-                w[tgts_w[ok_w], col[ok_w]] += z * np.conj(psi[r, s])
-    g = 0.25 * (h + np.conj(h[:, tab.neg, :]))
-    v_hat = 0.5j * (w - np.conj(w[tab.neg]))
-    uh = tab.u.conj().T
-    block_q = np.empty((3 * m, 4 * m))
+    # Rows (t, j) and t, columns (part, p, s) with part the real and
+    # imaginary halves of the realified spinor: h_j = [G_j, -i G_j] with
+    # G_j the gather of (sigma_j psi)_s at k_t + k_p, w = [W, i W] with W
+    # that of conj(psi_s) at k_p - k_t.  One component j at a time keeps
+    # the temporaries a third of the size.
+    sig_sum = _gather(tab.shift, sig_psi)
+    block_q = np.empty((m, 3, 4 * m))
     for j in range(3):
-        block_q[j::3] = (uh @ g[j]).real
-    block_v = (uh @ v_hat).real
-    return block_a, block_f, block_q, block_v
+        g_j = sig_sum[..., j].reshape(m, 2 * m)
+        h = np.concatenate([g_j, -1j * g_j], axis=1)
+        block_q[:, j] = _uh(tab, 0.25 * (h + np.conj(h[tab.neg]))).real
+    w = _gather(tab.diff.T, np.conj(psi)).reshape(m, 2 * m)
+    w = np.concatenate([w, 1j * w], axis=1)
+    block_v = _uh(tab, 0.5j * (w - np.conj(w[tab.neg]))).real
+    return block_a, block_f, block_q.reshape(3 * m, 4 * m), block_v
 
 
 def _assemble_hessian(c, extended):
@@ -567,12 +553,12 @@ def _assemble_hessian(c, extended):
 
 def sw_hessian(c):
     """Realified symmetric derivative of the monopole map at c."""
-    return TruncatedOperator(_assemble_hessian(c, extended=False), c.trunc, kind="sw_hessian")
+    return _assemble_hessian(c, extended=False)
 
 
 def extended_hessian(c):
     """Hessian extended by the gauge derivative and its adjoint."""
-    return TruncatedOperator(_assemble_hessian(c, extended=True), c.trunc, kind="extended_hessian")
+    return _assemble_hessian(c, extended=True)
 
 
 # ------------------------------------------------------- sign and count
@@ -621,7 +607,7 @@ def _endpoint_spectrum(c):
     one assembly and one dense eigvalsh, or blocks when c is reducible."""
     if c.reducible:
         return _reducible_spectrum(c)
-    return _checked_spectrum(extended_hessian(c).matrix)
+    return _checked_spectrum(extended_hessian(c))
 
 
 def _parity(start, end, cfg):

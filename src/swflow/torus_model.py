@@ -19,7 +19,8 @@ Provided operators:
   truncation does not clip products.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "MarginError",
     "TorusTruncation",
     "FlatConnection",
-    "TruncatedOperator",
     "mode_shift_matrix",
     "fourier_dirac",
     "exterior_d",
@@ -47,24 +47,43 @@ class MarginError(ValueError):
 
 
 class TorusTruncation:
-    """Integer Fourier modes of the unit 3-torus with ||k||_inf <= cutoff."""
+    """Integer Fourier modes of the unit 3-torus with ||k||_inf <= cutoff.
+
+    A mode k is encoded by the digits k + cutoff in base 2 cutoff + 1, and
+    that code is its position in the lexicographic ordering.  Every table
+    of mode indices derives from it.
+    """
 
     def __init__(self, cutoff):
         cutoff = int(cutoff)
         if cutoff < 1:
             raise ValueError("cutoff must be at least 1")
         self.cutoff = cutoff
-        rng = range(-cutoff, cutoff + 1)
-        self.modes = np.array([(a, b, c) for a in rng for b in rng for c in rng])
-        self._index = {tuple(k): i for i, k in enumerate(self.modes)}
+        width = 2 * cutoff + 1
+        self._place = width ** np.arange(2, -1, -1)
+        self.modes = np.moveaxis(np.indices((width,) * 3), 0, -1).reshape(-1, 3) - cutoff
+        # -k mirrors every digit, so it sits at the mirrored position
+        self.neg = np.arange(self.mode_count - 1, -1, -1)
 
     @property
     def mode_count(self):
         return self.modes.shape[0]
 
+    def indices(self, ks):
+        """Positions of the integer modes ks[..., :], -1 outside the truncation."""
+        ks = np.asarray(ks)
+        inside = np.all(np.abs(ks) <= self.cutoff, axis=-1)
+        return np.where(inside, (ks + self.cutoff) @ self._place, -1)
+
     def index(self, k):
         """Position of mode k in the lexicographic ordering, or None."""
-        return self._index.get(tuple(int(v) for v in k))
+        i = int(self.indices(np.asarray(k, dtype=int)))
+        return None if i < 0 else i
+
+    @cached_property
+    def sums(self):
+        """sums[p, q]: the index of k_p + k_q, or -1 outside the truncation."""
+        return self.indices(self.modes[:, None, :] + self.modes[None, :, :])
 
 
 @dataclass(frozen=True)
@@ -79,15 +98,6 @@ class FlatConnection:
             raise ValueError("holonomy must be a real 3-vector")
 
 
-@dataclass
-class TruncatedOperator:
-    """A linear operator between truncated coefficient spaces."""
-
-    matrix: np.ndarray
-    trunc: TorusTruncation
-    kind: str = field(default="")
-
-
 def mode_shift_matrix(trunc, q):
     """Matrix of multiplication by exp(i<q, x>) on scalar coefficients.
 
@@ -96,34 +106,28 @@ def mode_shift_matrix(trunc, q):
     """
     m = trunc.mode_count
     out = np.zeros((m, m))
-    q = np.asarray(q, dtype=int)
-    for i, k in enumerate(trunc.modes):
-        j = trunc.index(k - q)
-        if j is not None:
-            out[i, j] = 1.0
+    src = trunc.indices(trunc.modes - np.asarray(q, dtype=int))
+    rows = np.nonzero(src >= 0)[0]
+    out[rows, src[rows]] = 1.0
     return out
+
+
+def _block_diag(blocks):
+    """Block-diagonal matrix of a stack of per-mode blocks, shape (M, r, c)."""
+    m, rows, cols = blocks.shape
+    out = np.zeros((m, rows, m, cols), dtype=blocks.dtype)
+    diag = np.arange(m)
+    out[diag, :, diag, :] = blocks
+    return out.reshape(m * rows, m * cols)
 
 
 def fourier_dirac(trunc, conn):
     """Flat Dirac operator with holonomy: mode block sigma . (k + alpha/2)."""
-    m = trunc.mode_count
     vals = trunc.modes + conn.alpha / 2.0
-    blocks = np.einsum("mj,jab->mab", vals, cl.PAULI)
-    mat = np.zeros((2 * m, 2 * m), dtype=complex)
-    for i in range(m):
-        mat[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[i]
-    return TruncatedOperator(mat, trunc, kind="dirac")
+    return _block_diag(np.einsum("mj,jab->mab", vals, cl.PAULI))
 
 
 # ----------------------------------------------------------- de Rham ops
-
-
-def _per_mode_blocks(trunc, block_of_mode, rows, cols):
-    m = trunc.mode_count
-    out = np.zeros((rows * m, cols * m), dtype=complex)
-    for i, k in enumerate(trunc.modes):
-        out[rows * i : rows * (i + 1), cols * i : cols * (i + 1)] = block_of_mode(k)
-    return out
 
 
 def _wedge_block(k, source_degree):
@@ -140,19 +144,22 @@ def _wedge_block(k, source_degree):
     return out
 
 
+def _wedge_blocks(modes, source_degree):
+    """Stack of the per-mode wedge blocks of ``_wedge_block``, linear in k."""
+    basis = np.array([_wedge_block(e, source_degree) for e in np.eye(3)])
+    return np.einsum("mj,jab->mab", modes, basis)
+
+
 def exterior_d(trunc, degree):
     """Truncated exterior derivative on forms of degree 0 or 1."""
     if degree not in (0, 1):
         raise ValueError("exterior derivative provided for degrees 0 and 1")
-    rows = cl.FORM_DIMS[degree + 1]
-    cols = cl.FORM_DIMS[degree]
-    mat = _per_mode_blocks(trunc, lambda k: _wedge_block(k, degree), rows, cols)
-    return TruncatedOperator(mat, trunc, kind=f"d{degree}")
+    return _block_diag(_wedge_blocks(trunc.modes, degree))
 
 
 def _exterior_d2(trunc):
     """Degree 2 -> 3 exterior derivative, used by the star route below."""
-    return _per_mode_blocks(trunc, lambda k: _wedge_block(k, 2), 1, 3)
+    return _block_diag(_wedge_blocks(trunc.modes, 2))
 
 
 def _star_block(degree):
@@ -170,9 +177,7 @@ def hodge(trunc, degree):
     """Truncated Hodge star on forms of the given degree."""
     if degree not in (0, 1, 2, 3):
         raise ValueError("degree must be 0..3")
-    block = _star_block(degree)
-    mat = np.kron(np.eye(trunc.mode_count), block).astype(complex)
-    return TruncatedOperator(mat, trunc, kind=f"star{degree}")
+    return np.kron(np.eye(trunc.mode_count), _star_block(degree)).astype(complex)
 
 
 def codifferential(trunc, degree):
@@ -181,13 +186,11 @@ def codifferential(trunc, degree):
     On 1-forms this is -*d*; on 2-forms the sign flips to +*d*.
     """
     if degree == 1:
-        mat = -hodge(trunc, 3).matrix @ _exterior_d2(trunc) @ hodge(trunc, 1).matrix
-    elif degree == 2:
-        s = hodge(trunc, 2).matrix
-        mat = s @ exterior_d(trunc, 1).matrix @ s
-    else:
-        raise ValueError("codifferential provided for degrees 1 and 2")
-    return TruncatedOperator(mat, trunc, kind=f"cod{degree}")
+        return -hodge(trunc, 3) @ _exterior_d2(trunc) @ hodge(trunc, 1)
+    if degree == 2:
+        s = hodge(trunc, 2)
+        return s @ exterior_d(trunc, 1) @ s
+    raise ValueError("codifferential provided for degrees 1 and 2")
 
 
 # ------------------------------------------------------------- families
@@ -206,7 +209,7 @@ def dirac_family_path(trunc, alpha_start, alpha_end, samples=9):
 
     def func(t):
         conn = FlatConnection(alpha_start + t * beta)
-        return fourier_dirac(trunc, conn).matrix
+        return fourier_dirac(trunc, conn)
 
     return sfmod.HermitianPath.from_callable(
         func, 0.0, 1.0, num_samples=samples, derivative=lambda t: deriv
@@ -277,13 +280,6 @@ def magnetic_family_path(flux, depth, samples=17, gapped_levels=2):
 # -------------------------------------------------- curvature identity
 
 
-def _single_mode_multiplier(trunc, mode, coeff):
-    """Multiplication operators for the real functions Re(c_j exp(i<k,x>))."""
-    up = mode_shift_matrix(trunc, mode)
-    down = mode_shift_matrix(trunc, [-m for m in mode])
-    return [0.5 * coeff[j] * up + 0.5 * np.conj(coeff[j]) * down for j in range(3)]
-
-
 def weitzenbock_check(trunc, conn, mode, coeff):
     """Residual of the curvature identity for the perturbed Dirac square.
 
@@ -304,11 +300,13 @@ def weitzenbock_check(trunc, conn, mode, coeff):
             f"perturbation mode reach {reach} exceeds the cutoff {trunc.cutoff}"
         )
 
-    m = trunc.mode_count
-    mult = _single_mode_multiplier(trunc, mode, coeff)
+    # multiplication operators for the real functions Re(c_j exp(i<k,x>))
+    up = mode_shift_matrix(trunc, mode)
+    down = mode_shift_matrix(trunc, -mode)
+    mult = [0.5 * coeff[j] * up + 0.5 * np.conj(coeff[j]) * down for j in range(3)]
 
     # perturbed Dirac operator and its square
-    dirac = fourier_dirac(trunc, conn).matrix.copy()
+    dirac = fourier_dirac(trunc, conn)
     for j in range(3):
         dirac += 0.5 * np.kron(mult[j], cl.PAULI[j])
     lhs = dirac @ dirac
@@ -325,8 +323,6 @@ def weitzenbock_check(trunc, conn, mode, coeff):
     for j in range(3):
         for l in range(j + 1, 3):
             w = mode[j] * coeff[l] - mode[l] * coeff[j]
-            up = mode_shift_matrix(trunc, mode)
-            down = mode_shift_matrix(trunc, -mode)
             f_op = (-0.5 * w) * up + (0.5 * np.conj(w)) * down
             rhs += 0.5 * np.kron(f_op, cl.CLIFF[j] @ cl.CLIFF[l])
 

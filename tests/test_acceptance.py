@@ -192,7 +192,7 @@ def test_06_torus_dirac_spectrum_and_gauge_period():
             for k in trunc.modes:
                 r = float(np.linalg.norm(k + alpha / 2.0))
                 want.extend([-r, r])
-            got = np.linalg.eigvalsh(tm.fourier_dirac(trunc, tm.FlatConnection(alpha)).matrix)
+            got = np.linalg.eigvalsh(tm.fourier_dirac(trunc, tm.FlatConnection(alpha)))
             assert np.max(np.abs(np.sort(np.asarray(want)) - got)) <= 1e-10
 
     trunc = tm.TorusTruncation(2)
@@ -244,7 +244,7 @@ def test_08_monopole_identity_battery():
 
     for _ in range(3):
         c = sl.random_configuration(trunc, rng)
-        h = sl.sw_hessian(c).matrix
+        h = sl.sw_hessian(c)
         assert np.max(np.abs(h - h.T)) <= 1e-12
         for _ in range(2):
             tv = random_tangent()
@@ -290,7 +290,7 @@ def test_08_monopole_identity_battery():
 
     for alpha, want in ((rng.uniform(0.2, 0.8, size=3), 4), (np.zeros(3), 8)):
         c = sl.Configuration(trunc, np.zeros((trunc.mode_count, 2)), alpha)
-        eigs = np.linalg.eigvalsh(sl.extended_hessian(c).matrix)
+        eigs = np.linalg.eigvalsh(sl.extended_hessian(c))
         assert int(np.sum(np.abs(eigs) <= 1e-8 * np.max(np.abs(eigs)))) == want
 
 

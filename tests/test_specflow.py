@@ -280,6 +280,21 @@ def test_from_callable_builds_in_one_copy_of_the_samples():
     assert peak < 1.3 * path.values.nbytes
 
 
+def test_complex_ingest_stays_under_twice_the_realified_samples():
+    # 9 complex Dirac samples of size 250 (9 MB) realify to 18 MB; the
+    # complex stack itself is half of that
+    tr = tm.TorusTruncation(2)
+    tm.dirac_family_path(tr, 0, (2, 0, 0))
+    tracemalloc.start()
+    try:
+        path = tm.dirac_family_path(tr, 0, (2, 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.realified and path.n == 500
+    assert peak < 2.0 * path.values.nbytes
+
+
 def test_from_callable_keeps_complex_and_rejects_ragged_samples():
     herm = np.array([[0.0, 1j], [-1j, 0.0]])
     path = sf.HermitianPath.from_callable(lambda t: t * np.eye(2) + (t > 0.5) * herm, 0.0, 1.0, 3)

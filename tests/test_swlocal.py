@@ -6,6 +6,8 @@ of the action functional and of the monopole map, Parseval identities, and
 closed-form crossing data.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,8 @@ def real_grid(tr, trig):
 
 def test_trig_transform_is_unitary():
     tr = tm.TorusTruncation(2)
-    u = sl._r2c_matrix(tr)
     m = tr.mode_count
+    u = sl.real_to_complex(tr, np.eye(m))
     assert np.max(np.abs(u.conj().T @ u - np.eye(m))) < 1e-12
     rng = np.random.default_rng(80)
     c = rng.standard_normal(m)
@@ -76,32 +78,187 @@ def test_realified_spinor_layout_matches_matrix_convention():
     assert np.max(np.abs(sl.unrealify_spinor(sl.realify_spinor(psi)) - psi)) == 0.0
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, 3])
-def test_mode_tables_match_index_lookups(cutoff):
-    # oracle: one trunc.index lookup per entry and a loop over modes
-    tr = tm.TorusTruncation(cutoff)
+def trig_unitary(tr):
+    """Loop-built trig-to-Fourier unitary: 1 at the zero mode, cos at
+    lexicographically positive modes, sin at their negatives."""
     m = tr.mode_count
-    neg = np.array([tr.index(-k) for k in tr.modes])
-    shift = np.full((m, m), -1, dtype=np.int64)
-    for p in range(m):
-        for q in range(m):
-            idx = tr.index(tr.modes[p] + tr.modes[q])
-            if idx is not None:
-                shift[p, q] = idx
+    pos = {tuple(k): i for i, k in enumerate(tr.modes)}
     u = np.zeros((m, m), dtype=complex)
     s = 1.0 / np.sqrt(2.0)
     for i, k in enumerate(tr.modes):
         t = tuple(int(v) for v in k)
+        j = pos[tuple(-v for v in t)]
         if t == (0, 0, 0):
             u[i, i] = 1.0
         elif t > (0, 0, 0):
-            u[i, i], u[i, neg[i]] = s, -1j * s
+            u[i, i], u[i, j] = s, -1j * s
         else:
-            u[i, neg[i]], u[i, i] = s, 1j * s
+            u[i, j], u[i, i] = s, 1j * s
+    return u
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_mode_tables_match_index_lookups(cutoff):
+    # oracle: a brute-force search of the mode list for every entry
+    tr = tm.TorusTruncation(cutoff)
+    m = tr.mode_count
+
+    def search(targets):
+        hit = np.all(targets[:, None, :] == tr.modes[None, :, :], axis=-1)
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+    neg = search(-tr.modes)
+    shift = np.array([search(k + tr.modes) for k in tr.modes])
+    diff = np.array([search(k - tr.modes) for k in tr.modes])
     tab = sl._tables(tr)
+    assert np.array_equal(tr.neg, neg)
     assert np.array_equal(tab.neg, neg)
+    assert np.array_equal(tr.sums, shift)
     assert np.array_equal(tab.shift, shift)
-    assert np.array_equal(tab.u, u)
+    assert np.array_equal(tab.diff, diff)
+    assert [tr.index(k) for k in tr.modes] == list(range(m))
+    u = trig_unitary(tr)
+    assert np.array_equal(sl.real_to_complex(tr, np.eye(m)), u)
+    assert np.array_equal(sl._uh(tab, np.eye(m)), u.conj().T)
+
+
+def dense_first_order(tr):
+    """The parent algorithm of the first-order blocks: per-mode loops and
+    dense triple products with a loop-built u and kron(u, I3)."""
+    m = tr.mode_count
+    u = trig_unitary(tr)
+    u3 = np.kron(u, np.eye(3))
+    msd = np.zeros((3 * m, 3 * m), dtype=complex)
+    d0 = np.zeros((3 * m, m), dtype=complex)
+    cod = np.zeros((m, 3 * m), dtype=complex)
+    star2 = tm._star_block(2)
+    for i, k in enumerate(tr.modes):
+        msd[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = -star2 @ tm._wedge_block(k, 1)
+        d0[3 * i : 3 * i + 3, i] = 1j * k
+        cod[i, 3 * i : 3 * i + 3] = -1j * k
+    return (
+        (u3.conj().T @ msd @ u3).real,
+        (u3.conj().T @ d0 @ u).real,
+        (u.conj().T @ cod @ u3).real,
+    )
+
+
+def dense_operators(c):
+    """The parent algorithm of the Dirac and coupling blocks: a dict of
+    mode positions, a loop-built u, kron(u, I3) and per-entry loops."""
+    tr = c.trunc
+    m = tr.mode_count
+    pos = {tuple(k): i for i, k in enumerate(tr.modes)}
+    neg = np.array([pos[tuple(-k)] for k in tr.modes])
+    shift = np.array([[pos.get(tuple(kp + kq), -1) for kq in tr.modes] for kp in tr.modes])
+    u = trig_unitary(tr)
+    u3 = np.kron(u, np.eye(3))
+    uh = u.conj().T
+    psi = c.psi
+    sig_psi = np.einsum("jab,mb->jma", cl.PAULI, psi)
+
+    dirac = np.zeros((2 * m, 2 * m), dtype=complex)
+    for i, k in enumerate(tr.modes):
+        dirac[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = np.einsum(
+            "j,jab->ab", k + c.alpha / 2.0, cl.PAULI
+        )
+    b_hat = u @ c.a_field
+    for q in range(m):
+        for p in range(m):
+            t = shift[p, q]
+            if t < 0:
+                continue
+            for j in range(3):
+                for s in range(2):
+                    for s2 in range(2):
+                        val = 0.5 * b_hat[q, j] * cl.PAULI[j, s, s2]
+                        if val != 0:
+                            dirac[2 * t + s, 2 * p + s2] += val
+
+    ca = np.zeros((2 * m, 3 * m), dtype=complex)
+    cf = np.zeros((2 * m, m), dtype=complex)
+    h = np.zeros((3, m, 4 * m), dtype=complex)
+    w = np.zeros((m, 4 * m), dtype=complex)
+    cols = np.arange(m)
+    for p in range(m):
+        ok = shift[p] >= 0
+        qs, ts = cols[ok], shift[p][ok]
+        for s in range(2):
+            for j in range(3):
+                ca[2 * ts + s, 3 * qs + j] += 0.5 * sig_psi[j, p, s]
+            cf[2 * ts + s, qs] += -1j * psi[p, s]
+        tgts_q = shift[p, neg]
+        ok_q = tgts_q >= 0
+        tgts_w = shift[neg[p]]
+        ok_w = tgts_w >= 0
+        for s in range(2):
+            for part, z in ((0, 1.0), (2 * m, 1j)):
+                col = part + 2 * cols + s
+                for j in range(3):
+                    h[j, tgts_q[ok_q], col[ok_q]] += sig_psi[j, p, s] * np.conj(z)
+                w[tgts_w[ok_w], col[ok_w]] += z * np.conj(psi[p, s])
+    ca_t = ca @ u3
+    cf_t = cf @ u
+    g = 0.25 * (h + np.conj(h[:, neg, :]))
+    block_q = np.empty((3 * m, 4 * m))
+    for j in range(3):
+        block_q[j::3] = (uh @ g[j]).real
+    block_v = (uh @ (0.5j * (w - np.conj(w[neg])))).real
+    coupling = (
+        np.vstack([ca_t.real, ca_t.imag]),
+        np.vstack([cf_t.real, cf_t.imag]),
+        block_q,
+        block_v,
+    )
+    return dirac, coupling
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_operators_match_dense_reference(cutoff):
+    tr = tm.TorusTruncation(cutoff)
+    m = tr.mode_count
+    n_s, n_a = 4 * m, 3 * m
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    msd, d0, cod1 = dense_first_order(tr)
+    fo = sl._first_order(tr)
+    for got, want in ((fo.minus_star_d, msd), (fo.d0, d0), (fo.cod1, cod1)):
+        close(got, want)
+    rng = np.random.default_rng(105 + cutoff)
+    # spinor and 1-form on half the cutoff, then on every mode
+    for radius in (cutoff // 2, cutoff):
+        c = sl.random_configuration(tr, rng, radius=radius)
+        dirac, coupling = dense_operators(c)
+        close(sl._dirac_matrix(c), dirac)
+        for got, want in zip(sl._coupling_blocks(tr, c.psi), coupling):
+            close(got, want)
+        block_a, block_f, block_q, block_v = coupling
+        want = np.block(
+            [
+                [sfmod.realify_matrix(dirac), block_a, block_f],
+                [block_q, msd, 2.0 * d0],
+                [block_v, 2.0 * cod1, np.zeros((m, m))],
+            ]
+        )
+        close(sl.extended_hessian(c), want)
+        close(sl.sw_hessian(c), want[: n_s + n_a, : n_s + n_a])
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_index_is_none_outside_the_truncation(cutoff):
+    # the box reaches modes whose base-(2N+1) digits alias a mode inside,
+    # such as (0, 2, -3) at cutoff 1
+    tr = tm.TorusTruncation(cutoff)
+    box = range(-2 * cutoff - 1, 2 * cutoff + 2)
+    for k in itertools.product(box, repeat=3):
+        i = tr.index(k)
+        if max(abs(v) for v in k) > cutoff:
+            assert i is None, k
+        else:
+            assert tuple(tr.modes[i]) == k
 
 
 # ---------------------------------------------------------- product kernels
@@ -253,7 +410,7 @@ def test_hessian_symmetric_and_matches_fd_jacobian():
     tr = tm.TorusTruncation(2)
     for _ in range(3):
         c = sl.random_configuration(tr, rng)
-        h = sl.sw_hessian(c).matrix
+        h = sl.sw_hessian(c)
         assert np.max(np.abs(h - h.T)) < 1e-12
         for _ in range(3):
             d = sl.random_configuration(tr, rng)
@@ -276,12 +433,12 @@ def test_hessian_block_diagonal_at_reducibles():
     tr = tm.TorusTruncation(1)
     alpha = np.array([0.9, 0.37, -0.62])
     c = sl.Configuration(tr, np.zeros((tr.mode_count, 2), complex), alpha)
-    h = sl.sw_hessian(c).matrix
+    h = sl.sw_hessian(c)
     m = tr.mode_count
     ns = 4 * m
     assert np.max(np.abs(h[:ns, ns:])) == 0.0
     assert np.max(np.abs(h[ns:, :ns])) == 0.0
-    dirac = sfmod.realify_matrix(tm.fourier_dirac(tr, tm.FlatConnection(alpha)).matrix)
+    dirac = sfmod.realify_matrix(tm.fourier_dirac(tr, tm.FlatConnection(alpha)))
     assert np.max(np.abs(h[:ns, :ns] - dirac)) < 1e-12
 
 
@@ -330,7 +487,7 @@ def test_extended_hessian_symmetric():
     rng = np.random.default_rng(94)
     tr = tm.TorusTruncation(2)
     c = sl.random_configuration(tr, rng)
-    t = sl.extended_hessian(c).matrix
+    t = sl.extended_hessian(c)
     assert t.shape == (8 * tr.mode_count, 8 * tr.mode_count)
     assert np.max(np.abs(t - t.T)) < 1e-12
 
@@ -338,8 +495,8 @@ def test_extended_hessian_symmetric():
 def test_extended_hessian_reducible_kernel_dims():
     tr = tm.TorusTruncation(2)
     zero = np.zeros((tr.mode_count, 2), complex)
-    generic = sl.extended_hessian(sl.Configuration(tr, zero, np.array([0.9, 0.37, -0.62]))).matrix
-    degenerate = sl.extended_hessian(sl.Configuration(tr, zero, np.zeros(3))).matrix
+    generic = sl.extended_hessian(sl.Configuration(tr, zero, np.array([0.9, 0.37, -0.62])))
+    degenerate = sl.extended_hessian(sl.Configuration(tr, zero, np.zeros(3)))
     for mat, want in ((generic, 4), (degenerate, 8)):
         eigs = np.abs(np.linalg.eigvalsh(mat))
         thresh = 1e-8 * max(1.0, eigs.max())
@@ -350,14 +507,14 @@ def test_extended_hessian_consistent_with_gauge_and_hessian():
     rng = np.random.default_rng(95)
     tr = tm.TorusTruncation(1)
     c = sl.random_configuration(tr, rng)
-    t = sl.extended_hessian(c).matrix
+    t = sl.extended_hessian(c)
     d = sl.random_configuration(tr, rng)
     f = sl.random_configuration(tr, rng).a_field[:, 2]
     tv = sl.TangentVector(d.psi, d.a_field, f)
     out = t @ sl.tangent_to_vector(tv)
     got = sl.vector_to_tangent(tr, out, has_f=True)
     # oracle: Hessian of the functional plus the gauge derivative terms
-    hess = sl.sw_hessian(c).matrix @ sl.tangent_to_vector(sl.TangentVector(tv.phi, tv.a))
+    hess = sl.sw_hessian(c) @ sl.tangent_to_vector(sl.TangentVector(tv.phi, tv.a))
     hess_tv = sl.vector_to_tangent(tr, hess, has_f=False)
     gauge = sl.gauge_deriv(c, f)
     assert np.max(np.abs(got.phi - (hess_tv.phi + gauge.phi))) < 1e-10
@@ -439,8 +596,8 @@ def scaled_configs(count, seed=11):
 def dense_sign(c, start):
     """Oracle: orientation transport on the assembled Hessians of the
     affine path from start to c."""
-    t0 = sl.extended_hessian(start).matrix
-    t1 = sl.extended_hessian(c).matrix
+    t0 = sl.extended_hessian(start)
+    t1 = sl.extended_hessian(c)
     path = sfmod.HermitianPath.affine(t0, t1 - t0)
     return orient.orientation_transport_sf(path, sfmod.SpectralFlowConfig(endpoint_count_only=True))
 
@@ -451,7 +608,7 @@ def test_reducible_extended_hessian_is_block_diagonal(cutoff):
     tr = tm.TorusTruncation(cutoff)
     n_s = 4 * tr.mode_count
     red = random_reducible(tr, rng)
-    h = sl.extended_hessian(red).matrix
+    h = sl.extended_hessian(red)
     assert np.all(h[:n_s, n_s:] == 0.0)
     assert np.all(h[n_s:, :n_s] == 0.0)
     assert np.array_equal(h[:n_s, :n_s], sfmod.realify_matrix(sl._dirac_matrix(red)))
