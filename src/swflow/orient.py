@@ -3,8 +3,8 @@
 Two independent computations of the transported sign:
 
 * kernel-bundle route: pick a constant stabilizer K so that [T_t K] is
-  surjective for every t (certified by eigenvalue-movement bounds and
-  adaptive refinement), parallel-transport an orthonormal frame of
+  surjective for every t (certified by singular-value movement bounds
+  and adaptive refinement), parallel-transport an orthonormal frame of
   ker [T_t K] along the path by projection plus symmetric
   re-orthonormalization, and compare the projections to the stabilizer
   domain at both ends: the sign is sgn(det A_b * det A_a) where A_t is
@@ -16,6 +16,19 @@ Two independent computations of the transported sign:
 The two routes agree on every continuously differentiable path with
 invertible endpoints; the flow route also covers singular endpoints
 through the shifted counting line.
+
+Surjectivity is certified interval by interval.  With ml and mr the
+smallest singular values of [T K] at the ends of [l, r] and move =
+||T(l) - T(r)||_2, Weyl's inequality for singular values gives, on an
+affine interval,
+
+    sigma_min [T_t K] >= (ml + mr - move) / 2    for every t in [l, r],
+
+so move < (ml + mr) / 2 certifies a margin of at least (ml + mr) / 4.
+The chord ``move`` is exact where the path is affine (see
+``HermitianPath.chord_norms``) and a heuristic on curved paths, where
+it is diagonalized only when its absolute-row-sum upper bound does not
+already certify the interval.
 """
 
 from dataclasses import dataclass
@@ -46,64 +59,71 @@ class TransportReport:
     stabilizer_dim: int
 
 
-def _kernel_basis(mat, K):
+def _block_svd(mat, K):
+    """One full SVD of [T K]: (u, singular values, kernel basis)."""
     block = np.hstack([mat, K])
-    _, s, vt = np.linalg.svd(block, full_matrices=True)
+    u, s, vt = np.linalg.svd(block, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-    return vt[rank:].T
-
-
-def _margin_and_dirs(mat, K, collect_tol):
-    """Smallest singular value of [T K] and near-cokernel directions."""
-    block = np.hstack([mat, K])
-    u, s, _ = np.linalg.svd(block, full_matrices=True)
-    pad = np.zeros(block.shape[0] - s.size)
-    s_full = np.concatenate([s, pad])
-    margin = float(s_full.min())
-    dirs = u[:, s_full < collect_tol]
-    return margin, dirs
+    return u, s, vt[rank:].T
 
 
 def _scan_stabilizer(path, K, trigger, collect_tol, cfg):
     """Certify that [T_t K] stays surjective, or return directions to add.
 
-    Returns (certified, new_directions, grid): on success the grid holds
-    the refinement points at which margins were checked, dense enough
-    that the operator moves by less than half the local margin between
-    neighbours."""
-    cache = {}
+    An interval [l, r] is certified once move < (ml + mr) / 2, with ml,
+    mr the smallest singular values of [T K] at its ends and move the
+    chord ||T(l) - T(r)||_2: on an affine interval Weyl's inequality for
+    singular values bounds sigma_min [T_t K] >= (ml + mr - move) / 2 >
+    (ml + mr) / 4 inside it.  Each probe takes one SVD.
+
+    Returns (certified, new_directions, bases): on success ``bases``
+    maps each probed time, in increasing order, to the kernel basis of
+    [T K] there; the probes are dense enough that every interval between
+    neighbours is certified."""
+    margins, bases = {}, {}
 
     def probe(t):
-        if t not in cache:
-            cache[t] = _margin_and_dirs(path.evaluate(t), K, collect_tol)
-        return cache[t]
+        """The path matrix at t, or near-cokernel directions when the
+        margin there is below the trigger."""
+        mat = path.evaluate(t)
+        u, s, basis = _block_svd(mat, K)
+        s_full = np.concatenate([s, np.zeros(u.shape[0] - s.size)])
+        margins[t] = float(s_full.min())
+        bases[t] = basis
+        if margins[t] < trigger:
+            return None, u[:, s_full < collect_tol]
+        return mat, None
 
-    stack = []
-    ts = path.t_samples
-    for i in range(ts.size - 1):
-        stack.append((float(ts[i]), float(ts[i + 1]), 0))
+    ts = path.t_samples.tolist()
+    mats = []
     for t in ts:
-        margin, dirs = probe(float(t))
-        if margin < trigger:
+        mat, dirs = probe(t)
+        if mat is None:
             return False, dirs, None
+        mats.append(mat)
+    stack = [(ts[i], mats[i], ts[i + 1], mats[i + 1], 0) for i in range(len(ts) - 1)]
     while stack:
-        l, r, depth = stack.pop()
-        ml = probe(l)[0]
-        mr = probe(r)[0]
-        move = sfmod._sym_norm2(path.evaluate(l) - path.evaluate(r))
-        if move < 0.5 * min(ml, mr):
+        l, ml, r, mr, depth = stack.pop()
+        limit = 0.5 * (margins[l] + margins[r])
+        move = path.chord_norms(l, r)
+        if move is None:
+            # the absolute row sum bounds the 2-norm from above
+            move = sfmod._abs_row_sum(ml - mr)
+            if move >= limit:
+                move = sfmod._sym_norm2(ml - mr)
+        if move < limit:
             continue
         if depth >= cfg.refine_max_depth:
             raise OrientationTransportError(
                 "cannot certify the stabilizer: refinement depth exceeded"
             )
         m = 0.5 * (l + r)
-        margin, dirs = probe(m)
-        if margin < trigger:
+        mm, dirs = probe(m)
+        if mm is None:
             return False, dirs, None
-        stack.append((l, m, depth + 1))
-        stack.append((m, r, depth + 1))
-    return True, None, np.array(sorted(cache.keys()))
+        stack.append((l, ml, m, mm, depth + 1))
+        stack.append((m, mm, r, mr, depth + 1))
+    return True, None, dict(sorted(bases.items()))
 
 
 def _orthonormalize(cols):
@@ -122,24 +142,29 @@ def _collect_stabilizer(path, cfg, scale):
     collect_tol = 1e-3 * scale
     V = np.zeros((n, 0))
     for _ in range(n + 1):
-        certified, dirs, grid = _scan_stabilizer(path, V, trigger, collect_tol, cfg)
+        certified, dirs, bases = _scan_stabilizer(path, V, trigger, collect_tol, cfg)
         if certified:
-            return V, grid
+            return V, bases
         V = _orthonormalize(np.hstack([V, dirs]))
     # fallback: the full space always stabilizes ([T I] has margin >= 1)
     V = np.eye(n)
-    certified, _, grid = _scan_stabilizer(path, V, trigger, collect_tol, cfg)
+    certified, _, bases = _scan_stabilizer(path, V, trigger, collect_tol, cfg)
     if not certified:
         raise OrientationTransportError("full-space stabilizer failed to certify")
-    return V, grid
+    return V, bases
 
 
-def _transport_frame(path, K, grid, rng, cfg):
-    """Parallel-transport a kernel frame along the grid; returns both
-    endpoint stabilizer-block determinants."""
+def _transport_frame(path, K, bases, rng, cfg):
+    """Parallel-transport a kernel frame along the certified probes;
+    returns both endpoint stabilizer-block determinants.
+
+    ``bases`` maps each probed time, in increasing order, to the kernel
+    basis of [T K] from the scan's SVD; only frame sub-steps between
+    probes take new SVDs."""
     n = path.n
     v = K.shape[1]
-    frame = _kernel_basis(path.evaluate(grid[0]), K)
+    grid = list(bases)
+    frame = bases[grid[0]]
     if frame.shape[1] != v:
         raise OrientationTransportError("kernel dimension is not the stabilizer rank")
     if rng is not None and v > 0:
@@ -147,8 +172,9 @@ def _transport_frame(path, K, grid, rng, cfg):
         frame = frame @ q
     det_a = float(np.linalg.det(frame[n:, :])) if v else 1.0
 
-    def advance(frame, t_next, t_cur, depth):
-        basis = _kernel_basis(path.evaluate(t_next), K)
+    def advance(frame, t_next, t_cur, depth, basis=None):
+        if basis is None:
+            basis = _block_svd(path.evaluate(t_next), K)[2]
         if basis.shape[1] != v:
             raise OrientationTransportError("kernel dimension changed along the path")
         m = basis @ (basis.T @ frame)
@@ -162,10 +188,10 @@ def _transport_frame(path, K, grid, rng, cfg):
                 "projection between samples is rank-deficient: grid too coarse"
             )
         mid = 0.5 * (t_cur + t_next)
-        return advance(advance(frame, mid, t_cur, depth + 1), t_next, mid, depth + 1)
+        return advance(advance(frame, mid, t_cur, depth + 1), t_next, mid, depth + 1, basis)
 
     for i in range(len(grid) - 1):
-        frame = advance(frame, float(grid[i + 1]), float(grid[i]), 0)
+        frame = advance(frame, grid[i + 1], grid[i], 0, bases[grid[i + 1]])
     det_b = float(np.linalg.det(frame[n:, :])) if v else 1.0
     return det_a, det_b
 
@@ -178,17 +204,17 @@ def _transport_det(path, cfg, rng, extra_directions, full_stabilizer):
             raise ValueError("endpoint is singular: kernel-bundle route undefined")
     if full_stabilizer:
         V = np.eye(path.n)
-        _, _, grid = _scan_stabilizer(path, V, 1e-6 * scale, 1e-3 * scale, cfg)
+        _, _, bases = _scan_stabilizer(path, V, 1e-6 * scale, 1e-3 * scale, cfg)
     else:
-        V, grid = _collect_stabilizer(path, cfg, scale)
+        V, bases = _collect_stabilizer(path, cfg, scale)
     if extra_directions > 0:
         gen = rng if rng is not None else np.random.default_rng(0)
         extra = gen.standard_normal((path.n, extra_directions))
         V = _orthonormalize(np.hstack([V, extra]))
-        certified, _, grid = _scan_stabilizer(path, V, 1e-6 * scale, 1e-3 * scale, cfg)
+        certified, _, bases = _scan_stabilizer(path, V, 1e-6 * scale, 1e-3 * scale, cfg)
         if not certified:
             raise OrientationTransportError("enlarged stabilizer failed to certify")
-    det_a, det_b = _transport_frame(path, V, grid, rng, cfg)
+    det_a, det_b = _transport_frame(path, V, bases, rng, cfg)
     if abs(det_a) < 1e-12 or abs(det_b) < 1e-12:
         raise OrientationTransportError("stabilizer block is numerically singular")
     return (1 if det_a * det_b > 0 else -1), V.shape[1]

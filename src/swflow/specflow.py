@@ -23,9 +23,27 @@ Weyl's inequality each sorted eigenvalue moves by at most the 2-norm of
 the change of the matrix (Kato, Perturbation Theory for Linear
 Operators, II.5), so on an affine interval branch i can meet delta only
 if that norm is at least |lam_i(l) - delta| + |lam_i(r) - delta|.  The
-factor 1/2 is a safety margin; on curved paths the chord norm is a
-heuristic for the movement.  The spectrum of every probed time is kept
-across delta halvings, so no point of the path is diagonalized twice.
+factor 1/2 is a safety margin.
+
+The chord norm ||A(l) - A(r)||_2 is exact where the path is affine:
+||B||_2 (r - l) on a path built by ``HermitianPath.affine`` (A = C + tB,
+with ||B||_2 taken once), and the segment slope norm times (r - l) on a
+path interpolated between its samples; refinement intervals never cross
+a sample.  On any other path given by a callable it is the 2-norm of the
+difference of the two matrices, and on curved paths it is a heuristic
+for the movement.  There the largest absolute row sum, an upper bound on
+the 2-norm, is tried first: an interval it certifies needs no
+eigvalsh, and every decision is still the exact chord's.
+
+Refinement runs breadth-first.  Each level classifies all of its open
+intervals at once, takes the certificate for the whole level by
+broadcasting, and diagonalizes all new midpoints in one stacked eigvalsh
+per chunk of at most _STACK_BYTES.  On a callable path the chords the
+level's certificate needs (intervals whose end counts agree, where the
+row-sum bound does not decide) take one more stacked eigvalsh per
+chunk.  Only the current level's endpoint matrices are held.  The
+spectrum of every probed time, and every chord, is kept across delta
+halvings, so no point of the path is diagonalized twice.
 """
 
 from dataclasses import dataclass, field
@@ -166,35 +184,30 @@ class HermitianPath:
         self._derivative = derivative
         self._func = func
         self.realified = realified
+        # 2-norm of dA/dt on each sample segment where the path is affine
+        # there: set by ``affine``, filled lazily for an interpolated path
+        self._slopes = None
 
     @classmethod
     def from_callable(cls, func, a, b, num_samples=33, derivative=None):
         grid = np.linspace(a, b, num_samples)
         if grid.size < 2:
             raise ValueError("need at least two samples")
-        first = np.asarray(func(grid[0]))
-        vals = np.empty((grid.size,) + first.shape, dtype=first.dtype)
-        vals[0] = first
-        for i in range(1, grid.size):
-            sample = np.asarray(func(grid[i]))
-            if sample.shape != first.shape:
-                raise ValueError("path samples change shape")
-            if not np.can_cast(sample.dtype, vals.dtype):
-                vals = vals.astype(np.result_type(vals, sample))
-            vals[i] = sample
-        return cls(grid, vals, derivative=derivative, func=func)
+        return cls(grid, _sample(func, grid), derivative=derivative, func=func)
 
     @classmethod
     def affine(cls, const, linear, a=0.0, b=1.0):
         const = np.asarray(const)
         linear = np.asarray(linear)
-        return cls.from_callable(
+        path = cls.from_callable(
             lambda t: const + t * linear,
             a,
             b,
             num_samples=2,
             derivative=lambda t: linear,
         )
+        path._slopes = np.array([_sym_norm2(linear)])
+        return path
 
     @property
     def a(self):
@@ -227,6 +240,44 @@ class HermitianPath:
         t2 = min(self.b, t + h)
         return (self.evaluate(t2) - self.evaluate(t1)) / (t2 - t1)
 
+    def chord_norms(self, l, r):
+        """Exact ||A(l) - A(r)||_2 where the path is affine, else None.
+
+        ``l`` and ``r`` are interval ends (scalars or arrays), each
+        interval inside one sample segment.  The norm is ||B||_2 (r - l)
+        on a path built by ``affine`` and the segment slope norm times
+        (r - l) on a path interpolated between its samples.  A path given
+        by any other callable returns None: its chords are diagonalized."""
+        if self._slopes is None:
+            if self._func is not None:
+                return None
+            v = self.values
+            eigs = _eigvalsh_stacked(
+                self.n, len(v) - 1, lambda i, out: np.subtract(v[i + 1], v[i], out=out)
+            )
+            self._slopes = np.abs(eigs).max(axis=1, initial=0.0) / np.diff(self.t_samples)
+        l, r = np.asarray(l), np.asarray(r)
+        seg = np.searchsorted(self.t_samples, 0.5 * (l + r)) - 1
+        return self._slopes[seg] * (r - l)
+
+
+def _sample(func, grid):
+    """func at each grid time, written into one preallocated stack.
+
+    The stack upcasts when a later sample needs it; a sample that changes
+    shape is rejected."""
+    first = np.asarray(func(grid[0]))
+    vals = np.empty((len(grid),) + first.shape, dtype=first.dtype)
+    vals[0] = first
+    for i in range(1, len(grid)):
+        sample = np.asarray(func(grid[i]))
+        if sample.shape != first.shape:
+            raise ValueError("path samples change shape")
+        if not np.can_cast(sample.dtype, vals.dtype):
+            vals = vals.astype(np.result_type(vals, sample))
+        vals[i] = sample
+    return vals
+
 
 def _sym_norm2(diff):
     """2-norm of a symmetric matrix: its largest eigenvalue magnitude.
@@ -235,25 +286,44 @@ def _sym_norm2(diff):
     return float(np.abs(np.linalg.eigvalsh(diff)).max(initial=0.0))
 
 
-def _spectrum(spectra, t, mat):
-    """Sorted spectrum of the path matrix ``mat`` at t, diagonalized once.
+def _abs_row_sum(mats):
+    """Largest absolute row sum of a matrix, or of each in a stack: for a
+    symmetric matrix an upper bound on its 2-norm, in O(n^2)."""
+    return np.abs(mats).sum(axis=-1).max(axis=-1, initial=0.0)
 
-    ``spectra`` maps each probed time to its eigenvalues; it outlives
-    the delta halvings of one spectral_flow call."""
-    eigs = spectra.get(t)
-    if eigs is None:
-        eigs = spectra[t] = np.linalg.eigvalsh(mat)
+
+# Byte budget of one stacked eigvalsh: numpy's per-call overhead dominates
+# at n <= 10, and a chunk bounds the memory held at large n.
+_STACK_BYTES = 1 << 21
+
+
+def _per_chunk(n):
+    """Number of n x n float matrices in one chunk of _STACK_BYTES."""
+    return max(1, _STACK_BYTES // (8 * n * n))
+
+
+def _eigvalsh_stacked(n, count, write):
+    """Eigenvalues of ``count`` n x n matrices, one stacked eigvalsh per
+    chunk of at most _STACK_BYTES; ``write(i, out)`` puts matrix i into
+    the n x n array ``out``.  A row per matrix, ascending."""
+    per = _per_chunk(n)
+    eigs = np.empty((count, n))
+    buf = np.empty((min(per, count), n, n))
+    for start in range(0, count, per):
+        size = min(per, count - start)
+        for j in range(size):
+            write(start + j, buf[j])
+        eigs[start : start + size] = np.linalg.eigvalsh(buf[:size])
     return eigs
 
 
-def crossing_operator(path, t, tol):
+def crossing_operator(path, t, tol, delta=0.0):
     """Path derivative compressed to the numerical kernel at time t.
 
-    The kernel collects eigenvectors with |eigenvalue| < tol; the result
-    is the k x k symmetric matrix of the compressed derivative (empty
-    when the matrix is invertible at t)."""
-    mat = path.evaluate(t)
-    eigs, vecs = np.linalg.eigh(mat)
+    The kernel collects eigenvectors of A(t) - delta with |eigenvalue| <
+    tol; the result is the k x k symmetric matrix of the compressed
+    derivative (empty when A(t) - delta is invertible)."""
+    eigs, vecs = np.linalg.eigh(path.evaluate(t) - delta * np.eye(path.n))
     w = vecs[:, np.abs(eigs) < tol]
     c = w.T @ path.derivative_at(t) @ w
     return 0.5 * (c + c.T)
@@ -263,16 +333,11 @@ def _signature(eigs, floor):
     return int(np.sum(eigs > floor) - np.sum(eigs < -floor))
 
 
-def _make_record(path, tstar, net, delta, kernel_floor, cfg):
-    shifted = path.evaluate(tstar) - delta * np.eye(path.n)
-    eigs, vecs = np.linalg.eigh(shifted)
-    mask = np.abs(eigs) < kernel_floor
-    k = int(mask.sum())
+def _make_record(path, tstar, net, delta, kernel_floor):
+    c = crossing_operator(path, tstar, kernel_floor, delta)
+    k = c.shape[0]
     if k == 0:
         raise _DegenerateCrossing("no numerical kernel at a located crossing")
-    w = vecs[:, mask]
-    c = w.T @ path.derivative_at(tstar) @ w
-    c = 0.5 * (c + c.T)
     ceigs = np.linalg.eigvalsh(c)
     cnorm = float(np.abs(ceigs).max())
     det = float(np.prod(ceigs))
@@ -289,8 +354,10 @@ def _make_record(path, tstar, net, delta, kernel_floor, cfg):
 
 
 def _below(eigs, delta):
-    """Number of eigenvalues below the counting line at delta."""
-    return int(np.sum(eigs < delta))
+    """Number of eigenvalues below the counting line at delta; an array
+    of counts, one per row, for a stack of spectra."""
+    counts = np.count_nonzero(eigs < delta, axis=-1)
+    return counts if counts.ndim else int(counts)
 
 
 def _initial_shift(eigs_a, eigs_b, scale, cfg):
@@ -313,66 +380,115 @@ def _endpoint_flow(eigs_a, eigs_b, scale, cfg):
     return _below(eigs_a, delta) - _below(eigs_b, delta), delta
 
 
-def _flow_with_delta(path, delta, cfg, scale, spectra):
+def _flow_with_delta(path, delta, cfg, scale, spectra, chords):
+    """One refinement pass at shift delta, breadth-first (module docstring).
+
+    ``spectra`` maps each probed time to its eigenvalues, and ``chords``
+    holds the chords of a callable path (``_callable_chords``); both
+    outlive the delta halvings of one spectral_flow call."""
     kernel_floor = cfg.kernel_threshold_rel * scale
-    counts = {}
-
-    def count(t, mat):
-        if t not in counts:
-            counts[t] = _below(_spectrum(spectra, t, mat), delta)
-        return counts[t]
-
-    na = count(path.a, path.values[0])
-    nb = count(path.b, path.values[-1])
-    # Each stack entry carries the matrices at its ends, so no point is
-    # evaluated twice in one pass and a midpoint matrix is freed once
-    # both of its intervals are done.
     ts = path.t_samples
-    stack = []
-    for i in range(ts.size - 1):
-        count(float(ts[i + 1]), path.values[i + 1])
-        stack.append((float(ts[i]), path.values[i], float(ts[i + 1]), path.values[i + 1], 0))
+    left, right = ts[:-1], ts[1:]
+    exact = path.chord_norms(left, right) is not None
+    # matrices held for the current level, by time; the samples are views
+    mats = dict(zip(ts.tolist(), path.values))
+
+    def at(t):
+        mat = mats.get(t)
+        if mat is None:
+            mat = mats[t] = path.evaluate(t)
+        return mat
+
+    def probe(times):
+        times = [t for t in times if t not in spectra]
+
+        def write(i, out):
+            out[...] = at(times[i])
+
+        spectra.update(zip(times, _eigvalsh_stacked(path.n, len(times), write)))
+
+    probe(ts[1:-1].tolist())
     crossings = []
-    max_depth = 0
-    while stack:
-        l, ml, r, mr, depth = stack.pop()
-        max_depth = max(max_depth, depth)
-        nl, nr = counts[l], counts[r]
-        if r - l < cfg.bisection_tol:
-            if nl != nr:
-                crossings.append(
-                    _make_record(path, 0.5 * (l + r), nl - nr, delta, kernel_floor, cfg)
-                )
-            continue
-        if nl == nr:
-            # Per-branch certificate (module docstring): by Weyl's
-            # inequality the i-th sorted eigenvalue moves by at most
-            # ||A(l) - A(r)||_2, so on an affine interval it meets delta
-            # only if that norm reaches |el_i - delta| + |er_i - delta|.
-            # So a branch near delta at one end does not block the
-            # certificate when it is far from delta at the other.
-            el, er = spectra[l], spectra[r]
-            reach = float(np.min(np.abs(el - delta) + np.abs(er - delta)))
-            if _sym_norm2(ml - mr) < 0.5 * reach:
-                continue
+    depth = 0
+    while True:
+        el = np.array([spectra[t] for t in left.tolist()])
+        er = np.array([spectra[t] for t in right.tolist()])
+        nl, nr = _below(el, delta), _below(er, delta)
+        narrow = right - left < cfg.bisection_tol
+        for j in np.flatnonzero(narrow & (nl != nr)):
+            mid = 0.5 * (left[j] + right[j])
+            crossings.append(_make_record(path, float(mid), int(nl[j] - nr[j]), delta, kernel_floor))
+        # Per-branch certificate (module docstring): by Weyl's inequality
+        # the i-th sorted eigenvalue moves by at most ||A(l) - A(r)||_2,
+        # so on an affine interval it meets delta only if that norm
+        # reaches |el_i - delta| + |er_i - delta|.  So a branch near delta
+        # at one end does not block the certificate when it is far from
+        # delta at the other.
+        reach = np.min(np.abs(el - delta) + np.abs(er - delta), axis=1)
+        if exact:
+            chord = path.chord_norms(left, right)
+        else:
+            chord = _callable_chords(
+                path, chords, at, left, right, ~narrow & (nl == nr), 0.5 * reach
+            )
+        split = ~narrow & ((nl != nr) | ~(chord < 0.5 * reach))
+        if not split.any():
+            break
         if depth >= cfg.refine_max_depth:
             raise SpectralFlowError("adaptive refinement depth exceeded")
+        l, r = left[split], right[split]
         m = 0.5 * (l + r)
-        mm = path.evaluate(m)
-        count(m, mm)
-        stack.append((l, ml, m, mm, depth + 1))
-        stack.append((m, mm, r, mr, depth + 1))
+        left, right = np.concatenate([l, m]), np.concatenate([m, r])
+        # a callable path needs the next level's ends for its chords
+        keep = () if exact else set(l.tolist()) | set(r.tolist())
+        mats = {t: mats[t] for t in keep if t in mats}
+        probe(m.tolist())
+        depth += 1
     crossings.sort(key=lambda rec: rec.t)
     total = sum(rec.crossing_signature for rec in crossings)
-    if total != na - nb:
+    if total != _below(spectra[path.a], delta) - _below(spectra[path.b], delta):
         raise SpectralFlowError("crossing sum disagrees with endpoint counts")
     return SpectralFlowReport(
         sf=total,
         delta_used=delta,
         crossings=crossings,
-        refinement_depth=max_depth,
+        refinement_depth=depth,
         method="crossing",
     )
+
+
+def _callable_chords(path, chords, at, left, right, ask, limit):
+    """Chords of a callable path where ``ask`` holds, inf elsewhere.
+
+    Only an interval the certificate can settle asks for its chord.  The
+    largest absolute row sum of A(l) - A(r) bounds its 2-norm from above,
+    so an interval whose bound is below ``limit`` is certified without an
+    eigvalsh; the others take the exact 2-norm.  Every certificate
+    decision is therefore the exact chord's.  Both are taken per chunk
+    of at most _STACK_BYTES, with one stacked eigvalsh.  ``chords`` maps
+    (l, r) to (value, diagonalized) across delta halvings."""
+    chord = np.full(left.shape, np.inf)
+    todo = []
+    for j in np.flatnonzero(ask).tolist():
+        value, diagonalized = chords.get((left[j], right[j]), (np.inf, False))
+        if diagonalized or value < limit[j]:
+            chord[j] = value
+        else:
+            todo.append(j)
+    per = _per_chunk(path.n)
+    buf = np.empty((min(per, len(todo)), path.n, path.n))
+    for start in range(0, len(todo), per):
+        rows = todo[start : start + per]
+        diffs = buf[: len(rows)]
+        for diff, j in zip(diffs, rows):
+            np.subtract(at(left[j]), at(right[j]), out=diff)
+        norms = _abs_row_sum(diffs)
+        hard = norms >= limit[rows]
+        if hard.any():
+            norms[hard] = np.abs(np.linalg.eigvalsh(diffs[hard])).max(axis=1, initial=0.0)
+        chord[rows] = norms
+        chords.update(zip(zip(left[rows], right[rows]), zip(norms.tolist(), hard.tolist())))
+    return chord
 
 
 def spectral_flow(path, cfg=None):
@@ -388,9 +504,10 @@ def spectral_flow(path, cfg=None):
     if cfg is None:
         cfg = SpectralFlowConfig()
     scale = max(1.0, _max_abs(path.values))
-    spectra = {}
-    eigs_a = _spectrum(spectra, path.a, path.values[0])
-    eigs_b = _spectrum(spectra, path.b, path.values[-1])
+    eigs_a = np.linalg.eigvalsh(path.values[0])
+    eigs_b = np.linalg.eigvalsh(path.values[-1])
+    spectra = {path.a: eigs_a, path.b: eigs_b}
+    chords = {}
     if cfg.endpoint_count_only:
         sf, delta = _endpoint_flow(eigs_a, eigs_b, scale, cfg)
         return SpectralFlowReport(
@@ -401,7 +518,7 @@ def spectral_flow(path, cfg=None):
     for halving in range(cfg.max_halvings + 1):
         delta = delta0 / 2.0**halving
         try:
-            return _flow_with_delta(path, delta, cfg, scale, spectra)
+            return _flow_with_delta(path, delta, cfg, scale, spectra, chords)
         except _DegenerateCrossing as exc:
             err = exc
     raise SpectralFlowError(
@@ -454,7 +571,7 @@ def sf_concat(p1, p2, cfg=None):
     grid = np.unique(
         np.concatenate([p1.t_samples, p2.t_samples + offset])
     )
-    vals = np.array([f(t) for t in grid])
+    vals = _sample(f, grid)
     joined = HermitianPath(grid, vals, derivative=df, func=f)
     return spectral_flow(joined, cfg).sf
 

@@ -8,7 +8,7 @@ must agree on every path with invertible endpoints.
 import numpy as np
 import pytest
 
-from swflow import orient
+from swflow import cli, orient
 from swflow import specflow as sf
 
 
@@ -161,3 +161,97 @@ def test_axioms_homotopy_edges():
         p2 = sf.HermitianPath.from_callable(lambda t: homotopy(1.0, t), 0.0, 1.0)
         report = orient.ot_axioms(p1, p2, homotopy=homotopy)
         assert report["homotopy"]["ok"]
+
+
+# ------------------------------------------------------ frozen corpus
+
+# The first 20 paths of the 1000-path acceptance stream for seeds 303 and
+# 505 (n = 4 + i % 7), pinned at a commit that refined depth-first and
+# certified the stabilizer with the one-sided rule.  Per path: sf,
+# delta_used, eps_det, eps_sf, stabilizer_dim and the crossing records
+# (t, kernel_dim, crossing_signature, crossing_det_sign).
+FROZEN_CORPUS = [
+    (0, 0.05271868653679428, 1, 1, 0, []),
+    (0, 0.04823859664535434, 1, 1, 0, []),
+    (0, 0.23290144519593448, 1, 1, 1, [(-0.10838029716008658, 1, 1, 1), (0.1694831667700781, 1, -1, -1)]),
+    (-1, 0.16758038296738575, -1, -1, 1, [(-0.7118735132195677, 1, -1, -1)]),
+    (1, 0.11259334877760316, -1, -1, 1, [(-0.7768330722174142, 1, 1, 1)]),
+    (2, 0.0701772763415478, 1, 1, 1, [(-0.8692359125998337, 1, 1, 1), (-0.4630125544790644, 1, 1, 1)]),
+    (-1, 0.0895730411745353, -1, -1, 1, [(0.13528991208295338, 1, -1, -1), (0.46575687066069804, 1, 1, 1), (0.6919388650276233, 1, -1, -1)]),
+    (-1, 0.25, -1, -1, 1, [(0.14044808879649875, 1, -1, -1)]),
+    (0, 0.09722744507686082, 1, 1, 0, []),
+    (1, 0.25, -1, -1, 1, [(-0.1297904283662017, 1, 1, 1)]),
+    (0, 0.25, 1, 1, 1, [(-0.6214429916581139, 1, -1, -1), (-0.050013081364644094, 1, 1, 1)]),
+    (-1, 0.25, -1, -1, 1, [(-0.5961184409970883, 1, -1, -1)]),
+    (1, 0.16790803451816216, -1, -1, 1, [(-0.521239986323053, 1, 1, 1), (0.1888659679389093, 1, -1, -1), (0.36788735454319976, 1, 1, 1)]),
+    (-1, 0.1357046637810639, -1, -1, 1, [(0.4749058191276465, 1, -1, -1)]),
+    (-1, 0.01569647326233577, -1, -1, 1, [(-0.359516008378705, 1, -1, -1)]),
+    (-1, 0.2039009670152461, -1, -1, 1, [(0.006761785247363144, 1, -1, -1)]),
+    (1, 0.08100230453875555, -1, -1, 1, [(0.04751926299650218, 1, 1, 1)]),
+    (-1, 0.25, -1, -1, 1, [(-0.3323246514191851, 1, -1, -1), (-0.04836868149383616, 1, -1, -1), (0.15297591829827661, 1, 1, 1)]),
+    (0, 0.23414439811725363, 1, 1, 0, [(-0.0023868615098763257, 1, -1, -1), (0.5231688309286255, 1, 1, 1)]),
+    (-1, 0.25, -1, -1, 1, [(-0.8950680269917939, 1, -1, -1)]),
+    (0, 0.25, 1, 1, 0, [(-0.7054752302744116, 1, -1, -1), (-0.20140595373231923, 1, 1, 1)]),
+    (0, 0.25, 1, 1, 1, [(-0.1159410536056385, 1, 1, 1), (0.31884737510699773, 1, -1, -1)]),
+    (0, 0.25, 1, 1, 0, []),
+    (-1, 0.10772085516588163, -1, -1, 1, [(-0.9038658777329449, 1, -1, -1)]),
+    (1, 0.076357684760106, -1, -1, 1, [(-0.36305694971815683, 1, 1, 1)]),
+    (0, 0.017232025678437395, 1, 1, 1, [(0.009082203924966347, 1, 1, 1), (0.21740004750123862, 1, -1, -1)]),
+    (-1, 0.25, -1, -1, 1, [(-0.35305648305802606, 1, -1, -1)]),
+    (0, 0.18998485607906365, 1, 1, 1, []),
+    (-2, 0.25, 1, 1, 1, [(-0.45299556144163944, 1, -1, -1), (0.40071532610454597, 1, -1, -1)]),
+    (0, 0.25, 1, 1, 1, [(-0.851418951555388, 1, -1, -1), (-0.16997678115149029, 1, 1, 1)]),
+    (0, 0.05428671580315258, 1, 1, 1, [(-0.09413805770842984, 1, -1, -1), (0.07303566559373084, 1, 1, 1)]),
+    (0, 0.25, 1, 1, 1, [(-0.2937130954815075, 1, 1, 1), (0.5960207428239905, 1, -1, -1)]),
+    (0, 0.25, 1, 1, 1, []),
+    (1, 0.20355661488846602, -1, -1, 1, [(-0.035659820219734684, 1, 1, 1), (0.45381077178171836, 1, -1, -1), (0.6831094781227876, 1, 1, 1)]),
+    (0, 0.25, 1, 1, 1, [(-0.8419955732533708, 1, -1, -1), (-0.3277299093315378, 1, -1, -1), (-0.06116920651402327, 1, 1, 1), (0.28944899914010114, 1, 1, 1)]),
+    (0, 0.1034057121034491, 1, 1, 1, [(-0.8572247584428018, 1, 1, 1), (-0.14698440500069415, 1, -1, -1)]),
+    (0, 0.22065068600896548, 1, 1, 0, []),
+    (0, 0.047575069528158716, 1, 1, 0, []),
+    (0, 0.25, 1, 1, 0, [(0.11653993585302173, 1, -1, -1), (0.25242968179130304, 1, 1, 1)]),
+    (0, 0.138155045586868, 1, 1, 1, [(-0.580357937637018, 1, -1, -1), (-0.2238706255739089, 1, 1, 1), (0.4759565264976118, 1, -1, -1), (0.9087198615598027, 1, 1, 1)]),
+]
+
+
+def test_frozen_crossing_corpus():
+    cfg = sf.SpectralFlowConfig()
+    paths = []
+    for seed in (303, 505):
+        rng = np.random.default_rng(seed)
+        paths += [cli._random_symmetric_path(rng, 4 + i % 7) for i in range(20)]
+    for path, (flow, delta, eps_det, eps_sf, vdim, records) in zip(paths, FROZEN_CORPUS):
+        rep = orient.transport_report(path, cfg)
+        assert (rep.sf, rep.eps_det, rep.eps_sf, rep.stabilizer_dim) == (flow, eps_det, eps_sf, vdim)
+        got = sf.spectral_flow(path, cfg)
+        assert got.sf == flow
+        assert got.delta_used == pytest.approx(delta, rel=1e-12)
+        assert len(got.crossings) == len(records)
+        for rec, (t, k, sig, det) in zip(got.crossings, records):
+            assert abs(rec.t - t) <= cfg.bisection_tol
+            assert (rec.kernel_dim, rec.crossing_signature, rec.crossing_det_sign) == (k, sig, det)
+
+
+# ------------------------------------------------ stabilizer certificate
+
+
+def smallest_singular_value(path, K, t):
+    return np.linalg.svd(np.hstack([path.evaluate(t), K]), compute_uv=False).min()
+
+
+def test_scan_certifies_a_quarter_of_the_end_margins_on_affine_paths():
+    # move < (ml + mr) / 2 and Weyl's inequality for singular values give
+    # sigma_min >= (ml + mr - move) / 2 > (ml + mr) / 4 inside every
+    # certified interval of an affine path
+    rng = np.random.default_rng(67)
+    cfg = sf.SpectralFlowConfig()
+    for _ in range(30):
+        path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)))
+        scale = max(1.0, np.abs(path.values).max())
+        K, bases = orient._collect_stabilizer(path, cfg, scale)
+        grid = list(bases)
+        margins = [smallest_singular_value(path, K, t) for t in grid]
+        for l, r, ml, mr in zip(grid, grid[1:], margins, margins[1:]):
+            inner = np.linspace(l, r, 52)[1:-1]
+            low = min(smallest_singular_value(path, K, t) for t in inner)
+            assert low >= 0.25 * (ml + mr)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from swflow import orient
 from swflow import specflow as sf
 from swflow import torus_model as tm
 
@@ -135,6 +136,99 @@ def test_sym_norm2_matches_svd_norm():
         d = rng.standard_normal((n, n))
         d = d + d.T
         assert sf._sym_norm2(d) == pytest.approx(np.linalg.norm(d, 2), rel=1e-12)
+        # the row-sum bound tried before a callable chord is diagonalized
+        assert sf._abs_row_sum(d) >= sf._sym_norm2(d)
+
+
+def test_exact_chord_matches_the_diagonalized_chord():
+    rng = np.random.default_rng(43)
+    n = 5
+    a, b, c, d = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(4))
+    a, b, c, d = a + a.conj().T, b + b.conj().T, c + c.conj().T, d + d.conj().T
+    grid = np.linspace(-1.0, 1.0, 9)
+    paths = [
+        sf.HermitianPath.affine(a.real, b.real, -1.0, 1.0),
+        sf.HermitianPath.affine(a, b, -1.0, 1.0),
+        sf.HermitianPath(grid, np.array([a.real + np.sin(2.0 * t) * c.real for t in grid])),
+        sf.HermitianPath(grid, np.array([a + t * b + np.cos(3.0 * t) * d for t in grid])),
+    ]
+    assert paths[1].realified and paths[3].realified
+    for path in paths:
+        ts = path.t_samples
+        for i in rng.integers(0, ts.size - 1, 10):
+            l, r = np.sort(rng.uniform(ts[i], ts[i + 1], 2))
+            want = sf._sym_norm2(path.evaluate(l) - path.evaluate(r))
+            assert path.chord_norms(l, r) == pytest.approx(want, rel=1e-12)
+    curved = sf.HermitianPath.from_callable(lambda t: a.real + np.sin(t) * b.real, -1.0, 1.0)
+    assert curved.chord_norms(-1.0, 1.0) is None
+
+
+def test_affine_refinement_takes_no_two_norm(monkeypatch):
+    rng = np.random.default_rng(44)
+    paths = [affine(rng, 6) for _ in range(5)]
+
+    def refuse(diff):
+        raise AssertionError("a 2-norm was taken on an affine path")
+
+    monkeypatch.setattr(sf, "_sym_norm2", refuse)
+    for path in paths:
+        rep = sf.spectral_flow(path)
+        assert rep.sf == sum(r.crossing_signature for r in rep.crossings)
+        assert orient.transport_report(path).sf == rep.sf
+
+
+def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+
+    # affine paths: exact chords, so the two endpoint solves and one
+    # stacked solve of the new midpoints per level
+    rng = np.random.default_rng(48)
+    for _ in range(10):
+        path = affine(rng, 6)
+        shapes.clear()
+        rep = sf.spectral_flow(path)
+        solves = [s for s in shapes if s[-1] == path.n]
+        assert solves[:2] == [(6, 6), (6, 6)]
+        assert len(solves) <= 2 + rep.refinement_depth
+
+    # the n = 255 magnetic tower is callable: per level, one stacked solve
+    # for the chords and one for the midpoints, each cut into chunks.  A
+    # depth-first refinement takes 180 separate solves of this path.
+    path = tm.magnetic_family_path(3, 8)
+    n = path.n
+    per = sf._STACK_BYTES // (8 * n * n)
+    shapes.clear()
+    rep = sf.spectral_flow(path)
+    assert rep.sf == -3
+    solves = [s for s in shapes if s[-1] == n]
+    assert solves[:2] == [(n, n), (n, n)]
+    stacked = [s[0] for s in solves[2:]]
+    assert all(len(s) == 3 for s in solves[2:])
+    assert max(stacked) <= per
+    assert 2 + sum(stacked) <= 180
+    # every level has at most one partial chunk of each kind
+    assert len(stacked) <= 2 * (rep.refinement_depth + 1) + sum(stacked) / per
+
+
+def test_magnetic_tower_flow_holds_few_matrices():
+    # n = 255 tower with 17 samples: 8.8 MB of values; the refinement
+    # holds one level's endpoint matrices and one bounded chunk
+    path = tm.magnetic_family_path(3, 8)
+    sf.spectral_flow(path)
+    tracemalloc.start()
+    try:
+        sf.spectral_flow(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.values.nbytes
 
 
 def test_flow_independent_of_delta_cap_and_grid():
@@ -319,6 +413,12 @@ def test_crossing_operator_examples():
 
     r = sf.HermitianPath.affine(np.eye(2), np.zeros((2, 2)), -1.0, 1.0)
     assert sf.crossing_operator(r, 0.5, tol=1e-8).shape == (0, 0)
+
+    # at a shift the kernel is that of A(t) - delta
+    cd = sf.crossing_operator(p, 0.25, tol=1e-8, delta=0.25)
+    assert cd.shape == (1, 1)
+    assert cd[0, 0] == pytest.approx(1.0, abs=1e-8)
+    assert sf.crossing_operator(r, 0.5, tol=1e-8, delta=1.0).shape == (2, 2)
 
 
 # ------------------------------------------------ degenerate tracking
