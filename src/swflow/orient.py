@@ -25,10 +25,10 @@ affine interval,
     sigma_min [T_t K] >= (ml + mr - move) / 2    for every t in [l, r],
 
 so move < (ml + mr) / 2 certifies a margin of at least (ml + mr) / 4.
-The chord ``move`` is exact where the path is affine (see
-``HermitianPath.chord_norms``) and a heuristic on curved paths, where
-it is diagonalized only when its absolute-row-sum upper bound does not
-already certify the interval.
+The chord ``move`` follows the rule of the flow route's refinement
+(``specflow._chords``): exact where the path is affine and a heuristic
+on curved paths, where it is diagonalized only when its
+absolute-row-sum upper bound does not already certify the interval.
 """
 
 from dataclasses import dataclass
@@ -74,7 +74,8 @@ def _scan_stabilizer(path, K, trigger, collect_tol, cfg):
     mr the smallest singular values of [T K] at its ends and move the
     chord ||T(l) - T(r)||_2: on an affine interval Weyl's inequality for
     singular values bounds sigma_min [T_t K] >= (ml + mr - move) / 2 >
-    (ml + mr) / 4 inside it.  Each probe takes one SVD.
+    (ml + mr) / 4 inside it.  Each probe takes one SVD, and the two
+    halves of a split interval take their chords together.
 
     Returns (certified, new_directions, bases): on success ``bases``
     maps each probed time, in increasing order, to the kernel basis of
@@ -94,25 +95,23 @@ def _scan_stabilizer(path, K, trigger, collect_tol, cfg):
             return None, u[:, s_full < collect_tol]
         return mat, None
 
+    def certified(left, right, mats):
+        """Whether each interval [left[j], right[j]] is certified; ``mats``
+        maps its ends to the path matrices there."""
+        limit = 0.5 * np.array([margins[l] + margins[r] for l, r in zip(left, right)])
+        return sfmod._chords(path, left, right, mats.__getitem__, limit) < limit
+
     ts = path.t_samples.tolist()
-    mats = []
+    mats = {}
     for t in ts:
         mat, dirs = probe(t)
         if mat is None:
             return False, dirs, None
-        mats.append(mat)
-    stack = [(ts[i], mats[i], ts[i + 1], mats[i + 1], 0) for i in range(len(ts) - 1)]
+        mats[t] = mat
+    done = certified(ts[:-1], ts[1:], mats)
+    stack = [(l, mats[l], r, mats[r], 0) for l, r, ok in zip(ts[:-1], ts[1:], done) if not ok]
     while stack:
         l, ml, r, mr, depth = stack.pop()
-        limit = 0.5 * (margins[l] + margins[r])
-        move = path.chord_norms(l, r)
-        if move is None:
-            # the absolute row sum bounds the 2-norm from above
-            move = sfmod._abs_row_sum(ml - mr)
-            if move >= limit:
-                move = sfmod._sym_norm2(ml - mr)
-        if move < limit:
-            continue
         if depth >= cfg.refine_max_depth:
             raise OrientationTransportError(
                 "cannot certify the stabilizer: refinement depth exceeded"
@@ -121,8 +120,10 @@ def _scan_stabilizer(path, K, trigger, collect_tol, cfg):
         mm, dirs = probe(m)
         if mm is None:
             return False, dirs, None
-        stack.append((l, ml, m, mm, depth + 1))
-        stack.append((m, mm, r, mr, depth + 1))
+        done = certified([l, m], [m, r], {l: ml, m: mm, r: mr})
+        for half, ok in zip([(l, ml, m, mm), (m, mm, r, mr)], done):
+            if not ok:
+                stack.append(half + (depth + 1,))
     return True, None, dict(sorted(bases.items()))
 
 

@@ -42,8 +42,8 @@ per chunk of at most _STACK_BYTES.  On a callable path the chords the
 level's certificate needs (intervals whose end counts agree, where the
 row-sum bound does not decide) take one more stacked eigvalsh per
 chunk.  Only the current level's endpoint matrices are held.  The
-spectrum of every probed time, and every chord, is kept across delta
-halvings, so no point of the path is diagonalized twice.
+spectrum of every probed time is kept across delta halvings, so no point
+of the path is diagonalized twice.
 """
 
 from dataclasses import dataclass, field
@@ -247,7 +247,7 @@ class HermitianPath:
         interval inside one sample segment.  The norm is ||B||_2 (r - l)
         on a path built by ``affine`` and the segment slope norm times
         (r - l) on a path interpolated between its samples.  A path given
-        by any other callable returns None: its chords are diagonalized."""
+        by any other callable returns None (see ``_chords``)."""
         if self._slopes is None:
             if self._func is not None:
                 return None
@@ -302,19 +302,54 @@ def _per_chunk(n):
     return max(1, _STACK_BYTES // (8 * n * n))
 
 
-def _eigvalsh_stacked(n, count, write):
-    """Eigenvalues of ``count`` n x n matrices, one stacked eigvalsh per
-    chunk of at most _STACK_BYTES; ``write(i, out)`` puts matrix i into
-    the n x n array ``out``.  A row per matrix, ascending."""
+def _chunks(n, count, write):
+    """Yield (start, stack) for ``count`` n x n matrices in chunks of at
+    most _STACK_BYTES; ``write(i, out)`` puts matrix i into the n x n
+    array ``out``.  Every chunk reuses one buffer."""
     per = _per_chunk(n)
-    eigs = np.empty((count, n))
     buf = np.empty((min(per, count), n, n))
     for start in range(0, count, per):
-        size = min(per, count - start)
-        for j in range(size):
-            write(start + j, buf[j])
-        eigs[start : start + size] = np.linalg.eigvalsh(buf[:size])
+        stack = buf[: min(per, count - start)]
+        for j, out in enumerate(stack):
+            write(start + j, out)
+        yield start, stack
+
+
+def _eigvalsh_stacked(n, count, write):
+    """Eigenvalues of ``count`` n x n matrices, one stacked eigvalsh per
+    chunk (``_chunks``).  A row per matrix, ascending."""
+    eigs = np.empty((count, n))
+    for start, stack in _chunks(n, count, write):
+        eigs[start : start + len(stack)] = np.linalg.eigvalsh(stack)
     return eigs
+
+
+def _chords(path, left, right, at, limit):
+    """||A(l) - A(r)||_2 of each interval [left[j], right[j]], as far as
+    the certificate ``chord < limit`` needs it; ``limit`` is an array.
+
+    Exact where the path is affine (``HermitianPath.chord_norms``).  On
+    any other path the largest absolute row sum of A(l) - A(r), an upper
+    bound on its 2-norm, stands where it is below ``limit``, and only the
+    other chords of each chunk are diagonalized, in one stacked eigvalsh;
+    so every certificate decision is the exact chord's.  ``at(t)`` is
+    A(t) at an interval end."""
+    chord = path.chord_norms(left, right)
+    if chord is not None:
+        return chord
+
+    def diff(i, out):
+        np.subtract(at(left[i]), at(right[i]), out=out)
+
+    chord = np.empty(len(left))
+    for start, stack in _chunks(path.n, len(left), diff):
+        rows = slice(start, start + len(stack))
+        norms = _abs_row_sum(stack)
+        hard = norms >= limit[rows]
+        if hard.any():
+            norms[hard] = np.abs(np.linalg.eigvalsh(stack[hard])).max(axis=1, initial=0.0)
+        chord[rows] = norms
+    return chord
 
 
 def crossing_operator(path, t, tol, delta=0.0):
@@ -380,12 +415,11 @@ def _endpoint_flow(eigs_a, eigs_b, scale, cfg):
     return _below(eigs_a, delta) - _below(eigs_b, delta), delta
 
 
-def _flow_with_delta(path, delta, cfg, scale, spectra, chords):
+def _flow_with_delta(path, delta, cfg, scale, spectra):
     """One refinement pass at shift delta, breadth-first (module docstring).
 
-    ``spectra`` maps each probed time to its eigenvalues, and ``chords``
-    holds the chords of a callable path (``_callable_chords``); both
-    outlive the delta halvings of one spectral_flow call."""
+    ``spectra`` maps each probed time to its eigenvalues; it outlives the
+    delta halvings of one spectral_flow call."""
     kernel_floor = cfg.kernel_threshold_rel * scale
     ts = path.t_samples
     left, right = ts[:-1], ts[1:]
@@ -425,12 +459,10 @@ def _flow_with_delta(path, delta, cfg, scale, spectra, chords):
         # at one end does not block the certificate when it is far from
         # delta at the other.
         reach = np.min(np.abs(el - delta) + np.abs(er - delta), axis=1)
-        if exact:
-            chord = path.chord_norms(left, right)
-        else:
-            chord = _callable_chords(
-                path, chords, at, left, right, ~narrow & (nl == nr), 0.5 * reach
-            )
+        # only an interval whose end counts agree can be certified
+        ask = np.flatnonzero(~narrow & (nl == nr))
+        chord = np.full(left.shape, np.inf)
+        chord[ask] = _chords(path, left[ask], right[ask], at, 0.5 * reach[ask])
         split = ~narrow & ((nl != nr) | ~(chord < 0.5 * reach))
         if not split.any():
             break
@@ -457,40 +489,6 @@ def _flow_with_delta(path, delta, cfg, scale, spectra, chords):
     )
 
 
-def _callable_chords(path, chords, at, left, right, ask, limit):
-    """Chords of a callable path where ``ask`` holds, inf elsewhere.
-
-    Only an interval the certificate can settle asks for its chord.  The
-    largest absolute row sum of A(l) - A(r) bounds its 2-norm from above,
-    so an interval whose bound is below ``limit`` is certified without an
-    eigvalsh; the others take the exact 2-norm.  Every certificate
-    decision is therefore the exact chord's.  Both are taken per chunk
-    of at most _STACK_BYTES, with one stacked eigvalsh.  ``chords`` maps
-    (l, r) to (value, diagonalized) across delta halvings."""
-    chord = np.full(left.shape, np.inf)
-    todo = []
-    for j in np.flatnonzero(ask).tolist():
-        value, diagonalized = chords.get((left[j], right[j]), (np.inf, False))
-        if diagonalized or value < limit[j]:
-            chord[j] = value
-        else:
-            todo.append(j)
-    per = _per_chunk(path.n)
-    buf = np.empty((min(per, len(todo)), path.n, path.n))
-    for start in range(0, len(todo), per):
-        rows = todo[start : start + per]
-        diffs = buf[: len(rows)]
-        for diff, j in zip(diffs, rows):
-            np.subtract(at(left[j]), at(right[j]), out=diff)
-        norms = _abs_row_sum(diffs)
-        hard = norms >= limit[rows]
-        if hard.any():
-            norms[hard] = np.abs(np.linalg.eigvalsh(diffs[hard])).max(axis=1, initial=0.0)
-        chord[rows] = norms
-        chords.update(zip(zip(left[rows], right[rows]), zip(norms.tolist(), hard.tolist())))
-    return chord
-
-
 def spectral_flow(path, cfg=None):
     """Spectral flow of a symmetric-matrix path, with crossing records.
 
@@ -507,7 +505,6 @@ def spectral_flow(path, cfg=None):
     eigs_a = np.linalg.eigvalsh(path.values[0])
     eigs_b = np.linalg.eigvalsh(path.values[-1])
     spectra = {path.a: eigs_a, path.b: eigs_b}
-    chords = {}
     if cfg.endpoint_count_only:
         sf, delta = _endpoint_flow(eigs_a, eigs_b, scale, cfg)
         return SpectralFlowReport(
@@ -518,7 +515,7 @@ def spectral_flow(path, cfg=None):
     for halving in range(cfg.max_halvings + 1):
         delta = delta0 / 2.0**halving
         try:
-            return _flow_with_delta(path, delta, cfg, scale, spectra, chords)
+            return _flow_with_delta(path, delta, cfg, scale, spectra)
         except _DegenerateCrossing as exc:
             err = exc
     raise SpectralFlowError(

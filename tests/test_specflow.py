@@ -198,23 +198,53 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
         assert solves[:2] == [(6, 6), (6, 6)]
         assert len(solves) <= 2 + rep.refinement_depth
 
-    # the n = 255 magnetic tower is callable: per level, one stacked solve
-    # for the chords and one for the midpoints, each cut into chunks.  A
-    # depth-first refinement takes 180 separate solves of this path.
+    # the n = 255 magnetic tower is callable and curved: a level takes
+    # one stacked solve per chunk for the chords its row-sum bound does
+    # not settle, and one per chunk for its new midpoints.  Chords cannot
+    # join the midpoint solve: which chords a level needs is known only
+    # from the spectra of its ends.  A depth-first refinement takes 180
+    # separate solves of this path.
     path = tm.magnetic_family_path(3, 8)
     n = path.n
-    per = sf._STACK_BYTES // (8 * n * n)
+    per = sf._per_chunk(n)
+    chunks = lambda count: -(-count // per)
+    levels = []  # per level: (chords asked, their solves, midpoint solves)
+    probes = []  # (matrices, solves) of each stacked probe
+    chords, stacked = sf._chords, sf._eigvalsh_stacked
+
+    def level(path_, left, *args):
+        calls = len(shapes)
+        out = chords(path_, left, *args)
+        levels.append([len(left), len(shapes) - calls, 0])
+        return out
+
+    def probe(n_, count, write):
+        calls = len(shapes)
+        eigs = stacked(n_, count, write)
+        probes.append((count, len(shapes) - calls))
+        if levels:
+            levels[-1][2] += len(shapes) - calls
+        return eigs
+
+    monkeypatch.setattr(sf, "_chords", level)
+    monkeypatch.setattr(sf, "_eigvalsh_stacked", probe)
     shapes.clear()
     rep = sf.spectral_flow(path)
     assert rep.sf == -3
-    solves = [s for s in shapes if s[-1] == n]
-    assert solves[:2] == [(n, n), (n, n)]
-    stacked = [s[0] for s in solves[2:]]
-    assert all(len(s) == 3 for s in solves[2:])
-    assert max(stacked) <= per
-    assert 2 + sum(stacked) <= 180
-    # every level has at most one partial chunk of each kind
-    assert len(stacked) <= 2 * (rep.refinement_depth + 1) + sum(stacked) / per
+    # the crossing records take small eigvalsh of their crossing forms
+    big = [s for s in shapes if s[-1] == n]
+    assert big[:2] == [(n, n), (n, n)]
+    assert all(len(s) == 3 and s[0] <= per for s in big[2:])
+    assert len(levels) == rep.refinement_depth + 1
+    # the samples, then one probe of the new midpoints per level
+    assert len(probes) == rep.refinement_depth + 1
+    assert all(solves == chunks(count) for count, solves in probes)
+    for (asked, chord_solves, midpoint_solves), (count, _) in zip(levels, probes[1:] + [(0, 0)]):
+        assert chord_solves <= chunks(asked)
+        assert midpoint_solves == chunks(count)
+    # no other solve of the path's size
+    assert 2 + sum(lv[1] for lv in levels) + sum(s for _, s in probes) == len(big)
+    assert 2 + sum(s[0] for s in big[2:]) <= 180
 
 
 def test_magnetic_tower_flow_holds_few_matrices():
