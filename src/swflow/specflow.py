@@ -225,7 +225,7 @@ class HermitianPath:
         if self._func is not None:
             return np.asarray(self._func(t), dtype=float)
         ts = self.t_samples
-        t = float(np.clip(t, ts[0], ts[-1]))
+        t = min(max(float(t), self.a), self.b)
         i = int(np.searchsorted(ts, t, side="right")) - 1
         i = min(max(i, 0), ts.size - 2)
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
@@ -524,7 +524,11 @@ def spectral_flow(path, cfg=None):
 
 
 def sf_direct_sum(p1, p2, cfg=None):
-    """Spectral flow of the block-diagonal join of two paths."""
+    """Spectral flow of the block-diagonal join of two paths.
+
+    When both paths are affine between their samples (``_affine_pieces``),
+    so is the join on the union of their grids, and it is interpolated
+    there: its chords stay exact, the larger of the two parts' chords."""
     if abs(p1.a - p2.a) > 1e-12 or abs(p1.b - p2.b) > 1e-12:
         raise ValueError("direct sum requires a common parameter domain")
     n1, n2 = p1.n, p2.n
@@ -541,9 +545,19 @@ def sf_direct_sum(p1, p2, cfg=None):
         out[n1:, n1:] = p2.derivative_at(t)
         return out
 
-    num = max(p1.t_samples.size, p2.t_samples.size, 9)
-    joined = HermitianPath.from_callable(f, p1.a, p1.b, num_samples=num, derivative=df)
+    if _affine_pieces(p1) and _affine_pieces(p2):
+        grid = np.union1d(p1.t_samples, p2.t_samples[1:-1])
+        joined = HermitianPath(grid, _sample(f, grid), derivative=df)
+    else:
+        num = max(p1.t_samples.size, p2.t_samples.size, 9)
+        joined = HermitianPath.from_callable(f, p1.a, p1.b, num_samples=num, derivative=df)
     return spectral_flow(joined, cfg).sf
+
+
+def _affine_pieces(path):
+    """Whether the path is affine between its samples, so that
+    ``chord_norms`` is exact on it."""
+    return path._func is None or path._slopes is not None
 
 
 def _joins(p1, p2):
@@ -569,7 +583,10 @@ def sf_concat(p1, p2, cfg=None):
         np.concatenate([p1.t_samples, p2.t_samples + offset])
     )
     vals = _sample(f, grid)
-    joined = HermitianPath(grid, vals, derivative=df, func=f)
+    # two paths affine between their samples join into one interpolated
+    # on the union grid, whose chords are exact
+    exact = _affine_pieces(p1) and _affine_pieces(p2)
+    joined = HermitianPath(grid, vals, derivative=df, func=None if exact else f)
     return spectral_flow(joined, cfg).sf
 
 

@@ -15,6 +15,43 @@ sparse supports.  Value-producing operations raise MarginError when the
 true product would leave the truncation; operator assembly instead clips
 to the truncation, which is the orthogonal compression and keeps all the
 adjointness identities exact.
+
+Signs by inertia.  A configuration sign is (-1)^SF of an affine path of
+extended Hessians, and the endpoint-count SF needs only how many
+eigenvalues of each end lie below the counting line delta of
+specflow._endpoint_flow.  Write the Hessian of an irreducible c as
+H = [[R, C], [C^T, F]]: R the realified Dirac block (4M), C = [block_a |
+block_f], and F the configuration-free form block (4M), whose
+eigenvectors are cached per cutoff, Q_r on the range (|lam| >= 1) and Q_0
+on the 4-dimensional kernel.  By Haynsworth's inertia additivity
+(Haynsworth 1968; Sylvester's law of inertia for the congruence that
+eliminates the range), the number of eigenvalues of H below tau is
+
+    #(Lam_r < tau) + #neg S(tau),
+    S(tau) = [[R - tau - C_r (Lam_r - tau)^-1 C_r^T, C_0], [C_0^T, Lam_0 - tau]],
+
+with C_r = C Q_r and C_0 = C Q_0; S has size 4M + 4.  H is not
+assembled: one eigvalsh of S at tau* = c's own kernel floor
+(kernel_threshold_rel times H's largest entry, floored at 1) gives the
+count, and a certificate extends it to an interval of shifts.  dS/dtau
+<= -I, and for |tau| <= min|Lam_r|/2 its norm is at most
+L = 1 + 4 ||C||_F^2 / min|Lam_r|^2, so every eigenvalue of S falls with
+tau at a rate between 1 and L.  The count therefore holds on
+(tau* - m_-/L, tau* + m_+/L), where m_- and m_+ are the smallest |mu|
+over the negative and over the non-negative eigenvalues of S, each less
+a rounding allowance of order n eps (||S||_F plus the products' and F's
+eigenbasis' rounding); an end keeps only (top, count, interval).
+
+The window.  For a pair of ends, floor = kernel_threshold_rel * scale;
+delta is at least min(floor, delta_cap)/2, and every end eigenvalue above
+the floor in magnitude is at least 2 delta.  So an end's count below
+delta equals its count below every shift of W = [min(floor,
+delta_cap)/2, floor] when it has no eigenvalue in W, and a pair takes
+its counts on W: an irreducible end when W lies inside its certified
+interval, a reducible end (whose spectrum is kept, by blocks) when none
+of its eigenvalues lies in W.  Otherwise the pair falls back to the
+dense route, the rule of specflow._endpoint_flow on whole spectra, and
+an irreducible end is then assembled and diagonalized.
 """
 
 from dataclasses import dataclass
@@ -78,7 +115,8 @@ def _tables(trunc):
     The trig-to-Fourier unitary u pairs each mode with its negative,
     (u x)_p = diag_p x_p + off_p x_{-p}: at a lexicographically positive
     mode (p > neg[p]) the coefficient carries cos, at its negative sin.
-    ``first_order`` and ``form_block`` are filled on first use.
+    ``first_order``, ``form_block`` and ``form_basis`` are filled on first
+    use.
     """
     tab = _CACHE.get(trunc.cutoff)
     if tab is not None:
@@ -99,6 +137,7 @@ def _tables(trunc):
         star2=star2,
         first_order=None,
         form_block=None,
+        form_basis=None,
     )
     _CACHE[trunc.cutoff] = tab
     return tab
@@ -475,12 +514,14 @@ def dastq_residual(c):
 
 def _dirac_matrix(c):
     """Dirac operator of c on complex coefficients: the flat operator plus
-    the Toeplitz blocks (1/2) sigma . b_hat[k_t - k_p] of the 1-form."""
+    the Toeplitz blocks (1/2) sigma . b_hat[k_t - k_p] of the 1-form,
+    which are skipped when the 1-form is zero."""
     tr = c.trunc
     d = fourier_dirac(tr, FlatConnection(c.alpha))
-    half_b = 0.5 * _gather(_tables(tr).diff, real_to_complex(tr, c.a_field))
-    for j in range(3):
-        d += np.kron(half_b[..., j], cl.PAULI[j])
+    if np.any(c.a_field):
+        half_b = 0.5 * _gather(_tables(tr).diff, real_to_complex(tr, c.a_field))
+        for j in range(3):
+            d += np.kron(half_b[..., j], cl.PAULI[j])
     return d
 
 
@@ -570,60 +611,242 @@ def _checked_spectrum(mat):
     return np.linalg.eigvalsh(mat), sfmod._max_abs(mat)
 
 
-def _form_block(trunc):
-    """Spectrum and largest entry magnitude of the form block of the
-    extended Hessian, F = [[-*d, 2 d0], [2 d*, 0]] on (1-forms, functions).
+def _form_matrix(trunc):
+    """The form block F = [[-*d, 2 d0], [2 d*, 0]] of the extended Hessian
+    on (1-forms, functions).  It does not depend on the configuration."""
+    fo = _first_order(trunc)
+    n_a = 3 * trunc.mode_count
+    f = np.zeros((n_a + trunc.mode_count,) * 2)
+    f[:n_a, :n_a] = fo.minus_star_d
+    f[:n_a, n_a:] = 2.0 * fo.d0
+    f[n_a:, :n_a] = 2.0 * fo.cod1
+    return f
 
-    F does not depend on the configuration; it is diagonalized once per
-    cutoff, on the first sign request.
-    """
+
+def _form_block(trunc):
+    """Spectrum and largest entry magnitude of the form block F,
+    diagonalized once per cutoff on first use."""
     tab = _tables(trunc)
     if tab.form_block is None:
-        fo = _first_order(trunc)
-        n_a = 3 * trunc.mode_count
-        f = np.zeros((n_a + trunc.mode_count,) * 2)
-        f[:n_a, :n_a] = fo.minus_star_d
-        f[:n_a, n_a:] = 2.0 * fo.d0
-        f[n_a:, :n_a] = 2.0 * fo.cod1
-        tab.form_block = _checked_spectrum(f)
+        tab.form_block = _checked_spectrum(_form_matrix(trunc))
     return tab.form_block
 
 
-def _reducible_spectrum(c):
+def _eigenbasis(f):
+    """Eigenpairs of a symmetric F, ascending, split for the Schur route.
+
+    The kernel (|lam| < 1/2) is the run ``ker`` between the range
+    eigenvalues below it (``neg``) and above it (``pos``); ``gap`` is the
+    smallest |lam| on the range and ``frob`` is ||F||_F."""
+    lam, q = np.linalg.eigh(f)
+    i0 = int(np.count_nonzero(lam <= -0.5))
+    i1 = i0 + int(np.count_nonzero(np.abs(lam) < 0.5))
+    mags = np.abs(np.concatenate([lam[:i0], lam[i1:]]))
+    return SimpleNamespace(
+        lam=lam,
+        q=q,
+        neg=slice(0, i0),
+        ker=slice(i0, i1),
+        pos=slice(i1, lam.size),
+        gap=float(mags.min(initial=np.inf)),
+        frob=float(np.sqrt(np.vdot(f, f))),
+    )
+
+
+def _form_basis(trunc):
+    """``_eigenbasis`` of the form block, cached per cutoff on the first
+    sign request; only the sign route asks for eigenvectors.  F's range
+    eigenvalues are +-|k| and +-2|k| for k != 0, and its kernel is the
+    constant 1-forms and functions."""
+    tab = _tables(trunc)
+    if tab.form_basis is None:
+        basis = _eigenbasis(_form_matrix(trunc))
+        if basis.ker.stop - basis.ker.start != 4 or basis.gap < 1.0 - 1e-8:
+            raise RuntimeError("form block spectrum: kernel not 4-dimensional or range below 1")
+        tab.form_basis = basis
+    return tab.form_basis
+
+
+def _schur_count(r, c, basis, tau):
+    """(count, lo, hi) for H = [[r, c], [c^T, F]], F given by its
+    ``_eigenbasis``: the number of eigenvalues of H below tau, and an open
+    interval (lo, hi) of shifts around tau on which that number holds.
+
+    One eigvalsh of the Schur complement S(tau) (module docstring).  An
+    empty interval (lo == hi) means the count is not certified."""
+    lam, neg, ker, pos = basis.lam, basis.neg, basis.ker, basis.pos
+    reach = 0.5 * basis.gap
+    if not abs(tau) < reach:
+        return 0, tau, tau
+    n_s, k = r.shape[0], ker.stop - ker.start
+    cq = c @ basis.q
+    s = np.empty((n_s + k, n_s + k))
+    top_left = s[:n_s, :n_s]
+    # -C_r (Lam_r - tau)^-1 C_r^T = X_n X_n^T - X_p X_p^T, each a syrk
+    x = cq[:, neg] * np.sqrt(1.0 / (tau - lam[neg]))
+    np.matmul(x, x.T, out=top_left)
+    gemm = float(np.vdot(x, x))
+    x = cq[:, pos] * np.sqrt(1.0 / (lam[pos] - tau))
+    top_left -= x @ x.T
+    gemm += float(np.vdot(x, x))
+    del x
+    top_left += r
+    top_left[np.diag_indices(n_s)] -= tau
+    s[:n_s, n_s:] = cq[:, ker]
+    s[n_s:, :n_s] = cq[:, ker].T
+    s[n_s:, n_s:] = np.diag(lam[ker] - tau)
+    del cq
+    # every eigenvalue of S falls with tau at a rate in [1, rate]
+    rate = 1.0 + float(np.vdot(c, c)) / reach**2
+    # eigvalsh's backward error, the rounding of the products, and F's
+    # eigenbasis, which is orthonormal and diagonalizes F to rounding
+    slack = (n_s + k) * np.finfo(float).eps * (
+        np.sqrt(np.vdot(s, s)) + gemm + rate * basis.frob
+    )
+    mu = np.linalg.eigvalsh(s)
+    below = int(np.count_nonzero(mu < 0.0))
+    count = neg.stop + below
+    m_neg = -mu[below - 1] if below else np.inf
+    m_pos = mu[below] if below < mu.size else np.inf
+    if min(m_neg, m_pos) <= slack:
+        return count, tau, tau
+    lo = max(tau - (m_neg - slack) / rate, -reach)
+    hi = min(tau + (m_pos - slack) / rate, reach)
+    return count, lo, hi
+
+
+def _dirac_block(c):
+    """(R, max|R|): the realified Dirac operator of c, checked for
+    symmetry, and its largest entry magnitude."""
+    r = sfmod.realify_matrix(_dirac_matrix(c))
+    sfmod._check_symmetric(r)
+    return r, sfmod._max_abs(r)
+
+
+def _reducible_spectrum(c, dirac=None):
     """Spectrum and largest entry magnitude of the extended Hessian at the
     reducible point (0, A) of c, by blocks.
 
     With a zero spinor the coupling blocks vanish, so the Hessian is
-    diag(realify(D_A), F): the realified Dirac block is diagonalized and
-    the cached spectrum of F is appended.
+    diag(R, F) with R the realified Dirac operator: R is diagonalized and
+    the cached spectrum of F is appended.  ``dirac`` is the
+    ``_dirac_block`` of c when the caller has it.
     """
-    eigs, top = _checked_spectrum(sfmod.realify_matrix(_dirac_matrix(c)))
+    r, top = _dirac_block(c) if dirac is None else dirac
     form_eigs, form_top = _form_block(c.trunc)
-    return np.concatenate([eigs, form_eigs]), max(top, form_top)
+    return np.concatenate([np.linalg.eigvalsh(r), form_eigs]), max(top, form_top)
 
 
-def _endpoint_spectrum(c):
-    """Spectrum and largest entry magnitude of the extended Hessian at c:
-    one assembly and one dense eigvalsh, or blocks when c is reducible."""
+@dataclass
+class _Endpoint:
+    """One end of an affine path of extended Hessians, as a sign needs it.
+
+    ``top`` is the Hessian's largest entry magnitude.  A reducible end
+    keeps its spectrum ``eigs``.  An irreducible end keeps only ``count``,
+    its number of eigenvalues below every shift of the open interval
+    ``certified``, and ``dense``, which assembles and diagonalizes its
+    Hessian when a pair needs the whole spectrum (the fallback)."""
+
+    top: float
+    eigs: np.ndarray = None
+    count: int = 0
+    certified: tuple = (0.0, 0.0)
+    dense: object = None
+
+    def count_on(self, lo, hi):
+        """Eigenvalues below every shift of [lo, hi], or None when that
+        number is not known to be constant there."""
+        if self.eigs is not None:
+            if np.any((self.eigs >= lo) & (self.eigs <= hi)):
+                return None
+            return sfmod._below(self.eigs, lo)
+        if self.certified[0] < lo and hi < self.certified[1]:
+            return self.count
+        return None
+
+    def spectrum(self):
+        """The whole spectrum, diagonalized densely on first request for an
+        irreducible end."""
+        if self.eigs is None:
+            self.eigs = self.dense()
+            self.dense = None
+        return self.eigs
+
+
+def _reducible_endpoint(c, dirac=None):
+    """The ``_Endpoint`` of the reducible point (0, A) of c, by blocks."""
+    eigs, top = _reducible_spectrum(c, dirac)
+    return _Endpoint(top, eigs=eigs)
+
+
+def _check_transposed(block, mirror, scale):
+    """Reject a coupling block that is not the transpose of its mirror to
+    the tolerance of specflow._check_symmetric at ``scale``."""
+    if sfmod._max_abs(block - mirror.T) > 1e-12 * max(1.0, scale):
+        raise ValueError("extended Hessian is not symmetric within tolerance")
+
+
+def _irreducible_endpoint(c, r, r_top, cfg):
+    """The ``_Endpoint`` of an irreducible c from its blocks; H is not
+    assembled.  r is c's realified Dirac block, already checked for
+    symmetry by ``_dirac_block``, and r_top its largest entry; each
+    coupling block is checked against its mirror here.  The count is
+    taken at c's own kernel floor by ``_schur_count``."""
+    tr = c.trunc
+    block_a, block_f, block_q, block_v = _coupling_blocks(tr, c.psi)
+    top = max(
+        [r_top, _form_block(tr)[1]]
+        + [sfmod._max_abs(b) for b in (block_a, block_f, block_q, block_v)]
+    )
+    _check_transposed(block_q, block_a, top)
+    _check_transposed(block_v, block_f, top)
+    coupling = np.hstack([block_a, block_f])
+    del block_a, block_f, block_q, block_v
+    tau = cfg.kernel_threshold_rel * max(1.0, top)
+    count, lo, hi = _schur_count(r, coupling, _form_basis(tr), tau)
+    return _Endpoint(
+        top,
+        count=count,
+        certified=(lo, hi),
+        dense=lambda: _checked_spectrum(extended_hessian(c))[0],
+    )
+
+
+def _scaling_ends(c, cfg):
+    """Both ends of the spinor-scaling path of c, its reducible point
+    (0, A) and c itself, as ``_Endpoint``s that share one Dirac block."""
+    dirac = _dirac_block(c)
+    start = _reducible_endpoint(c, dirac)
     if c.reducible:
-        return _reducible_spectrum(c)
-    return _checked_spectrum(extended_hessian(c))
+        return start, start
+    return start, _irreducible_endpoint(c, *dirac, cfg)
 
 
 def _parity(start, end, cfg):
-    """(-1)^SF of the affine path between two endpoints, each given as
-    (spectrum, largest entry magnitude)."""
-    scale = max(1.0, start[1], end[1])
-    sf, _ = sfmod._endpoint_flow(start[0], end[0], scale, cfg)
+    """(-1)^SF of the affine path between two ``_Endpoint``s.
+
+    SF is the endpoint count below delta of specflow._endpoint_flow.  It
+    equals the count below any shift of the window W = [min(floor,
+    delta_cap)/2, floor] when neither end has an eigenvalue in W, so the
+    ends' counts on W serve; otherwise both spectra are taken whole."""
+    scale = max(1.0, start.top, end.top)
+    floor = cfg.kernel_threshold_rel * scale
+    window = (0.5 * min(floor, cfg.delta_cap), floor)
+    n0, n1 = start.count_on(*window), end.count_on(*window)
+    if n0 is None or n1 is None:
+        sf, _ = sfmod._endpoint_flow(start.spectrum(), end.spectrum(), scale, cfg)
+    else:
+        sf = n0 - n1
     return 1 if sf % 2 == 0 else -1
 
 
-def _sign(c, end, base, cfg):
-    """Sign of c from its endpoint spectrum ``end``: the parity from the
-    reducible point (0, A) of c, checked against the parity from
-    ``base`` when one is given."""
-    eps = _parity(_reducible_spectrum(c), end, cfg)
-    if base is not None and _parity(_reducible_spectrum(base), end, cfg) != eps:
+def _sign(ends, base, cfg):
+    """Sign from the ``_scaling_ends`` of a configuration: the parity of
+    its scaling path, checked against the parity from ``base`` when one
+    is given."""
+    start, end = ends
+    eps = _parity(start, end, cfg)
+    if base is not None and _parity(_reducible_endpoint(base), end, cfg) != eps:
         raise RuntimeError("base-point route disagrees with the default route")
     return eps
 
@@ -632,34 +855,39 @@ def configuration_sign(c, base=None, cfg=None):
     """Orientation transport along the spinor-scaling path to c.
 
     The path t -> extended Hessian of (t psi, A) is affine in t, so the
-    transport is the parity of the endpoint-count spectral flow.  The
-    Hessian of c is assembled and densely diagonalized once.  Its
-    reducible endpoint (0, A) is taken by blocks: there the coupling
-    blocks vanish, so its spectrum is that of the realified Dirac
-    operator D_A joined with the cached spectrum of the configuration-free
-    form block.  A reducible ``base`` (validated before any work) selects
-    the alternative affine path from the base, whose endpoint is taken by
-    blocks as well; both routes must agree.  Every diagonalized matrix is
-    checked for symmetry.  ``cfg`` supplies only kernel_threshold_rel and
-    delta_cap (the shift choice of spectral_flow).
+    transport is the parity of the endpoint-count spectral flow, which
+    needs only how many eigenvalues of each end lie below the counting
+    line.  The reducible end (0, A) is taken by blocks: there the
+    coupling blocks vanish, so its spectrum is that of the Dirac operator
+    D_A joined with the cached spectrum of the configuration-free form
+    block.  The Hessian of an irreducible c is not assembled: its count
+    comes from one eigvalsh of a Schur complement of size 4M + 4 over the
+    form block, with a certified interval of shifts on which the count
+    holds; a pair whose counting window that interval does not cover
+    diagonalizes the assembled Hessian instead (module docstring).  A
+    reducible ``base`` (validated before any work) selects the
+    alternative affine path from the base, whose end is taken by blocks
+    as well; both routes must agree.  Every block is checked for
+    symmetry.  ``cfg`` supplies only kernel_threshold_rel and delta_cap
+    (the shift choice of spectral_flow).
     """
     if base is not None and not base.reducible:
         raise ValueError("base configuration must be reducible")
     if cfg is None:
         cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
-    return _sign(c, _endpoint_spectrum(c), base, cfg)
+    return _sign(_scaling_ends(c, cfg), base, cfg)
 
 
 def signed_count(configs):
     """Sum of configuration signs, cross-checked by the relative form.
 
-    Each configuration's extended Hessian is assembled and densely
-    diagonalized once; that spectrum serves both expressions.  The direct
-    sum adds the configuration signs (reducible endpoints by blocks, as
-    in configuration_sign).  The relative form anchors at the first entry
+    Each configuration's ends are taken once, as in configuration_sign
+    (one Schur-complement solve per configuration, reducible ends by
+    blocks), and serve both expressions.  The direct sum adds the
+    configuration signs.  The relative form anchors at the first entry
     and multiplies its sign into the parities of the affine paths from
-    it, each taken from the two endpoint spectra with its own shift; the
-    two expressions must produce the same integer.
+    it, each taken from the two ends' counts on its own counting window;
+    the two expressions must produce the same integer.
     """
     configs = list(configs)
     for c in configs:
@@ -668,10 +896,10 @@ def signed_count(configs):
     if not configs:
         return 0
     cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
-    ends = [_endpoint_spectrum(c) for c in configs]
-    signs = [_sign(c, end, None, cfg) for c, end in zip(configs, ends)]
+    ends = [_scaling_ends(c, cfg) for c in configs]
+    signs = [_sign(pair, None, cfg) for pair in ends]
     total = sum(signs)
-    rel = signs[0] * sum(_parity(ends[0], end, cfg) for end in ends)
+    rel = signs[0] * sum(_parity(ends[0][1], end, cfg) for _, end in ends)
     if rel != total:
         raise RuntimeError("relative count disagrees with the direct sum")
     return total

@@ -102,6 +102,25 @@ def test_swcheck_passes(tmp_path):
     assert all(rec["pass"] for rec in payload["results"])
 
 
+def test_swcheck_kernel_record_fails_on_a_coupled_hessian(tmp_path, monkeypatch):
+    # the kernel record takes its spectrum by blocks only after checking
+    # that the assembled reducible Hessian has zero coupling blocks
+    hessian = cli.sl.extended_hessian
+
+    def coupled(c):
+        h = hessian(c)
+        h[0, -1] = h[-1, 0] = 1e-300
+        return h
+
+    monkeypatch.setattr(cli.sl, "extended_hessian", coupled)
+    out = tmp_path / "k.json"
+    code = run_cli(["swcheck", "--seed", "7", "--cutoff", "2", "--trials", "1", "--out", str(out)])
+    assert code == 1
+    _, payload = read_json(out)
+    failed = [rec["id"] for rec in payload["results"] if not rec["pass"]]
+    assert failed == ["kernel"]
+
+
 def test_swcheck_small_cutoff_is_margin_error(tmp_path, capsys):
     code = run_cli(["swcheck", "--cutoff", "1", "--out", str(tmp_path / "x.json")])
     assert code == 2

@@ -177,6 +177,33 @@ def test_affine_refinement_takes_no_two_norm(monkeypatch):
         assert orient.transport_report(path).sf == rep.sf
 
 
+def test_joins_of_affine_paths_keep_exact_chords(monkeypatch):
+    # direct sums and concatenations of affine and sampled paths are
+    # affine between samples: no chord is bounded by row sums or
+    # diagonalized, and the flow is additive
+    rng = np.random.default_rng(45)
+    parts = []
+    for n in (2, 3, 4):
+        grid = np.linspace(-1.0, 1.0, 4)
+        vals = rng.standard_normal((grid.size, n, n))
+        vals = vals + vals.transpose(0, 2, 1)
+        parts.append((affine(rng, n), sf.HermitianPath(grid, vals)))
+
+    def refuse(mats):
+        raise AssertionError("a chord was bounded on a join of affine paths")
+
+    for p1, p2 in parts:
+        flows = [sf.spectral_flow(p).sf for p in (p1, p2)]
+        cont = sf.HermitianPath.affine(p1.values[-1], p1.values[-1] - p1.values[0], 0.0, 2.0)
+        cont_sf = sf.spectral_flow(cont).sf
+        with monkeypatch.context() as m:
+            m.setattr(sf, "_abs_row_sum", refuse)
+            assert sf.sf_direct_sum(p1, p2) == sum(flows)
+            assert sf.sf_direct_sum(p1, p1) == 2 * flows[0]
+            assert sf.sf_concat(p1, cont) == flows[0] + cont_sf
+            assert sf.sf_concat(p2, sf.HermitianPath(p2.t_samples + 2.0, p2.values[::-1])) == 0
+
+
 def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh

@@ -652,20 +652,24 @@ def test_signs_match_dense_route_with_both_signs():
         assert sl.signed_count([configs[i] for i in idx]) == sum(want[i] for i in idx)
 
 
-def test_sign_route_solves_each_hessian_once(monkeypatch):
+def test_sign_route_makes_one_schur_solve_per_configuration(monkeypatch):
+    # An irreducible Hessian (size 8M) is neither assembled nor
+    # diagonalized: its count is one solve of the Schur complement over
+    # the form block (size 4M + 4).  The reducible ends are taken by
+    # blocks, and the dense fallback is not taken.
     rng = np.random.default_rng(103)
     tr = tm.TorusTruncation(1)
     n_s = 4 * tr.mode_count
     configs = [sl.random_configuration(tr, rng) for _ in range(3)]
     base = random_reducible(tr, rng)
-    full = []
+    sl.configuration_sign(configs[0])  # fills the per-cutoff caches
+    sizes = []
     assembled = []
     eigvalsh = np.linalg.eigvalsh
     hessian = sl.extended_hessian
 
     def counting_eigvalsh(a, *args, **kwargs):
-        if a.shape[-1] == 2 * n_s:
-            full.append(bool(np.any(a[:n_s, n_s:])))
+        sizes.append(a.shape[-1])
         return eigvalsh(a, *args, **kwargs)
 
     def counting_hessian(c):
@@ -680,14 +684,128 @@ def test_sign_route_solves_each_hessian_once(monkeypatch):
         (lambda: sl.signed_count(configs), 3),
         (lambda: sl.configuration_sign(base), 0),
     ):
-        full.clear()
+        sizes.clear()
         assembled.clear()
         call()
-        assert len(full) == solves
-        assert len(assembled) == solves
-        # every full-size solve has coupling blocks: none is reducible
-        assert all(full)
-        assert not any(assembled)
+        assert sizes.count(n_s + 4) == solves
+        assert 2 * n_s not in sizes
+        assert assembled == []
+
+
+def ends_against_dense(c, cfg):
+    """The ends of c's scaling path and c's dense spectrum, after checking
+    the inertia count against it: the count at c's own kernel floor, and
+    no eigenvalue in the certified interval."""
+    start, end = sl._scaling_ends(c, cfg)
+    h = sl.extended_hessian(c)
+    eigs = np.linalg.eigvalsh(h)
+    assert end.top == sfmod._max_abs(h)
+    tau = cfg.kernel_threshold_rel * max(1.0, end.top)
+    lo, hi = end.certified
+    assert lo < tau < hi
+    assert end.count == np.count_nonzero(eigs < tau)
+    assert not np.any((eigs > lo) & (eigs < hi))
+    return start, end, eigs
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_inertia_count_equals_dense_count(cutoff):
+    cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
+    tr = tm.TorusTruncation(cutoff)
+    rng = np.random.default_rng(105 + cutoff)
+    configs = [sl.random_configuration(tr, rng) for _ in range(4)]
+    if cutoff == 2:
+        configs += scaled_configs(7)[0]
+    ends = []
+    for c in configs:
+        start, end, eigs = ends_against_dense(c, cfg)
+        sf, _ = sfmod._endpoint_flow(start.eigs, eigs, max(1.0, start.top, end.top), cfg)
+        assert sl._parity(start, end, cfg) == (-1) ** (sf % 2)
+        ends.append((end, eigs))
+    # the relative parities of signed_count, between irreducible ends
+    for end, eigs in ends[1:]:
+        first, first_eigs = ends[0]
+        sf, _ = sfmod._endpoint_flow(first_eigs, eigs, max(1.0, first.top, end.top), cfg)
+        assert sl._parity(first, end, cfg) == (-1) ** (sf % 2)
+    # every pair took its counts on the window: no end went dense
+    assert all(end.eigs is None for end, _ in ends)
+
+
+def planted_hessian(seed, lam):
+    """Blocks of a symmetric H = [[R, C], [C^T, F]] with one eigenvalue at
+    ``lam``, whose eigenvector lies mostly on the range of F: F has
+    eigenvalues (-5, -1, 0, 0, 0, 0, 1, 2) in a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    f = q @ np.diag([-5.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0]) @ q.T
+    f = 0.5 * (f + f.T)
+    x_r = rng.standard_normal(6)
+    x_r /= np.linalg.norm(x_r)
+    # a strong coupling of x_r to F's range, none to F's kernel
+    c = 0.1 * rng.standard_normal((6, 8)) + np.outer(x_r, 1.5 * (q[:, 1] + q[:, 6]))
+    kernel = q[:, 2:6] @ q[:, 2:6].T
+    c -= np.outer(x_r, x_r @ c @ kernel)
+    x_f = np.linalg.solve(lam * np.eye(8) - f + kernel, c.T @ x_r)
+    r0 = 0.1 * rng.standard_normal((6, 6))
+    r0 = r0 + r0.T
+    # the symmetric rank-two update with R x_r + C x_f = lam x_r
+    y = lam * x_r - r0 @ x_r - c @ x_f
+    r = r0 + np.outer(y, x_r) + np.outer(x_r, y) - (x_r @ y) * np.outer(x_r, x_r)
+    return r, c, f
+
+
+def test_eigenvalue_in_the_window_takes_the_dense_route():
+    cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
+
+    def assembled(lam):
+        r, c, f = planted_hessian(107, lam)
+        return r, c, f, np.block([[r, c], [c.T, f]])
+
+    # the planted eigenvalue moves the largest entry by about 1e-8 of it
+    top = sfmod._max_abs(assembled(0.0)[3])
+    r, c, f, h = assembled(0.8 * cfg.kernel_threshold_rel * top)
+    top = sfmod._max_abs(h)
+    floor = cfg.kernel_threshold_rel * top
+    eigs = np.linalg.eigvalsh(h)
+    # one eigenvalue inside the window W = [floor/2, floor]
+    assert np.count_nonzero((eigs >= 0.5 * floor) & (eigs <= floor)) == 1
+    count, lo, hi = sl._schur_count(r, c, sl._eigenbasis(f), floor)
+    assert count == np.count_nonzero(eigs < floor)
+    assert not np.any((eigs > lo) & (eigs < hi))
+    dense = []
+
+    def spectrum():
+        dense.append(h.shape)
+        return np.linalg.eigvalsh(h)
+
+    end = sl._Endpoint(top, count=count, certified=(lo, hi), dense=spectrum)
+    # the other end puts delta at 0.6 floor, below the planted eigenvalue,
+    # so the count at the floor is not the count below delta
+    other = sl._Endpoint(top, eigs=np.array([-1.0, 1.2 * floor, 2.0]))
+    sf, delta = sfmod._endpoint_flow(other.eigs, eigs, top, cfg)
+    assert np.count_nonzero(eigs < delta) != count
+    assert sl._parity(other, end, cfg) == (-1) ** (sf % 2)
+    assert dense == [h.shape]
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_coupling_block_off_its_mirror_is_rejected(monkeypatch, which):
+    rng = np.random.default_rng(108)
+    tr = tm.TorusTruncation(1)
+    c = sl.random_configuration(tr, rng)
+    blocks = sl._coupling_blocks
+
+    def perturbed(trunc, psi):
+        out = list(blocks(trunc, psi))
+        out[which] = out[which].copy()
+        out[which][1, 2] += 1e-9
+        return tuple(out)
+
+    monkeypatch.setattr(sl, "_coupling_blocks", perturbed)
+    with pytest.raises(ValueError):
+        sl.configuration_sign(c)
+    with pytest.raises(ValueError):
+        sl.signed_count([c])
 
 
 def test_irreducible_base_is_rejected_before_any_solve(monkeypatch):
