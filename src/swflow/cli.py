@@ -23,15 +23,6 @@ from . import specflow as sfmod
 from . import swlocal as sl
 from . import torus_model as tm
 
-DEFAULTS = {
-    "seed": 0,
-    "trials": 8,
-    "dim": 6,
-    "cutoff": 2,
-    "flux": "-3,-2,-1,0,1,2,3",
-    "format": "json",
-}
-
 TOLERANCES = {
     "tol_spectrum": 1e-10,
     "tol_weitzenbock": 1e-10,
@@ -108,27 +99,16 @@ def _read_config_file(path):
 
 
 def build_config(args):
-    merged = dict(DEFAULTS)
-    tolerances = {}
-    if args.config is not None:
-        fromfile = _read_config_file(args.config)
-        tolerances.update(fromfile.pop("tolerances", {}))
-        merged.update(fromfile)
+    """RunConfig from the flags over the config file over the field
+    defaults: only keys that were set are passed."""
+    merged = _read_config_file(args.config) if args.config is not None else {}
     for key in ("seed", "trials", "dim", "cutoff", "flux", "out", "format"):
-        value = getattr(args, key.replace("format", "fmt") if key == "format" else key)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    cfg = RunConfig(
-        command=args.command,
-        seed=int(merged["seed"]),
-        trials=int(merged["trials"]),
-        dim=int(merged["dim"]),
-        cutoff=int(merged["cutoff"]),
-        flux=_parse_flux(merged["flux"]),
-        out=merged.get("out"),
-        format=str(merged["format"]),
-        tolerances=tolerances,
-    )
+    if "flux" in merged:
+        merged["flux"] = _parse_flux(merged["flux"])
+    cfg = RunConfig(command=args.command, **merged)
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must fit in 64 bits")
     if cfg.trials < 1:
@@ -263,7 +243,7 @@ def cmd_torus(cfg):
 
 
 def _random_tangent(trunc, rng, radius):
-    mask = np.max(np.abs(trunc.modes), axis=1) <= radius
+    mask = trunc.radii <= radius
     count = int(mask.sum())
     phi = np.zeros((trunc.mode_count, 2), dtype=complex)
     phi[mask] = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
@@ -327,7 +307,7 @@ def cmd_swcheck(cfg):
         c = sl.random_configuration(trunc, rng)
         tv = _random_tangent(trunc, rng, radius)
         f = np.zeros(trunc.mode_count)
-        mask = np.max(np.abs(trunc.modes), axis=1) <= radius
+        mask = trunc.radii <= radius
         f[mask] = rng.standard_normal(int(mask.sum()))
         lhs = sl.tangent_inner(sl.gauge_deriv(c, f), tv)
         rhs = float(f @ sl.gauge_deriv_adjoint(c, tv))
@@ -499,7 +479,7 @@ def main(argv=None):
         p.add_argument("--cutoff", type=int, default=None, help="Fourier truncation")
         p.add_argument("--flux", type=str, default=None, help="comma-separated integers")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
+        p.add_argument("--format", choices=["json", "csv"], default=None)
         p.add_argument("--config", type=str, default=None, help="key = value overrides file")
     args = parser.parse_args(argv)
 

@@ -59,16 +59,23 @@ class TransportReport:
     stabilizer_dim: int
 
 
+def _rank(s):
+    """Numerical rank from singular values in descending order."""
+    return int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
+
+
 def _block_svd(mat, K):
     """One full SVD of [T K]: (u, singular values, kernel basis)."""
     block = np.hstack([mat, K])
     u, s, vt = np.linalg.svd(block, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-    return u, s, vt[rank:].T
+    return u, s, vt[_rank(s) :].T
 
 
-def _scan_stabilizer(path, K, trigger, collect_tol, cfg):
+def _scan_stabilizer(path, K, scale, cfg):
     """Certify that [T_t K] stays surjective, or return directions to add.
+
+    A probe triggers below a margin of 1e-6 scale (``scale`` as in
+    ``_collect_stabilizer``) and collects the directions below 1e-3 scale.
 
     An interval [l, r] is certified once move < (ml + mr) / 2, with ml,
     mr the smallest singular values of [T K] at its ends and move the
@@ -81,6 +88,7 @@ def _scan_stabilizer(path, K, trigger, collect_tol, cfg):
     maps each probed time, in increasing order, to the kernel basis of
     [T K] there; the probes are dense enough that every interval between
     neighbours is certified."""
+    trigger, collect_tol = 1e-6 * scale, 1e-3 * scale
     margins, bases = {}, {}
 
     def probe(t):
@@ -131,25 +139,22 @@ def _orthonormalize(cols):
     if cols.shape[1] == 0:
         return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s[0] > 0 else 0
-    return u[:, :rank]
+    return u[:, : _rank(s)]
 
 
 def _collect_stabilizer(path, cfg, scale):
     """Constant stabilizer covering every near-singular parameter; ``scale``
     is the largest entry magnitude of the samples, floored at 1."""
     n = path.n
-    trigger = 1e-6 * scale
-    collect_tol = 1e-3 * scale
     V = np.zeros((n, 0))
     for _ in range(n + 1):
-        certified, dirs, bases = _scan_stabilizer(path, V, trigger, collect_tol, cfg)
+        certified, dirs, bases = _scan_stabilizer(path, V, scale, cfg)
         if certified:
             return V, bases
         V = _orthonormalize(np.hstack([V, dirs]))
     # fallback: the full space always stabilizes ([T I] has margin >= 1)
     V = np.eye(n)
-    certified, _, bases = _scan_stabilizer(path, V, trigger, collect_tol, cfg)
+    certified, _, bases = _scan_stabilizer(path, V, scale, cfg)
     if not certified:
         raise OrientationTransportError("full-space stabilizer failed to certify")
     return V, bases
@@ -205,14 +210,14 @@ def _transport_det(path, cfg, rng, extra_directions, full_stabilizer):
             raise ValueError("endpoint is singular: kernel-bundle route undefined")
     if full_stabilizer:
         V = np.eye(path.n)
-        _, _, bases = _scan_stabilizer(path, V, 1e-6 * scale, 1e-3 * scale, cfg)
+        _, _, bases = _scan_stabilizer(path, V, scale, cfg)
     else:
         V, bases = _collect_stabilizer(path, cfg, scale)
     if extra_directions > 0:
         gen = rng if rng is not None else np.random.default_rng(0)
         extra = gen.standard_normal((path.n, extra_directions))
         V = _orthonormalize(np.hstack([V, extra]))
-        certified, _, bases = _scan_stabilizer(path, V, 1e-6 * scale, 1e-3 * scale, cfg)
+        certified, _, bases = _scan_stabilizer(path, V, scale, cfg)
         if not certified:
             raise OrientationTransportError("enlarged stabilizer failed to certify")
     det_a, det_b = _transport_frame(path, V, bases, rng, cfg)

@@ -22,15 +22,17 @@ eigenvalues of each end lie below the counting line delta of
 specflow._endpoint_flow.  Write the Hessian of an irreducible c as
 H = [[R, C], [C^T, F]]: R the realified Dirac block (4M), C = [block_a |
 block_f], and F the configuration-free form block (4M), whose
-eigenvectors are cached per cutoff, Q_r on the range (|lam| >= 1) and Q_0
-on the 4-dimensional kernel.  By Haynsworth's inertia additivity
-(Haynsworth 1968; Sylvester's law of inertia for the congruence that
-eliminates the range), the number of eigenvalues of H below tau is
+eigenvectors are taken once per cutoff by its (k, -k) pair blocks, Q_r on
+the range (|lam| >= 1) and Q_0 on the 4-dimensional kernel.  By
+Haynsworth's inertia additivity (Haynsworth 1968; Sylvester's law of
+inertia for the congruence that eliminates the range), the number of
+eigenvalues of H below tau is
 
     #(Lam_r < tau) + #neg S(tau),
     S(tau) = [[R - tau - C_r (Lam_r - tau)^-1 C_r^T, C_0], [C_0^T, Lam_0 - tau]],
 
-with C_r = C Q_r and C_0 = C Q_0; S has size 4M + 4.  H is not
+with C_r = C Q_r and C_0 = C Q_0, taken block by block; S has size
+4M + 4.  H is not
 assembled: one eigvalsh of S at tau* = c's own kernel floor
 (kernel_threshold_rel times H's largest entry, floored at 1) gives the
 count, and a certificate extends it to an interval of shifts.  dS/dtau
@@ -115,8 +117,7 @@ def _tables(trunc):
     The trig-to-Fourier unitary u pairs each mode with its negative,
     (u x)_p = diag_p x_p + off_p x_{-p}: at a lexicographically positive
     mode (p > neg[p]) the coefficient carries cos, at its negative sin.
-    ``first_order``, ``form_block`` and ``form_basis`` are filled on first
-    use.
+    ``first_order`` and ``form_basis`` are filled on first use.
     """
     tab = _CACHE.get(trunc.cutoff)
     if tab is not None:
@@ -136,7 +137,6 @@ def _tables(trunc):
         star_d=star2 @ _wedge_blocks(trunc.modes, 1),
         star2=star2,
         first_order=None,
-        form_block=None,
         form_basis=None,
     )
     _CACHE[trunc.cutoff] = tab
@@ -202,7 +202,7 @@ def field_radius(trunc, coeffs):
     mask = np.any(flat != 0, axis=1)
     if not np.any(mask):
         return 0
-    return int(np.max(np.abs(trunc.modes[mask])))
+    return int(np.max(trunc.radii[mask]))
 
 
 def _sparse_rows(arr):
@@ -318,7 +318,7 @@ def random_configuration(trunc, rng, radius=None):
     if radius is None:
         radius = trunc.cutoff // 2
     m = trunc.mode_count
-    mask = np.max(np.abs(trunc.modes), axis=1) <= radius
+    mask = trunc.radii <= radius
     count = int(mask.sum())
     psi = np.zeros((m, 2), dtype=complex)
     psi[mask] = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
@@ -623,45 +623,51 @@ def _form_matrix(trunc):
     return f
 
 
-def _form_block(trunc):
-    """Spectrum and largest entry magnitude of the form block F,
-    diagonalized once per cutoff on first use."""
-    tab = _tables(trunc)
-    if tab.form_block is None:
-        tab.form_block = _checked_spectrum(_form_matrix(trunc))
-    return tab.form_block
-
-
-def _eigenbasis(f):
-    """Eigenpairs of a symmetric F, ascending, split for the Schur route.
-
-    The kernel (|lam| < 1/2) is the run ``ker`` between the range
-    eigenvalues below it (``neg``) and above it (``pos``); ``gap`` is the
-    smallest |lam| on the range and ``frob`` is ||F||_F."""
-    lam, q = np.linalg.eigh(f)
-    i0 = int(np.count_nonzero(lam <= -0.5))
-    i1 = i0 + int(np.count_nonzero(np.abs(lam) < 0.5))
-    mags = np.abs(np.concatenate([lam[:i0], lam[i1:]]))
+def _eigenbasis(f, groups):
+    """Eigenpairs of a symmetric F, block diagonal over ``groups``: index
+    stacks of shape (g, b) that partition F, one block per row; one eigh
+    per stack.  ``parts`` pairs each stack with its eigenvectors, ``lam``
+    lists the eigenvalues in that order, and the masks ``neg``, ``ker``
+    (|lam| < 1/2) and ``pos`` split it; ``gap`` is the smallest |lam| on
+    the range, ``frob`` is ||F||_F and ``top`` F's largest entry."""
+    sfmod._check_symmetric(f)
+    blocks = [f[g[:, :, None], g[:, None, :]] for g in groups]
+    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(f):
+        raise ValueError("matrix is not block diagonal over the given groups")
+    parts, lams = [], []
+    for g, block in zip(groups, blocks):
+        lam, vec = np.linalg.eigh(block)
+        parts.append((g, vec))
+        lams.append(lam.reshape(-1))
+    lam = np.concatenate(lams)
+    ker = np.abs(lam) < 0.5
     return SimpleNamespace(
+        parts=parts,
         lam=lam,
-        q=q,
-        neg=slice(0, i0),
-        ker=slice(i0, i1),
-        pos=slice(i1, lam.size),
-        gap=float(mags.min(initial=np.inf)),
+        neg=lam <= -0.5,
+        ker=ker,
+        pos=lam >= 0.5,
+        gap=float(np.abs(lam[~ker]).min(initial=np.inf)),
         frob=float(np.sqrt(np.vdot(f, f))),
+        top=sfmod._max_abs(f),
     )
 
 
 def _form_basis(trunc):
-    """``_eigenbasis`` of the form block, cached per cutoff on the first
-    sign request; only the sign route asks for eigenvectors.  F's range
-    eigenvalues are +-|k| and +-2|k| for k != 0, and its kernel is the
-    constant 1-forms and functions."""
+    """``_eigenbasis`` of the form block, cached per cutoff on first use.
+    Mode p has the coordinates (3p, 3p + 1, 3p + 2, 3M + p), and F pairs
+    it only with -p: one 8x8 block per pair (k, -k) and the 4x4 block of
+    the zero mode.  F's range eigenvalues are +-|k| and +-2|k| for k != 0,
+    and its kernel is the constant 1-forms and functions."""
     tab = _tables(trunc)
     if tab.form_basis is None:
-        basis = _eigenbasis(_form_matrix(trunc))
-        if basis.ker.stop - basis.ker.start != 4 or basis.gap < 1.0 - 1e-8:
+        m = trunc.mode_count
+        p = np.arange(m)
+        coords = np.column_stack([3 * p, 3 * p + 1, 3 * p + 2, 3 * m + p])
+        up = p[p > tab.neg]
+        groups = [np.hstack([coords[up], coords[tab.neg[up]]]), coords[p == tab.neg]]
+        basis = _eigenbasis(_form_matrix(trunc), groups)
+        if np.count_nonzero(basis.ker) != 4 or basis.gap < 1.0 - 1e-8:
             raise RuntimeError("form block spectrum: kernel not 4-dimensional or range below 1")
         tab.form_basis = basis
     return tab.form_basis
@@ -678,22 +684,30 @@ def _schur_count(r, c, basis, tau):
     reach = 0.5 * basis.gap
     if not abs(tau) < reach:
         return 0, tau, tau
-    n_s, k = r.shape[0], ker.stop - ker.start
-    cq = c @ basis.q
+    n_s, k = r.shape[0], int(np.count_nonzero(ker))
+    # C Q by blocks, one batched product per stack, columns in lam's order
+    cq = np.empty((n_s, lam.size))
+    col = 0
+    for g, vec in basis.parts:
+        out = cq[:, col : col + g.size].reshape(n_s, *g.shape).transpose(1, 0, 2)
+        np.matmul(c[:, g].transpose(1, 0, 2), vec, out=out)
+        col += g.size
     s = np.empty((n_s + k, n_s + k))
     top_left = s[:n_s, :n_s]
     # -C_r (Lam_r - tau)^-1 C_r^T = X_n X_n^T - X_p X_p^T, each a syrk
-    x = cq[:, neg] * np.sqrt(1.0 / (tau - lam[neg]))
+    x = cq[:, neg]
+    x *= np.sqrt(1.0 / (tau - lam[neg]))
     np.matmul(x, x.T, out=top_left)
     gemm = float(np.vdot(x, x))
-    x = cq[:, pos] * np.sqrt(1.0 / (lam[pos] - tau))
+    x = cq[:, pos]
+    x *= np.sqrt(1.0 / (lam[pos] - tau))
     top_left -= x @ x.T
     gemm += float(np.vdot(x, x))
     del x
     top_left += r
     top_left[np.diag_indices(n_s)] -= tau
     s[:n_s, n_s:] = cq[:, ker]
-    s[n_s:, :n_s] = cq[:, ker].T
+    s[n_s:, :n_s] = s[:n_s, n_s:].T
     s[n_s:, n_s:] = np.diag(lam[ker] - tau)
     del cq
     # every eigenvalue of S falls with tau at a rate in [1, rate]
@@ -705,7 +719,7 @@ def _schur_count(r, c, basis, tau):
     )
     mu = np.linalg.eigvalsh(s)
     below = int(np.count_nonzero(mu < 0.0))
-    count = neg.stop + below
+    count = int(np.count_nonzero(neg)) + below
     m_neg = -mu[below - 1] if below else np.inf
     m_pos = mu[below] if below < mu.size else np.inf
     if min(m_neg, m_pos) <= slack:
@@ -729,12 +743,12 @@ def _reducible_spectrum(c, dirac=None):
 
     With a zero spinor the coupling blocks vanish, so the Hessian is
     diag(R, F) with R the realified Dirac operator: R is diagonalized and
-    the cached spectrum of F is appended.  ``dirac`` is the
+    F's cached spectrum (``_form_basis``) is appended.  ``dirac`` is the
     ``_dirac_block`` of c when the caller has it.
     """
     r, top = _dirac_block(c) if dirac is None else dirac
-    form_eigs, form_top = _form_block(c.trunc)
-    return np.concatenate([np.linalg.eigvalsh(r), form_eigs]), max(top, form_top)
+    form = _form_basis(c.trunc)
+    return np.concatenate([np.linalg.eigvalsh(r), form.lam]), max(top, form.top)
 
 
 @dataclass
@@ -794,8 +808,9 @@ def _irreducible_endpoint(c, r, r_top, cfg):
     taken at c's own kernel floor by ``_schur_count``."""
     tr = c.trunc
     block_a, block_f, block_q, block_v = _coupling_blocks(tr, c.psi)
+    form = _form_basis(tr)
     top = max(
-        [r_top, _form_block(tr)[1]]
+        [r_top, form.top]
         + [sfmod._max_abs(b) for b in (block_a, block_f, block_q, block_v)]
     )
     _check_transposed(block_q, block_a, top)
@@ -803,7 +818,7 @@ def _irreducible_endpoint(c, r, r_top, cfg):
     coupling = np.hstack([block_a, block_f])
     del block_a, block_f, block_q, block_v
     tau = cfg.kernel_threshold_rel * max(1.0, top)
-    count, lo, hi = _schur_count(r, coupling, _form_basis(tr), tau)
+    count, lo, hi = _schur_count(r, coupling, form, tau)
     return _Endpoint(
         top,
         count=count,

@@ -62,6 +62,8 @@ class TorusTruncation:
         width = 2 * cutoff + 1
         self._place = width ** np.arange(2, -1, -1)
         self.modes = np.moveaxis(np.indices((width,) * 3), 0, -1).reshape(-1, 3) - cutoff
+        # the sup-norm ||k||_inf of each mode, the radius of its ball
+        self.radii = np.max(np.abs(self.modes), axis=1)
         # -k mirrors every digit, so it sits at the mirrored position
         self.neg = np.arange(self.mode_count - 1, -1, -1)
 
@@ -151,15 +153,10 @@ def _wedge_blocks(modes, source_degree):
 
 
 def exterior_d(trunc, degree):
-    """Truncated exterior derivative on forms of degree 0 or 1."""
-    if degree not in (0, 1):
-        raise ValueError("exterior derivative provided for degrees 0 and 1")
+    """Truncated exterior derivative on forms of degree 0, 1 or 2."""
+    if degree not in (0, 1, 2):
+        raise ValueError("exterior derivative provided for degrees 0, 1 and 2")
     return _block_diag(_wedge_blocks(trunc.modes, degree))
-
-
-def _exterior_d2(trunc):
-    """Degree 2 -> 3 exterior derivative, used by the star route below."""
-    return _block_diag(_wedge_blocks(trunc.modes, 2))
 
 
 def _star_block(degree):
@@ -186,7 +183,7 @@ def codifferential(trunc, degree):
     On 1-forms this is -*d*; on 2-forms the sign flips to +*d*.
     """
     if degree == 1:
-        return -hodge(trunc, 3) @ _exterior_d2(trunc) @ hodge(trunc, 1)
+        return -hodge(trunc, 3) @ exterior_d(trunc, 2) @ hodge(trunc, 1)
     if degree == 2:
         s = hodge(trunc, 2)
         return s @ exterior_d(trunc, 1) @ s
@@ -326,7 +323,7 @@ def weitzenbock_check(trunc, conn, mode, coeff):
             f_op = (-0.5 * w) * up + (0.5 * np.conj(w)) * down
             rhs += 0.5 * np.kron(f_op, cl.CLIFF[j] @ cl.CLIFF[l])
 
-    inside = np.max(np.abs(trunc.modes), axis=1) <= interior_cut
+    inside = trunc.radii <= interior_cut
     keep = np.repeat(inside, 2)
     diff = (lhs - rhs)[np.ix_(keep, keep)]
     return float(np.max(np.abs(diff))) if diff.size else 0.0

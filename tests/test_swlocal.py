@@ -614,12 +614,70 @@ def test_reducible_extended_hessian_is_block_diagonal(cutoff):
     assert np.array_equal(h[:n_s, :n_s], sfmod.realify_matrix(sl._dirac_matrix(red)))
     # the form block's spectrum is the closed form per mode k != 0:
     # +-|k| on the transverse 1-forms, +-2|k| on the exact/function pair
-    eigs, top = sl._form_block(tr)
-    assert top == np.abs(h[n_s:, n_s:]).max()
+    form = sl._form_basis(tr)
+    assert form.top == np.abs(h[n_s:, n_s:]).max()
     k = np.linalg.norm(tr.modes, axis=1)
     k = k[k > 0]
     want = np.sort(np.concatenate([k, -k, 2 * k, -2 * k, np.zeros(4)]))
-    assert np.max(np.abs(np.sort(eigs) - want)) < 1e-12
+    assert np.max(np.abs(np.sort(form.lam) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_form_basis_reassembles_the_form_block(cutoff):
+    # Q, assembled from the per-block eigenvectors, is orthogonal and
+    # Q diag(lam) Q^T is F
+    tr = tm.TorusTruncation(cutoff)
+    f = sl._form_matrix(tr)
+    basis = sl._form_basis(tr)
+    n = f.shape[0]
+    q = np.zeros((n, n))
+    col = 0
+    for g, vec in basis.parts:
+        cols = col + np.arange(g.size).reshape(g.shape[0], 1, g.shape[1])
+        q[g[:, :, None], cols] = vec
+        col += g.size
+    assert col == n == basis.lam.size
+    norm = np.abs(basis.lam).max()
+    assert np.abs(q.T @ q - np.eye(n)).max() < 1e-12
+    assert np.abs((q * basis.lam) @ q.T - f).max() < 1e-12 * norm
+    assert basis.top == sfmod._max_abs(f)
+    assert np.count_nonzero(basis.ker) == 4
+
+
+def test_form_block_off_its_groups_is_rejected(monkeypatch):
+    # one tiny entry coupling modes 0 and 1, which F never pairs; it is
+    # far below the symmetry tolerance, so only the block check sees it
+    tr = tm.TorusTruncation(1)
+    form_matrix = sl._form_matrix
+
+    def coupled(trunc):
+        f = form_matrix(trunc)
+        f[0, 3] = 1e-300
+        return f
+
+    monkeypatch.setattr(sl, "_CACHE", {})
+    monkeypatch.setattr(sl, "_form_matrix", coupled)
+    with pytest.raises(ValueError, match="block diagonal"):
+        sl._form_basis(tr)
+
+
+def test_form_caches_make_no_solve_of_full_size(monkeypatch):
+    # filling the per-cutoff caches diagonalizes F by its 8x8 and 4x4
+    # blocks: no eigh or eigvalsh of size 4M or more
+    tr = tm.TorusTruncation(2)
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def counting(a, *args, solve=solve, **kwargs):
+            sizes.append(a.shape[-1])
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    monkeypatch.setattr(sl, "_CACHE", {})
+    sl._first_order(tr)
+    sl._form_basis(tr)
+    assert sorted(sizes) == [4, 8]
 
 
 def test_signs_match_dense_route_at_cutoff_one():
@@ -769,7 +827,7 @@ def test_eigenvalue_in_the_window_takes_the_dense_route():
     eigs = np.linalg.eigvalsh(h)
     # one eigenvalue inside the window W = [floor/2, floor]
     assert np.count_nonzero((eigs >= 0.5 * floor) & (eigs <= floor)) == 1
-    count, lo, hi = sl._schur_count(r, c, sl._eigenbasis(f), floor)
+    count, lo, hi = sl._schur_count(r, c, sl._eigenbasis(f, [np.arange(8)[None]]), floor)
     assert count == np.count_nonzero(eigs < floor)
     assert not np.any((eigs > lo) & (eigs < hi))
     dense = []

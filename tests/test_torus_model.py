@@ -124,7 +124,7 @@ def test_codifferential_is_adjoint_and_star_conjugate():
     assert np.max(np.abs(c1 - d0.conj().T)) < 1e-12
     assert np.max(np.abs(c2 - d1.conj().T)) < 1e-12
     # on 1-forms the codifferential equals -*d* with the degree-2 wedge
-    star_route = -tm.hodge(tr, 3) @ tm._exterior_d2(tr) @ tm.hodge(tr, 1)
+    star_route = -tm.hodge(tr, 3) @ tm.exterior_d(tr, 2) @ tm.hodge(tr, 1)
     assert np.max(np.abs(c1 - star_route)) < 1e-12
 
 
