@@ -27,8 +27,9 @@ affine interval,
 so move < (ml + mr) / 2 certifies a margin of at least (ml + mr) / 4.
 The chord ``move`` follows the rule of the flow route's refinement
 (``specflow._chords``): exact where the path is affine and a heuristic
-on curved paths, where it is diagonalized only when its
-absolute-row-sum upper bound does not already certify the interval.
+on curved paths, where it is diagonalized only when neither its
+absolute-row-sum upper bound certifies the interval nor its row-norm
+lower bound already fails it.
 """
 
 from dataclasses import dataclass

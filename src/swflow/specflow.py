@@ -31,19 +31,20 @@ with ||B||_2 taken once), and the segment slope norm times (r - l) on a
 path interpolated between its samples; refinement intervals never cross
 a sample.  On any other path given by a callable it is the 2-norm of the
 difference of the two matrices, and on curved paths it is a heuristic
-for the movement.  There the largest absolute row sum, an upper bound on
-the 2-norm, is tried first: an interval it certifies needs no
+for the movement.  There the chord is bracketed first: an interval that
+its largest absolute row sum, an upper bound on the 2-norm, certifies,
+or that its largest row 2-norm, a lower bound, already fails, needs no
 eigvalsh, and every decision is still the exact chord's.
 
 Refinement runs breadth-first.  Each level classifies all of its open
 intervals at once, takes the certificate for the whole level by
 broadcasting, and diagonalizes all new midpoints in one stacked eigvalsh
 per chunk of at most _STACK_BYTES.  On a callable path the chords the
-level's certificate needs (intervals whose end counts agree, where the
-row-sum bound does not decide) take one more stacked eigvalsh per
-chunk.  Only the current level's endpoint matrices are held.  The
-spectrum of every probed time is kept across delta halvings, so no point
-of the path is diagonalized twice.
+level's certificate needs (intervals whose end counts agree, where
+neither bound decides) take one more stacked eigvalsh per chunk.  Only
+the current level's endpoint matrices are held.  The spectrum of every
+probed time is kept across delta halvings, so no point of the path is
+diagonalized twice.
 """
 
 from dataclasses import dataclass, field
@@ -329,11 +330,14 @@ def _chords(path, left, right, at, limit):
     the certificate ``chord < limit`` needs it; ``limit`` is an array.
 
     Exact where the path is affine (``HermitianPath.chord_norms``).  On
-    any other path the largest absolute row sum of A(l) - A(r), an upper
-    bound on its 2-norm, stands where it is below ``limit``, and only the
-    other chords of each chunk are diagonalized, in one stacked eigvalsh;
-    so every certificate decision is the exact chord's.  ``at(t)`` is
-    A(t) at an interval end."""
+    any other path the chord X = A(l) - A(r) is bracketed first: its
+    largest absolute row sum, an upper bound on ||X||_2, stands where it
+    is below ``limit``, and its largest row 2-norm, a lower bound (each
+    row of a symmetric X is X applied to a unit vector), stands where it
+    reaches ``limit`` with a rounding allowance of 1e-12.  Only the other
+    chords of each chunk are diagonalized, in one stacked eigvalsh; so
+    every certificate decision is the exact chord's.  On a diagonal path
+    both bounds are the 2-norm.  ``at(t)`` is A(t) at an interval end."""
     chord = path.chord_norms(left, right)
     if chord is not None:
         return chord
@@ -346,6 +350,10 @@ def _chords(path, left, right, at, limit):
         rows = slice(start, start + len(stack))
         norms = _abs_row_sum(stack)
         hard = norms >= limit[rows]
+        if hard.any():
+            low = np.sqrt(np.einsum("kij,kij->ki", stack, stack).max(axis=-1, initial=0.0))
+            norms[hard] = low[hard]
+            hard &= low < limit[rows] * (1.0 + 1e-12)
         if hard.any():
             norms[hard] = np.abs(np.linalg.eigvalsh(stack[hard])).max(axis=1, initial=0.0)
         chord[rows] = norms

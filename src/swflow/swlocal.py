@@ -14,19 +14,25 @@ Quadratic expressions are evaluated by exact mode convolution over the
 sparse supports.  Value-producing operations raise MarginError when the
 true product would leave the truncation; operator assembly instead clips
 to the truncation, which is the orthogonal compression and keeps all the
-adjointness identities exact.
+adjointness identities exact.  The operators are assembled over the
+fields' supports as well: the Dirac operator adds its 1-form's Toeplitz
+blocks, and the coupling blocks form their entries, only where the
+field is nonzero; each entry takes the products and two-term sums of
+the compression Re(u^H X u) (``_pair``).  They are built apart from the
+value-level kernels, which check them.
 
 Signs by inertia.  A configuration sign is (-1)^SF of an affine path of
 extended Hessians, and the endpoint-count SF needs only how many
 eigenvalues of each end lie below the counting line delta of
 specflow._endpoint_flow.  Write the Hessian of an irreducible c as
-H = [[R, C], [C^T, F]]: R the realified Dirac block (4M), C = [block_a |
-block_f], and F the configuration-free form block (4M), whose
-eigenvectors are taken once per cutoff by its (k, -k) pair blocks, Q_r on
-the range (|lam| >= 1) and Q_0 on the 4-dimensional kernel.  By
-Haynsworth's inertia additivity (Haynsworth 1968; Sylvester's law of
-inertia for the congruence that eliminates the range), the number of
-eigenvalues of H below tau is
+H = [[R, C], [C^T, F]]: R the realified Dirac block (4M; at a reducible
+end its spectrum is the complex block's, each eigenvalue twice),
+C = [block_a | block_f], and F the configuration-free form block (4M),
+whose eigenvectors are taken once per cutoff by its (k, -k) pair
+blocks, Q_r on the range (|lam| >= 1) and Q_0 on the 4-dimensional
+kernel.  By Haynsworth's inertia additivity (Haynsworth 1968;
+Sylvester's law of inertia for the congruence that eliminates the
+range), the number of eigenvalues of H below tau is
 
     #(Lam_r < tau) + #neg S(tau),
     S(tau) = [[R - tau - C_r (Lam_r - tau)^-1 C_r^T, C_0], [C_0^T, Lam_0 - tau]],
@@ -515,13 +521,20 @@ def dastq_residual(c):
 def _dirac_matrix(c):
     """Dirac operator of c on complex coefficients: the flat operator plus
     the Toeplitz blocks (1/2) sigma . b_hat[k_t - k_p] of the 1-form,
-    which are skipped when the 1-form is zero."""
+    added over the 1-form's support, one component j at a time (none
+    when the 1-form is zero)."""
     tr = c.trunc
     d = fourier_dirac(tr, FlatConnection(c.alpha))
-    if np.any(c.a_field):
-        half_b = 0.5 * _gather(_tables(tr).diff, real_to_complex(tr, c.a_field))
+    half_b = 0.5 * real_to_complex(tr, c.a_field)
+    support = _sparse_rows(half_b)
+    if support.size:
+        tab = _tables(tr)
+        # k_t - k_p = k_s at t = shift[s, p]
+        s, p = np.nonzero(tab.shift[support] >= 0)
+        t = tab.shift[support[s], p]
+        d4 = d.reshape(tr.mode_count, 2, tr.mode_count, 2)
         for j in range(3):
-            d += np.kron(half_b[..., j], cl.PAULI[j])
+            d4[t, :, p] += half_b[support, j, None, None][s] * cl.PAULI[j]
     return d
 
 
@@ -537,39 +550,85 @@ def _first_order(trunc):
     return tab.first_order
 
 
+def _pair_at(first, second, a, b, xa, xb):
+    """first_p x_p + second_p x_{-p} (``_pair``) at p = a and at p = b = -a,
+    from x at a and at b: the same two products and sum, entry by entry."""
+    w = (-1,) + (1,) * (xa.ndim - 1)
+    return (
+        second[a].reshape(w) * xb + first[a].reshape(w) * xa,
+        second[b].reshape(w) * xa + first[b].reshape(w) * xb,
+    )
+
+
 def _coupling_blocks(trunc, psi):
     """Realified zero-order blocks linear in the background spinor.
 
     Returns (spinor row from 1-forms, spinor row from functions,
     form row from spinors, function row from spinors); each block is the
     orthogonal compression of the corresponding pointwise product, whose
-    complex Fourier matrix gathers the spinor at k_t - k_q or k_t + k_q.
+    complex Fourier matrix holds the spinor at k_t - k_q or k_t + k_q.
+    Only the entries where that mode lies in the spinor's support are
+    formed, together with their partners under the pairing p <-> -p of
+    u, each with the products and two-term sums of ``_pair``, and
+    scattered into zero blocks.  A zero spinor gives zero blocks.
     """
     tab = _tables(trunc)
     m = trunc.mode_count
-    sig_psi = np.einsum("jab,mb->maj", cl.PAULI, psi)
+    # block_a[part, t, s, q, j] is row (part, t, s) and column (q, j)
+    block_a = np.zeros((2, m, 2, m, 3))
+    block_f = np.zeros((2, m, 2, m))
+    # block_q[t, j, part, p, s] is row (t, j) and column (part, p, s)
+    block_q = np.zeros((m, 3, 2, m, 2))
+    block_v = np.zeros((m, 2, m, 2))
+    support = _sparse_rows(psi)
+    if support.size:
+        sig_psi = np.einsum("jab,mb->maj", cl.PAULI, psi)
+        diag, off = tab.diag, tab.off[tab.neg]
 
-    # (t, s), (q, j): (1/2) (sigma_j psi)_s at k_t - k_q, and -i psi_s there
-    ca = _times_u(tab, 0.5 * _gather(tab.diff, sig_psi).transpose(0, 2, 1, 3).reshape(2 * m, 3 * m))
-    block_a = np.vstack([ca.real, ca.imag])
-    cf = _times_u(tab, -1j * _gather(tab.diff, psi).transpose(0, 2, 1).reshape(2 * m, m))
-    block_f = np.vstack([cf.real, cf.imag])
+        def paired(at_s):
+            """(o, a, b): each outer mode o with the inner mode a at which
+            the matrix holds the spinor at a support mode s (at_s[o, i] for
+            s = support[i], -1 outside), and b = -a.  The matrix holds the
+            spinor at 2 k_o - k_s at b, which may lie off the support."""
+            o, i = np.nonzero(at_s >= 0)
+            a = at_s[o, i]
+            return o, a, tab.neg[a]
 
-    # Rows (t, j) and t, columns (part, p, s) with part the real and
-    # imaginary halves of the realified spinor: h_j = [G_j, -i G_j] with
-    # G_j the gather of (sigma_j psi)_s at k_t + k_p, w = [W, i W] with W
-    # that of conj(psi_s) at k_p - k_t.  One component j at a time keeps
-    # the temporaries a third of the size.
-    sig_sum = _gather(tab.shift, sig_psi)
-    block_q = np.empty((m, 3, 4 * m))
-    for j in range(3):
-        g_j = sig_sum[..., j].reshape(m, 2 * m)
-        h = np.concatenate([g_j, -1j * g_j], axis=1)
-        block_q[:, j] = _uh(tab, 0.25 * (h + np.conj(h[tab.neg]))).real
-    w = _gather(tab.diff.T, np.conj(psi)).reshape(m, 2 * m)
-    w = np.concatenate([w, 1j * w], axis=1)
-    block_v = _uh(tab, 0.5j * (w - np.conj(w[tab.neg]))).real
-    return block_a, block_f, block_q.reshape(3 * m, 4 * m), block_v
+        # Columns: (t, s), (q, j) holds (1/2) (sigma_j psi)_s at k_t - k_q,
+        # and -i psi_s there; x u pairs the columns q and -q.
+        o, a, b = paired(tab.diff[:, support])
+        for vals, block in ((0.5 * sig_psi, block_a), (-1j * psi, block_f)):
+            xa, xb = _gather(tab.diff[o, a], vals), _gather(tab.diff[o, b], vals)
+            for p, val in zip((a, b), _pair_at(diag, off, a, b, xa, xb)):
+                block[0][o, :, p] = val.real
+                block[1][o, :, p] = val.imag
+
+        # Rows (t, j) and t, columns (part, p, s) with part the real and
+        # imaginary halves of the realified spinor: h_j = [G_j, -i G_j]
+        # with G_j holding (sigma_j psi)_s at k_t + k_p, and w = [W, i W]
+        # with W holding conj(psi_s) at k_p - k_t.  Each is summed with
+        # its mirror in the rows t and -t, and u^H pairs those rows
+        # again.  The outer mode is p: W meets the support where the
+        # columns above do, G_j where k_t = k_s - k_p.
+        ch, co = np.conj(diag), np.conj(off)
+        o_q, a_q, b_q = paired(tab.diff[support].T)
+        g = (_gather(tab.shift[a_q, o_q], sig_psi), _gather(tab.shift[b_q, o_q], sig_psi))
+        w = (_gather(tab.diff[o, a], np.conj(psi)), _gather(tab.diff[o, b], np.conj(psi)))
+        for part in range(2):
+            ha, hb = g if part == 0 else (-1j * g[0], -1j * g[1])
+            sa, sb = 0.25 * (ha + np.conj(hb)), 0.25 * (hb + np.conj(ha))
+            for t, val in zip((a_q, b_q), _pair_at(ch, co, a_q, b_q, sa, sb)):
+                block_q[t, :, part, o_q] = val.real.transpose(0, 2, 1)
+            wa, wb = w if part == 0 else (1j * w[0], 1j * w[1])
+            sa, sb = 0.5j * (wa - np.conj(wb)), 0.5j * (wb - np.conj(wa))
+            for t, val in zip((a, b), _pair_at(ch, co, a, b, sa, sb)):
+                block_v[t, part, o] = val.real
+    return (
+        block_a.reshape(4 * m, 3 * m),
+        block_f.reshape(4 * m, m),
+        block_q.reshape(3 * m, 4 * m),
+        block_v.reshape(m, 4 * m),
+    )
 
 
 def _assemble_hessian(c, extended):
@@ -730,11 +789,15 @@ def _schur_count(r, c, basis, tau):
 
 
 def _dirac_block(c):
-    """(R, max|R|): the realified Dirac operator of c, checked for
-    symmetry, and its largest entry magnitude."""
-    r = sfmod.realify_matrix(_dirac_matrix(c))
-    sfmod._check_symmetric(r)
-    return r, sfmod._max_abs(r)
+    """(D, top): the complex Dirac matrix of c, checked Hermitian to the
+    tolerance specflow._check_symmetric applies to its realification R,
+    and R's largest entry magnitude.  R's entries are those of Re D and
+    Im D, and R - R^T those of D - D^H."""
+    d = _dirac_matrix(c)
+    top = sfmod._max_abs(d.view(float))
+    if sfmod._max_abs((d - d.conj().T).view(float)) > 1e-12 * max(1.0, top):
+        raise ValueError("Dirac block is not Hermitian within tolerance")
+    return d, top
 
 
 def _reducible_spectrum(c, dirac=None):
@@ -742,13 +805,16 @@ def _reducible_spectrum(c, dirac=None):
     reducible point (0, A) of c, by blocks.
 
     With a zero spinor the coupling blocks vanish, so the Hessian is
-    diag(R, F) with R the realified Dirac operator: R is diagonalized and
-    F's cached spectrum (``_form_basis``) is appended.  ``dirac`` is the
+    diag(R, F) with R the realified Dirac operator D_A.  Realification
+    doubles every eigenvalue, so D_A is diagonalized as the complex
+    Hermitian matrix of size 2M, each eigenvalue listed twice, and F's
+    cached spectrum (``_form_basis``) is appended.  ``dirac`` is the
     ``_dirac_block`` of c when the caller has it.
     """
-    r, top = _dirac_block(c) if dirac is None else dirac
+    d, top = _dirac_block(c) if dirac is None else dirac
     form = _form_basis(c.trunc)
-    return np.concatenate([np.linalg.eigvalsh(r), form.lam]), max(top, form.top)
+    eigs = np.repeat(np.linalg.eigvalsh(d), 2)
+    return np.concatenate([eigs, form.lam]), max(top, form.top)
 
 
 @dataclass
@@ -800,12 +866,13 @@ def _check_transposed(block, mirror, scale):
         raise ValueError("extended Hessian is not symmetric within tolerance")
 
 
-def _irreducible_endpoint(c, r, r_top, cfg):
+def _irreducible_endpoint(c, d, r_top, cfg):
     """The ``_Endpoint`` of an irreducible c from its blocks; H is not
-    assembled.  r is c's realified Dirac block, already checked for
-    symmetry by ``_dirac_block``, and r_top its largest entry; each
+    assembled.  d is c's Dirac matrix, already checked by
+    ``_dirac_block``, and r_top its realification's largest entry; each
     coupling block is checked against its mirror here.  The count is
-    taken at c's own kernel floor by ``_schur_count``."""
+    taken at c's own kernel floor by ``_schur_count`` on the realified
+    Dirac block."""
     tr = c.trunc
     block_a, block_f, block_q, block_v = _coupling_blocks(tr, c.psi)
     form = _form_basis(tr)
@@ -818,7 +885,7 @@ def _irreducible_endpoint(c, r, r_top, cfg):
     coupling = np.hstack([block_a, block_f])
     del block_a, block_f, block_q, block_v
     tau = cfg.kernel_threshold_rel * max(1.0, top)
-    count, lo, hi = _schur_count(r, coupling, form, tau)
+    count, lo, hi = _schur_count(sfmod.realify_matrix(d), coupling, form, tau)
     return _Endpoint(
         top,
         count=count,
@@ -829,7 +896,8 @@ def _irreducible_endpoint(c, r, r_top, cfg):
 
 def _scaling_ends(c, cfg):
     """Both ends of the spinor-scaling path of c, its reducible point
-    (0, A) and c itself, as ``_Endpoint``s that share one Dirac block."""
+    (0, A) and c itself, as ``_Endpoint``s that share one Dirac block; it
+    is realified only for the Schur count of an irreducible c."""
     dirac = _dirac_block(c)
     start = _reducible_endpoint(c, dirac)
     if c.reducible:

@@ -226,7 +226,7 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
         assert len(solves) <= 2 + rep.refinement_depth
 
     # the n = 255 magnetic tower is callable and curved: a level takes
-    # one stacked solve per chunk for the chords its row-sum bound does
+    # at most one stacked solve per chunk for the chords its bounds do
     # not settle, and one per chunk for its new midpoints.  Chords cannot
     # join the midpoint solve: which chords a level needs is known only
     # from the spectra of its ends.  A depth-first refinement takes 180
@@ -272,6 +272,52 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
     # no other solve of the path's size
     assert 2 + sum(lv[1] for lv in levels) + sum(s for _, s in probes) == len(big)
     assert 2 + sum(s[0] for s in big[2:]) <= 180
+
+
+def test_diagonal_tower_diagonalizes_no_chord(monkeypatch):
+    # on a diagonal path the largest row 2-norm of a chord is its 2-norm,
+    # so every chord the row-sum bound leaves open is failed by the lower
+    # bound without an eigvalsh
+    chords, eigvalsh = sf._chords, np.linalg.eigvalsh
+    inside = []
+    solved = []
+
+    def counting(a, *args, **kwargs):
+        if inside:
+            solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return chords(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(sf, "_chords", watched)
+    rep = sf.spectral_flow(tm.magnetic_family_path(3, 8))
+    assert rep.sf == -3
+    assert rep.refinement_depth > 0
+    assert solved == []
+
+
+def test_bounded_chords_decide_as_the_exact_chords():
+    # limits spread across and near the exact chords: every decision
+    # chord < limit, bounded or diagonalized, is the exact chord's
+    rng = np.random.default_rng(45)
+    a, b = rng.standard_normal((2, 6, 6))
+    path = sf.HermitianPath.from_callable(lambda t: a + a.T + np.sin(3.0 * t) * (b + b.T), 0.0, 1.0)
+    left = rng.uniform(0.0, 0.5, 60)
+    right = left + rng.uniform(0.0, 0.5, 60)
+    exact = np.array([sf._sym_norm2(path.evaluate(l) - path.evaluate(r)) for l, r in zip(left, right)])
+    for limit in (
+        exact * rng.uniform(0.3, 2.0, exact.size),
+        exact * (1.0 + 1e-9),
+        exact * (1.0 - 1e-9),
+    ):
+        got = sf._chords(path, left, right, path.evaluate, limit)
+        assert np.array_equal(got < limit, exact < limit)
 
 
 def test_magnetic_tower_flow_holds_few_matrices():

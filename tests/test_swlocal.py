@@ -229,8 +229,17 @@ def test_operators_match_dense_reference(cutoff):
         close(got, want)
     rng = np.random.default_rng(105 + cutoff)
     # spinor and 1-form on half the cutoff, then on every mode
-    for radius in (cutoff // 2, cutoff):
-        c = sl.random_configuration(tr, rng, radius=radius)
+    configs = [sl.random_configuration(tr, rng, radius=radius) for radius in (cutoff // 2, cutoff)]
+    # both fields on the zero mode; a spinor on one mode of sup-norm
+    # equal to the cutoff; a zero spinor with a nonzero 1-form
+    configs.append(sl.random_configuration(tr, np.random.default_rng(205 + cutoff), radius=0))
+    corner = np.zeros((m, 2), dtype=complex)
+    corner[np.flatnonzero(tr.radii == cutoff)[0]] = [0.6 - 0.3j, -0.2 + 0.7j]
+    configs.append(sl.Configuration(tr, corner, configs[1].alpha, configs[1].a_field))
+    zero = sl.Configuration(tr, np.zeros((m, 2)), configs[0].alpha, configs[0].a_field)
+    configs.append(zero)
+    assert np.any(zero.a_field)
+    for c in configs:
         dirac, coupling = dense_operators(c)
         close(sl._dirac_matrix(c), dirac)
         for got, want in zip(sl._coupling_blocks(tr, c.psi), coupling):
@@ -245,6 +254,11 @@ def test_operators_match_dense_reference(cutoff):
         )
         close(sl.extended_hessian(c), want)
         close(sl.sw_hessian(c), want[: n_s + n_a, : n_s + n_a])
+    # a zero spinor gives exactly zero coupling blocks, and a zero 1-form
+    # the flat Dirac operator
+    assert all(not np.any(b) for b in sl._coupling_blocks(tr, zero.psi))
+    flat = sl.Configuration(tr, configs[0].psi, configs[0].alpha)
+    assert np.array_equal(sl._dirac_matrix(flat), tm.fourier_dirac(tr, tm.FlatConnection(flat.alpha)))
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])
@@ -623,6 +637,21 @@ def test_reducible_extended_hessian_is_block_diagonal(cutoff):
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_reducible_spectrum_is_the_realified_spectrum(cutoff):
+    # the complex Dirac block, each eigenvalue listed twice, joined with
+    # F's spectrum, is the spectrum of the realified block diag(R, F)
+    rng = np.random.default_rng(110 + cutoff)
+    tr = tm.TorusTruncation(cutoff)
+    for c in (random_reducible(tr, rng), sl.random_configuration(tr, rng)):
+        eigs, top = sl._reducible_spectrum(c)
+        r = sfmod.realify_matrix(sl._dirac_matrix(c))
+        want = np.sort(np.concatenate([np.linalg.eigvalsh(r), sl._form_basis(tr).lam]))
+        assert eigs.shape == want.shape
+        assert np.max(np.abs(np.sort(eigs) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert top == max(sfmod._max_abs(r), sl._form_basis(tr).top)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
 def test_form_basis_reassembles_the_form_block(cutoff):
     # Q, assembled from the per-block eigenvectors, is orthogonal and
     # Q diag(lam) Q^T is F
@@ -714,7 +743,8 @@ def test_sign_route_makes_one_schur_solve_per_configuration(monkeypatch):
     # An irreducible Hessian (size 8M) is neither assembled nor
     # diagonalized: its count is one solve of the Schur complement over
     # the form block (size 4M + 4).  The reducible ends are taken by
-    # blocks, and the dense fallback is not taken.
+    # blocks, the Dirac block as complex (size 2M, no real solve of size
+    # 4M), and the dense fallback is not taken.
     rng = np.random.default_rng(103)
     tr = tm.TorusTruncation(1)
     n_s = 4 * tr.mode_count
@@ -747,6 +777,7 @@ def test_sign_route_makes_one_schur_solve_per_configuration(monkeypatch):
         call()
         assert sizes.count(n_s + 4) == solves
         assert 2 * n_s not in sizes
+        assert n_s not in sizes
         assert assembled == []
 
 
