@@ -30,8 +30,19 @@ The chord ``move`` follows the rule of the flow route's refinement
 on curved paths, where it is diagonalized only when neither its
 absolute-row-sum upper bound certifies the interval nor its row-norm
 lower bound already fails it.
+
+The scan pops its open intervals best first, the one whose smaller end
+margin is least (a heap), so a scan that must fail reaches a margin
+below the trigger early; a scan that certifies probes the same times in
+any order, since each interval's fate depends only on its own ends.  A
+probe whose margin lies between the trigger and the collection level
+also takes one Newton step on sigma_min, whose slope is u^T T'(t) v[:n]
+with u and v the singular vectors of sigma_min from that probe's own
+SVD, and probes that point once: the scan fails there when it
+triggers, and the point is dropped otherwise.
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +77,12 @@ def _rank(s):
 
 
 def _block_svd(mat, K):
-    """One full SVD of [T K]: (u, singular values, kernel basis)."""
+    """One full SVD of [T K]: (u, singular values, kernel basis, right
+    singular vector of the smallest singular value).  [T K] has n rows
+    and at least n columns, so it has n singular values."""
     block = np.hstack([mat, K])
     u, s, vt = np.linalg.svd(block, full_matrices=True)
-    return u, s, vt[_rank(s) :].T
+    return u, s, vt[_rank(s) :].T, vt[s.size - 1]
 
 
 def _scan_stabilizer(path, K, scale, cfg):
@@ -85,6 +98,15 @@ def _scan_stabilizer(path, K, scale, cfg):
     (ml + mr) / 4 inside it.  Each probe takes one SVD, and the two
     halves of a split interval take their chords together.
 
+    Open intervals are split best first: the one whose smaller end
+    margin is least, so a scan that fails reaches its trigger early.  A
+    scan that certifies probes the same times in any order.  A probe
+    whose margin lies in [trigger, collect) also takes one Newton step
+    on sigma_min, whose slope u^T T'(t) v[:n] comes from that probe's
+    own singular vectors, and probes that point once: the scan fails
+    there if it triggers, and the point is dropped otherwise.  Only the
+    open intervals hold their end matrices.
+
     Returns (certified, new_directions, bases): on success ``bases``
     maps each probed time, in increasing order, to the kernel basis of
     [T K] there; the probes are dense enough that every interval between
@@ -92,16 +114,25 @@ def _scan_stabilizer(path, K, scale, cfg):
     trigger, collect_tol = 1e-6 * scale, 1e-3 * scale
     margins, bases = {}, {}
 
+    def cokernel(u, s):
+        """Near-cokernel directions when the margin is below the trigger."""
+        return u[:, s < collect_tol] if s[-1] < trigger else None
+
     def probe(t):
         """The path matrix at t, or near-cokernel directions when the
-        margin there is below the trigger."""
+        margin there, or at its Newton point, is below the trigger."""
         mat = path.evaluate(t)
-        u, s, basis = _block_svd(mat, K)
-        s_full = np.concatenate([s, np.zeros(u.shape[0] - s.size)])
-        margins[t] = float(s_full.min())
+        u, s, basis, v = _block_svd(mat, K)
+        dirs = cokernel(u, s)
+        if dirs is None and s[-1] < collect_tol:
+            slope = u[:, -1] @ path.derivative_at(t) @ v[: path.n]
+            step = t - s[-1] / slope if slope else t
+            if path.a <= step <= path.b and step != t:
+                dirs = cokernel(*_block_svd(path.evaluate(step), K)[:2])
+        if dirs is not None:
+            return None, dirs
+        margins[t] = float(s[-1])
         bases[t] = basis
-        if margins[t] < trigger:
-            return None, u[:, s_full < collect_tol]
         return mat, None
 
     def certified(left, right, mats):
@@ -110,6 +141,12 @@ def _scan_stabilizer(path, K, scale, cfg):
         limit = 0.5 * np.array([margins[l] + margins[r] for l, r in zip(left, right)])
         return sfmod._chords(path, left, right, mats.__getitem__, limit) < limit
 
+    heap = []
+
+    def push(l, ml, r, mr, depth):
+        # open intervals are disjoint, so no two entries share (key, l)
+        heapq.heappush(heap, (min(margins[l], margins[r]), l, r, depth, ml, mr))
+
     ts = path.t_samples.tolist()
     mats = {}
     for t in ts:
@@ -117,10 +154,12 @@ def _scan_stabilizer(path, K, scale, cfg):
         if mat is None:
             return False, dirs, None
         mats[t] = mat
-    done = certified(ts[:-1], ts[1:], mats)
-    stack = [(l, mats[l], r, mats[r], 0) for l, r, ok in zip(ts[:-1], ts[1:], done) if not ok]
-    while stack:
-        l, ml, r, mr, depth = stack.pop()
+    for l, r, ok in zip(ts[:-1], ts[1:], certified(ts[:-1], ts[1:], mats)):
+        if not ok:
+            push(l, mats[l], r, mats[r], 0)
+    del mats
+    while heap:
+        _, l, r, depth, ml, mr = heapq.heappop(heap)
         if depth >= cfg.refine_max_depth:
             raise OrientationTransportError(
                 "cannot certify the stabilizer: refinement depth exceeded"
@@ -132,7 +171,7 @@ def _scan_stabilizer(path, K, scale, cfg):
         done = certified([l, m], [m, r], {l: ml, m: mm, r: mr})
         for half, ok in zip([(l, ml, m, mm), (m, mm, r, mr)], done):
             if not ok:
-                stack.append(half + (depth + 1,))
+                push(*half, depth + 1)
     return True, None, dict(sorted(bases.items()))
 
 

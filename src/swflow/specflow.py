@@ -10,9 +10,13 @@ contributes -1, and branches that keep their sign contribute nothing.
 The result is independent of the admissible delta and of the sample
 grid, and is additive under direct sums and concatenation.
 
-Crossings of the shifted line are localized by bisection and validated
-with the crossing operator (the path derivative compressed to the
-numerical kernel); a degenerate crossing triggers a delta halving.
+Crossings of the shifted line are localized to an interval shorter than
+bisection_tol and validated with the crossing operator (the path
+derivative compressed to the numerical kernel); a degenerate crossing
+triggers a delta halving.  The crossing operator is singular when its
+smallest eigenvalue magnitude is below 1e-10 times its largest, which
+does not depend on the kernel dimension k (its determinant scales as
+c^k).
 
 A subinterval [l, r] needs no refinement once
 
@@ -36,10 +40,59 @@ its largest absolute row sum, an upper bound on the 2-norm, certifies,
 or that its largest row 2-norm, a lower bound, already fails, needs no
 eigvalsh, and every decision is still the exact chord's.
 
+Secant localization.  Where the chords are exact, an interval [l, r]
+whose end counts nl and nr differ holds a zero of f = lam_i - delta for
+the sorted eigenvalue i = min(nl, nr), and f changes sign between its
+ends.  It is split at a secant point of f, from spectra already held:
+the secant through an end and the other probe of its closing pair (see
+below) where that point lies inside, the end nearer the line first, and
+otherwise the secant through l and r.  The point t_s is kept at least
+bisection_tol / 2 inside [l, r], and the bracket is closed by probing
+t_s - q and t_s + q (q = bisection_tol / 4), so [l, r] becomes three
+intervals whose middle one is already narrow.  An outer interval longer
+than half of [l, r] is bisected at the next level instead (the
+Illinois-style safeguard: every two levels at least halve it).  Callable
+paths keep plain bisection.
+
+The crossing window.  A crossing located at t* (the middle of a narrow
+interval) on a path with exact chords gets a window [t* - h, t* + h],
+clipped to its sample segment, that holds no other crossing.  From the
+eigh of A(t*) - delta taken for the record, let the cluster be the k
+eigenvalues below the kernel floor, m the largest of their magnitudes,
+g the smallest magnitude of the others, C = W^T B W the crossing form of
+the exact segment slope B on the cluster's eigenvectors W, c the
+smallest |eigenvalue| of C and beta = ||B||_2.  At t* + s, for |s| beta
+<= g / 4, Weyl's inequality keeps the other eigenvalues at least 3g/4
+from delta and the cluster's within m + g/4 < g/2 (m < g/4).  In the
+eigenbasis at t*, an eigenvalue lam of the cluster is, by the Schur
+reduction, an eigenvalue of sC + E with
+
+    E = D_c - s^2 B_cr (D_r + s B_rr - lam)^-1 B_rc,
+    ||E|| <= m + 4 s^2 beta^2 / g
+
+(D the spectrum at t*, c and r the cluster and the rest; the inverse is
+at most 4/g since |lam| < g/2), so |lam| >= |s| c - m - 4 s^2 beta^2 / g.
+With
+
+    h = min(g / (4 beta), c g / (8 beta^2))
+
+the last term is at most |s| c / 2 for |s| <= h, so |lam| >= |s| c / 2 - m:
+every zero of the cluster lies within 2m/c of t*, and the count changes
+across [t* - h, t* + h] by the signature of C (Robbin and Salamon, The
+spectral flow and the Maslov index, 1995).  The window is taken when
+2m/c < bisection_tol / 2 < h, so it holds only this crossing.  The open
+intervals that meet it are cut at t* +- h, the new ends are probed with
+the level's stacked call, and the count change across the window must
+equal the crossing's signature.  The siblings of a crossing so restart
+h from t*, not bisection_tol: their certificate needs an interval whose
+length is about its distance to the crossing divided by ||B|| / |slope|,
+so the partition grows geometrically outward from where it starts.
+
 Refinement runs breadth-first.  Each level classifies all of its open
 intervals at once, takes the certificate for the whole level by
 broadcasting, and diagonalizes all new midpoints in one stacked eigvalsh
-per chunk of at most _STACK_BYTES.  On a callable path the chords the
+per chunk of at most _STACK_BYTES, with the secant probes and the
+window ends.  On a callable path the chords the
 level's certificate needs (intervals whose end counts agree, where
 neither bound decides) take one more stacked eigvalsh per chunk.  Only
 the current level's endpoint matrices are held.  The spectrum of every
@@ -227,8 +280,7 @@ class HermitianPath:
             return np.asarray(self._func(t), dtype=float)
         ts = self.t_samples
         t = min(max(float(t), self.a), self.b)
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), ts.size - 2)
+        i = self.segment(t)
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
@@ -241,25 +293,48 @@ class HermitianPath:
         t2 = min(self.b, t + h)
         return (self.evaluate(t2) - self.evaluate(t1)) / (t2 - t1)
 
-    def chord_norms(self, l, r):
-        """Exact ||A(l) - A(r)||_2 where the path is affine, else None.
+    def slope_norms(self):
+        """||dA/dt||_2 on each sample segment where the path is affine
+        between its samples, else None.
 
-        ``l`` and ``r`` are interval ends (scalars or arrays), each
-        interval inside one sample segment.  The norm is ||B||_2 (r - l)
-        on a path built by ``affine`` and the segment slope norm times
-        (r - l) on a path interpolated between its samples.  A path given
-        by any other callable returns None (see ``_chords``)."""
-        if self._slopes is None:
-            if self._func is not None:
-                return None
+        Set by ``affine`` (||B||_2) and computed once, by one stacked
+        eigvalsh of the sample differences, for a path interpolated
+        between its samples.  A path given by any other callable returns
+        None (see ``_chords``)."""
+        if self._slopes is None and self._func is None:
             v = self.values
             eigs = _eigvalsh_stacked(
                 self.n, len(v) - 1, lambda i, out: np.subtract(v[i + 1], v[i], out=out)
             )
             self._slopes = np.abs(eigs).max(axis=1, initial=0.0) / np.diff(self.t_samples)
+        return self._slopes
+
+    def chord_norms(self, l, r):
+        """Exact ||A(l) - A(r)||_2 where the path is affine, else None.
+
+        ``l`` and ``r`` are interval ends (scalars or arrays), each
+        interval inside one sample segment: the segment's slope norm
+        (``slope_norms``) times (r - l)."""
+        slopes = self.slope_norms()
+        if slopes is None:
+            return None
         l, r = np.asarray(l), np.asarray(r)
         seg = np.searchsorted(self.t_samples, 0.5 * (l + r)) - 1
-        return self._slopes[seg] * (r - l)
+        return slopes[seg] * (r - l)
+
+    def segment(self, t):
+        """Index i of the sample segment [t_i, t_{i+1}] that holds t."""
+        i = int(np.searchsorted(self.t_samples, t, side="right")) - 1
+        return min(max(i, 0), self.t_samples.size - 2)
+
+    def segment_slope(self, i):
+        """dA/dt on sample segment i of a path affine between its samples:
+        the stored derivative of an ``affine`` path, else the difference
+        quotient of the segment's samples."""
+        if self._func is not None:
+            return self.derivative_at(self.t_samples[i])
+        ts, v = self.t_samples, self.values
+        return (v[i + 1] - v[i]) / (ts[i + 1] - ts[i])
 
 
 def _sample(func, grid):
@@ -360,40 +435,78 @@ def _chords(path, left, right, at, limit):
     return chord
 
 
+def _kernel(path, t, tol, delta):
+    """eigh of A(t) - delta, with the mask of its numerical kernel
+    (|eigenvalue| < tol)."""
+    eigs, vecs = np.linalg.eigh(path.evaluate(t) - delta * np.eye(path.n))
+    return eigs, vecs, np.abs(eigs) < tol
+
+
+def _compressed(w, d):
+    """The symmetric part of d compressed to the columns of w."""
+    c = w.T @ d @ w
+    return 0.5 * (c + c.T)
+
+
 def crossing_operator(path, t, tol, delta=0.0):
     """Path derivative compressed to the numerical kernel at time t.
 
     The kernel collects eigenvectors of A(t) - delta with |eigenvalue| <
     tol; the result is the k x k symmetric matrix of the compressed
     derivative (empty when A(t) - delta is invertible)."""
-    eigs, vecs = np.linalg.eigh(path.evaluate(t) - delta * np.eye(path.n))
-    w = vecs[:, np.abs(eigs) < tol]
-    c = w.T @ path.derivative_at(t) @ w
-    return 0.5 * (c + c.T)
+    _, vecs, ker = _kernel(path, t, tol, delta)
+    return _compressed(vecs[:, ker], path.derivative_at(t))
 
 
 def _signature(eigs, floor):
     return int(np.sum(eigs > floor) - np.sum(eigs < -floor))
 
 
-def _make_record(path, tstar, net, delta, kernel_floor):
-    c = crossing_operator(path, tstar, kernel_floor, delta)
-    k = c.shape[0]
+def _window(eigs, ker, form, beta, tol):
+    """Half-width h of the crossing window (module docstring), or 0.
+
+    ``eigs`` is the spectrum of A(t*) - delta with its cluster ``ker``,
+    ``form`` the eigenvalues of the crossing form of the exact slope B on
+    the segment and ``beta`` = ||B||_2.  The window holds only this
+    crossing when every zero of the cluster lies within tol / 2 of t*,
+    and it is taken only when it reaches beyond that."""
+    m = float(np.abs(eigs[ker]).max())
+    g = float(np.abs(eigs[~ker]).min(initial=np.inf))
+    c = float(np.abs(form).min())
+    if not (4.0 * m < c * tol and 4.0 * m < g):
+        return 0.0
+    h = min(g / (4.0 * beta), c * g / (8.0 * beta * beta)) if beta else np.inf
+    return h if h > 0.5 * tol else 0.0
+
+
+def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
+    """(record, window half-width) of the crossing located at tstar.
+
+    The window (``_window``) is taken on sample segment ``seg`` of a path
+    affine between its samples, from the same eigh as the record; it is
+    0 when ``seg`` is None."""
+    eigs, vecs, ker = _kernel(path, tstar, kernel_floor, delta)
+    k = int(np.count_nonzero(ker))
     if k == 0:
         raise _DegenerateCrossing("no numerical kernel at a located crossing")
-    ceigs = np.linalg.eigvalsh(c)
-    cnorm = float(np.abs(ceigs).max())
-    det = float(np.prod(ceigs))
-    if cnorm == 0.0 or abs(det) < 1e-10 * cnorm:
+    w = vecs[:, ker]
+    ceigs = np.linalg.eigvalsh(_compressed(w, path.derivative_at(tstar)))
+    mags = np.abs(ceigs)
+    # det scales as c^k, so compare the smallest magnitude, not det
+    if mags.max() == 0.0 or mags.min() < 1e-10 * mags.max():
         raise _DegenerateCrossing("crossing operator is numerically singular")
     if _signature(ceigs, 0.0) != net:
         raise _DegenerateCrossing("crossing signature disagrees with the count")
-    return CrossingRecord(
+    record = CrossingRecord(
         t=float(tstar),
         kernel_dim=k,
         crossing_signature=int(net),
-        crossing_det_sign=int(np.sign(det)),
+        crossing_det_sign=int(np.sign(np.prod(ceigs))),
     )
+    if seg is None:
+        return record, 0.0
+    form = np.linalg.eigvalsh(_compressed(w, path.segment_slope(seg)))
+    return record, _window(eigs, ker, form, float(path.slope_norms()[seg]), tol)
 
 
 def _below(eigs, delta):
@@ -423,15 +536,53 @@ def _endpoint_flow(eigs_a, eigs_b, scale, cfg):
     return _below(eigs_a, delta) - _below(eigs_b, delta), delta
 
 
+def _cut(left, right, windows):
+    """The parts of the intervals [left[j], right[j]] outside the windows
+    (lo, hi, _); returns (pieces, the windows that cut something)."""
+    pieces, used = list(zip(left.tolist(), right.tolist())), []
+    for window in windows:
+        lo, hi, _ = window
+        rest = []
+        for l, r in pieces:
+            if l < hi and r > lo:
+                rest += [(l, lo)] * (l < lo) + [(hi, r)] * (r > hi)
+            else:
+                rest.append((l, r))
+        if rest != pieces:
+            used.append(window)
+        pieces = rest
+    return pieces, used
+
+
+def _secant(spectra, partner, l, r, i, delta):
+    """Split point of [l, r] for the zero of f = lam_i - delta, whose sign
+    differs at the ends: the secant through an end and its closing-pair
+    partner where that lands inside (the end nearer the line first), else
+    the secant through the two ends."""
+    fl, fr = spectra[l][i] - delta, spectra[r][i] - delta
+    for end, f in sorted([(l, fl), (r, fr)], key=lambda e: abs(e[1])):
+        other = partner.get(end)
+        if other is not None:
+            slope = (spectra[other][i] - delta - f) / (other - end)
+            if slope != 0.0 and l < end - f / slope < r:
+                return end - f / slope
+    return l + (r - l) * (fl / (fl - fr))
+
+
 def _flow_with_delta(path, delta, cfg, scale, spectra):
     """One refinement pass at shift delta, breadth-first (module docstring).
 
     ``spectra`` maps each probed time to its eigenvalues; it outlives the
     delta halvings of one spectral_flow call."""
     kernel_floor = cfg.kernel_threshold_rel * scale
+    tol = cfg.bisection_tol
     ts = path.t_samples
     left, right = ts[:-1], ts[1:]
-    exact = path.chord_norms(left, right) is not None
+    exact = path.slope_norms() is not None
+    # intervals that the last secant step did not halve: bisected next
+    halve = np.zeros(left.shape, dtype=bool)
+    # the other probe of each closing pair
+    partner = {}
     # matrices held for the current level, by time; the samples are views
     mats = dict(zip(ts.tolist(), path.values))
 
@@ -449,17 +600,38 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
 
         spectra.update(zip(times, _eigvalsh_stacked(path.n, len(times), write)))
 
+    def ends(times):
+        return np.array([spectra[t] for t in times.tolist()]).reshape(times.size, path.n)
+
     probe(ts[1:-1].tolist())
     crossings = []
     depth = 0
     while True:
-        el = np.array([spectra[t] for t in left.tolist()])
-        er = np.array([spectra[t] for t in right.tolist()])
+        el, er = ends(left), ends(right)
         nl, nr = _below(el, delta), _below(er, delta)
-        narrow = right - left < cfg.bisection_tol
+        narrow = right - left < tol
+        windows = []
         for j in np.flatnonzero(narrow & (nl != nr)):
             mid = 0.5 * (left[j] + right[j])
-            crossings.append(_make_record(path, float(mid), int(nl[j] - nr[j]), delta, kernel_floor))
+            seg = path.segment(mid) if exact else None
+            rec, h = _make_record(path, float(mid), int(nl[j] - nr[j]), delta, kernel_floor, tol, seg)
+            crossings.append(rec)
+            if h > 0.0:
+                lo, hi = max(ts[seg], mid - h), min(ts[seg + 1], mid + h)
+                windows.append((float(lo), float(hi), rec.crossing_signature))
+        drop = narrow
+        pieces, used = [], []
+        if windows:
+            # the neighbours of a crossing window restart at its ends
+            hit = np.zeros(left.shape, dtype=bool)
+            for lo, hi, _ in windows:
+                hit |= ~narrow & (left < hi) & (right > lo)
+            pieces, used = _cut(left[hit], right[hit], windows)
+            drop = narrow | hit
+        if drop.any():
+            left, right, el, er, nl, nr, halve = (
+                x[~drop] for x in (left, right, el, er, nl, nr, halve)
+            )
         # Per-branch certificate (module docstring): by Weyl's inequality
         # the i-th sorted eigenvalue moves by at most ||A(l) - A(r)||_2,
         # so on an affine interval it meets delta only if that norm
@@ -468,21 +640,48 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
         # delta at the other.
         reach = np.min(np.abs(el - delta) + np.abs(er - delta), axis=1)
         # only an interval whose end counts agree can be certified
-        ask = np.flatnonzero(~narrow & (nl == nr))
+        ask = nl == nr
         chord = np.full(left.shape, np.inf)
         chord[ask] = _chords(path, left[ask], right[ask], at, 0.5 * reach[ask])
-        split = ~narrow & ((nl != nr) | ~(chord < 0.5 * reach))
-        if not split.any():
+        split = ~ask | ~(chord < 0.5 * reach)
+        if not split.any() and not used:
             break
         if depth >= cfg.refine_max_depth:
             raise SpectralFlowError("adaptive refinement depth exceeded")
-        l, r = left[split], right[split]
+        # where the chords are exact, an interval whose end counts differ
+        # is split at its secant point (module docstring)
+        sec = split & ~ask & ~halve if exact else np.zeros_like(split)
+        l, r = left[split & ~sec], right[split & ~sec]
         m = 0.5 * (l + r)
-        left, right = np.concatenate([l, m]), np.concatenate([m, r])
+        lefts, rights, halves = [l, m], [m, r], [np.zeros(2 * m.size, dtype=bool)]
+        times = m.tolist()
+        if sec.any():
+            sl, sr = left[sec], right[sec]
+            branch = np.minimum(nl[sec], nr[sec])
+            mid = np.array([_secant(spectra, partner, *x, delta) for x in zip(sl, sr, branch)])
+            q = 0.25 * tol
+            mid = np.clip(mid, sl + 2.0 * q, sr - 2.0 * q)
+            a, b = mid - q, mid + q
+            partner.update(zip(a.tolist(), b.tolist()))
+            partner.update(zip(b.tolist(), a.tolist()))
+            lefts += [sl, a, b]
+            rights += [a, b, sr]
+            halves += [a - sl > 0.5 * (sr - sl), np.zeros(a.size, dtype=bool), sr - b > 0.5 * (sr - sl)]
+            times += a.tolist() + b.tolist()
+        if pieces:
+            pl, pr = np.array(pieces).T
+            lefts.append(pl)
+            rights.append(pr)
+            halves.append(np.zeros(pl.size, dtype=bool))
+        times += [t for w in used for t in w[:2]]
+        left, right, halve = (np.concatenate(x) for x in (lefts, rights, halves))
         # a callable path needs the next level's ends for its chords
         keep = () if exact else set(l.tolist()) | set(r.tolist())
         mats = {t: mats[t] for t in keep if t in mats}
-        probe(m.tolist())
+        probe(times)
+        for lo, hi, sig in used:
+            if _below(spectra[lo], delta) - _below(spectra[hi], delta) != sig:
+                raise SpectralFlowError("count change across a crossing window disagrees with its signature")
         depth += 1
     crossings.sort(key=lambda rec: rec.t)
     total = sum(rec.crossing_signature for rec in crossings)

@@ -17,8 +17,9 @@ to the truncation, which is the orthogonal compression and keeps all the
 adjointness identities exact.  The operators are assembled over the
 fields' supports as well: the Dirac operator adds its 1-form's Toeplitz
 blocks, and the coupling blocks form their entries, only where the
-field is nonzero; each entry takes the products and two-term sums of
-the compression Re(u^H X u) (``_pair``).  They are built apart from the
+field is nonzero, and the first-order blocks from their per-mode
+blocks; each entry takes the products and two-term sums of the
+compression Re(u^H X u) (``_pair``).  They are built apart from the
 value-level kernels, which check them.
 
 Signs by inertia.  A configuration sign is (-1)^SF of an affine path of
@@ -73,10 +74,8 @@ from .torus_model import (
     FlatConnection,
     MarginError,
     TorusTruncation,
-    _block_diag,
     _star_block,
     _wedge_blocks,
-    exterior_d,
     fourier_dirac,
 )
 
@@ -165,14 +164,30 @@ def _uh(tab, y):
     return _pair(tab, y, np.conj(tab.diag), np.conj(tab.off[tab.neg]))
 
 
-def _times_u(tab, x):
-    """x u for a matrix x: u^T acts along its rows."""
-    return _pair(tab, x, tab.diag, tab.off[tab.neg], axis=1)
+def _compress(tab, blocks):
+    """Re(u^H X u), a real operator from the complex Fourier matrix X
+    that is block diagonal over the modes with the blocks (M, r, c).
 
-
-def _compress(tab, mat):
-    """Re(u^H mat u): a real operator from its complex Fourier matrix."""
-    return _uh(tab, _times_u(tab, mat)).real
+    u pairs each mode with its negative, so X u and u^H X u are nonzero
+    only in the blocks (p, p) and (-p, p) of each column mode p (X holds
+    a block at (p, -p) only at the self-paired zero mode).  Each entry
+    takes the products and the two-term sum of ``_pair``, first along
+    the columns (x u) and then along the rows (u^H y), so it equals the
+    compression of the dense X entry by entry."""
+    neg = tab.neg
+    m, rows, cols = blocks.shape
+    p = np.arange(m)
+    w = (-1, 1, 1)
+    # X[p, -p] and X[-p, p]: the block itself only where p = -p
+    cross = np.where((neg == p).reshape(w), blocks, 0.0)
+    first, second = tab.diag.reshape(w), tab.off[neg].reshape(w)
+    y_p = second * cross + first * blocks  # (X u)[p, p]
+    y_n = second * blocks[neg] + first * cross  # (X u)[-p, p]
+    first, second = np.conj(tab.diag).reshape(w), np.conj(tab.off[neg]).reshape(w)
+    out = np.zeros((m, rows, m, cols))
+    out[p, :, p, :] = (second * y_n + first * y_p).real
+    out[neg, :, p, :] = (second[neg] * y_p + first[neg] * y_n).real
+    return out.reshape(m * rows, m * cols)
 
 
 def _gather(table, vals):
@@ -541,11 +556,11 @@ def _dirac_matrix(c):
 def _first_order(trunc):
     tab = _tables(trunc)
     if tab.first_order is None:
-        d0 = exterior_d(trunc, 0)
+        d0 = _wedge_blocks(trunc.modes, 0)
         tab.first_order = SimpleNamespace(
-            minus_star_d=_compress(tab, _block_diag(-tab.star_d)),
+            minus_star_d=_compress(tab, -tab.star_d),
             d0=_compress(tab, d0),
-            cod1=_compress(tab, d0.conj().T),
+            cod1=_compress(tab, d0.conj().transpose(0, 2, 1)),
         )
     return tab.first_order
 

@@ -255,3 +255,54 @@ def test_scan_certifies_a_quarter_of_the_end_margins_on_affine_paths():
             inner = np.linspace(l, r, 52)[1:-1]
             low = min(smallest_singular_value(path, K, t) for t in inner)
             assert low >= 0.25 * (ml + mr)
+
+
+def test_failing_scan_reaches_its_trigger_in_few_svds(monkeypatch):
+    # affine paths (n = 6) with one crossing of the line at 0: with no
+    # stabilizer the scan must fail.  Best-first order and the Newton
+    # probe take 121 SVDs over these five paths; the depth-first scan
+    # took 326.
+    cfg = sf.SpectralFlowConfig()
+    rng = np.random.default_rng(70)
+    paths = []
+    while len(paths) < 5:
+        a, b = (m + m.T for m in rng.standard_normal((2, 6, 6)))
+        path = sf.HermitianPath.affine(a, b, -1.0, 1.0)
+        if len(sf.spectral_flow(path).crossings) == 1:
+            paths.append(path)
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for path in paths:
+        scale = max(1.0, np.abs(path.values).max())
+        certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((6, 0)), scale, cfg)
+        assert not certified and dirs.shape[1] >= 1
+    assert calls[0] <= 160
+
+
+def test_newton_probe_fails_the_scan_at_its_point():
+    # sigma_min = |t - 0.3| on [0, 1], collect 2e-3 and trigger 2e-6 at
+    # scale 2: the first probe below collect is 0.30078125, and its
+    # Newton step lands on 0.3, where the scan fails.  That is the 15th
+    # probe; halving down to the trigger took 29.
+    path = sf.HermitianPath.affine(np.diag([-0.3, 2.0]), np.diag([1.0, 0.0]), 0.0, 1.0)
+    cfg = sf.SpectralFlowConfig()
+    probed = []
+    evaluate = path.evaluate
+
+    def watched(t):
+        probed.append(t)
+        return evaluate(t)
+
+    path.evaluate = watched
+    certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((2, 0)), 2.0, cfg)
+    assert not certified
+    assert np.allclose(np.abs(dirs[:, 0]), [1.0, 0.0])
+    assert probed[-2] == 0.30078125
+    assert abs(probed[-1] - 0.3) < 1e-12
+    assert len(probed) == 15

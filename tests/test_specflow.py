@@ -130,6 +130,98 @@ def test_every_crossing_is_located_on_random_affine_paths():
         assert all(r.kernel_dim == 1 for r in rep.crossings)
 
 
+def watch_records(monkeypatch):
+    """Collect (t, window half-width, signature) of every crossing record."""
+    made = []
+    make = sf._make_record
+
+    def watched(path, tstar, *args):
+        rec, h = make(path, tstar, *args)
+        made.append((tstar, h, rec.crossing_signature))
+        return rec, h
+
+    monkeypatch.setattr(sf, "_make_record", watched)
+    return made
+
+
+def count_matrices(monkeypatch):
+    """Count the matrices np.linalg.eigvalsh diagonalizes, stacks by size."""
+    count = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return count
+
+
+def test_located_crossings_take_few_matrices(monkeypatch):
+    # the paths of test_every_crossing_is_located_on_random_affine_paths:
+    # secant localization and crossing windows diagonalize 72 matrices
+    # per located crossing there (bisection to every crossing: 239)
+    rng = np.random.default_rng(41)
+    paths = [affine(rng, int(rng.integers(2, 7))) for _ in range(40)]
+    count = count_matrices(monkeypatch)
+    made = watch_records(monkeypatch)
+    crossings = sum(len(sf.spectral_flow(path).crossings) for path in paths)
+    assert crossings == 44
+    assert count[0] <= 100 * crossings
+    # every crossing of these paths gets its window
+    assert all(h > 0.0 for _, h, _ in made)
+
+
+def test_crossing_windows_hold_only_their_crossing(monkeypatch):
+    # inside [t* - h, t* + h] the count below the line changes only
+    # within bisection_tol / 2 of t*, by the crossing's signature
+    rng = np.random.default_rng(41)
+    tol = sf.SpectralFlowConfig().bisection_tol
+    made = watch_records(monkeypatch)
+    for _ in range(20):
+        path = affine(rng, int(rng.integers(2, 7)))
+        made.clear()
+        delta = sf.spectral_flow(path).delta_used
+        for t, h, sig in made:
+            for side in (-1.0, 1.0):
+                grid = t + side * np.linspace(tol, h, 41)
+                grid = grid[(grid >= path.a) & (grid <= path.b)]
+                counts = {int(np.sum(np.linalg.eigvalsh(path.evaluate(s)) < delta)) for s in grid}
+                assert len(counts) <= 1
+            lo, hi = max(path.a, t - h), min(path.b, t + h)
+            below = [int(np.sum(np.linalg.eigvalsh(path.evaluate(s)) < delta)) for s in (lo, hi)]
+            assert below[0] - below[1] == sig
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6])
+def test_triple_crossing_of_any_scale(monkeypatch, c):
+    # three branches c t cross together; the crossing form c I_3 has
+    # det c^3, which a test of det against c would call singular at c = 1e-6
+    path = sf.HermitianPath.affine(np.diag([0.0, 0.0, 0.0, c]), c * np.diag([1.0, 1.0, 1.0, 0.0]), -1.0, 1.0)
+    made = watch_records(monkeypatch)
+    rep = sf.spectral_flow(path)
+    assert rep.sf == 3
+    assert len(rep.crossings) == 1
+    rec = rep.crossings[0]
+    assert (rec.kernel_dim, rec.crossing_signature, rec.crossing_det_sign) == (3, 3, 1)
+    assert abs(rec.t - rep.delta_used / c) <= sf.SpectralFlowConfig().bisection_tol
+    # the window: gap g = c - delta, slope norm and crossing form c, so
+    # h = min(g / 4c, c g / 8c^2) = g / 8c
+    [(_, h, _)] = made
+    assert h == pytest.approx((c - rep.delta_used) / (8.0 * c), rel=1e-9)
+
+
+def test_window_half_width():
+    # m = 1e-13, g = 2, c = 0.5, beta = 2: h = min(g / 4 beta, c g / 8 beta^2)
+    eigs = np.array([-2.0, 1e-13, 3.0])
+    ker = np.abs(eigs) < 1e-8
+    assert sf._window(eigs, ker, np.array([0.5]), 2.0, 1e-10) == pytest.approx(1.0 / 32.0, rel=1e-12)
+    assert sf._window(eigs, ker, np.array([8.0]), 2.0, 1e-10) == pytest.approx(0.25, rel=1e-12)
+    # the cluster's zeros may lie 2 m / c from t*: no window beyond tol / 2
+    assert sf._window(eigs, ker, np.array([1e-3]), 2.0, 1e-10) == 0.0
+    assert sf._window(eigs, ker, np.array([0.5]), 0.0, 1e-10) == np.inf
+
+
 def test_sym_norm2_matches_svd_norm():
     rng = np.random.default_rng(42)
     for n in (1, 2, 5, 10, 40):

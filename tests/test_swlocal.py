@@ -261,6 +261,23 @@ def test_operators_match_dense_reference(cutoff):
     assert np.array_equal(sl._dirac_matrix(flat), tm.fourier_dirac(tr, tm.FlatConnection(flat.alpha)))
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_first_order_equals_the_dense_compression(cutoff):
+    # the per-mode route takes the same products and two-term sums as
+    # the compression Re(u^H X u) of the dense block-diagonal X
+    tr = tm.TorusTruncation(cutoff)
+    tab = sl._tables(tr)
+
+    def dense(x):
+        return sl._uh(tab, sl._pair(tab, x, tab.diag, tab.off[tab.neg], axis=1)).real
+
+    d0 = tm.exterior_d(tr, 0)
+    fo = sl._first_order(tr)
+    assert np.array_equal(fo.minus_star_d, dense(tm._block_diag(-tab.star_d)))
+    assert np.array_equal(fo.d0, dense(d0))
+    assert np.array_equal(fo.cod1, dense(d0.conj().T))
+
+
 @pytest.mark.parametrize("cutoff", [1, 2])
 def test_index_is_none_outside_the_truncation(cutoff):
     # the box reaches modes whose base-(2N+1) digits alias a mode inside,
