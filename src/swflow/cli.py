@@ -138,8 +138,14 @@ def _random_symmetric_path(rng, dim):
         if rng.random() < 0.5:
             path = sfmod.HermitianPath.affine(a, b, -1.0, 1.0)
         else:
+            # ||A''||_2 = 1.7^2 |sin(1.7 t)| ||c||_2 <= 1.7^2 ||c||_2
             path = sfmod.HermitianPath.from_callable(
-                lambda t: a + t * b + np.sin(1.7 * t) * c, -1.0, 1.0, num_samples=25
+                lambda t: a + t * b + np.sin(1.7 * t) * c,
+                -1.0,
+                1.0,
+                num_samples=25,
+                derivative=lambda t: b + 1.7 * np.cos(1.7 * t) * c,
+                curvature=1.7**2 * sfmod._sym_norm2(c),
             )
         e0 = np.abs(np.linalg.eigvalsh(path.values[0])).min()
         e1 = np.abs(np.linalg.eigvalsh(path.values[-1])).min()

@@ -18,18 +18,19 @@ invertible endpoints; the flow route also covers singular endpoints
 through the shifted counting line.
 
 Surjectivity is certified interval by interval.  With ml and mr the
-smallest singular values of [T K] at the ends of [l, r] and move =
-||T(l) - T(r)||_2, Weyl's inequality for singular values gives, on an
-affine interval,
+smallest singular values of [T K] at the ends of [l, r] and
+move = beta (r - l), beta a bound on ||T'||_2 over [l, r], so that
+||T(t) - T(l)||_2 + ||T(r) - T(t)||_2 <= move inside, Weyl's inequality
+for singular values gives
 
     sigma_min [T_t K] >= (ml + mr - move) / 2    for every t in [l, r],
 
 so move < (ml + mr) / 2 certifies a margin of at least (ml + mr) / 4.
-The chord ``move`` follows the rule of the flow route's refinement
-(``specflow._chords``): exact where the path is affine and a heuristic
-on curved paths, where it is diagonalized only when neither its
-absolute-row-sum upper bound certifies the interval nor its row-norm
-lower bound already fails it.
+``move`` is the flow route's chord bound (``HermitianPath.chord_norms``,
+see ``specflow``): exact where the path is affine, and certified on a
+curved path through its curvature bound.  A callable that declares no
+curvature bound is transported as its sample interpolant, which has the
+endpoints and so the transported sign of the callable.
 
 The scan pops its open intervals best first, the one whose smaller end
 margin is least (a heap), so a scan that must fail reaches a margin
@@ -93,10 +94,10 @@ def _scan_stabilizer(path, K, scale, cfg):
 
     An interval [l, r] is certified once move < (ml + mr) / 2, with ml,
     mr the smallest singular values of [T K] at its ends and move the
-    chord ||T(l) - T(r)||_2: on an affine interval Weyl's inequality for
-    singular values bounds sigma_min [T_t K] >= (ml + mr - move) / 2 >
-    (ml + mr) / 4 inside it.  Each probe takes one SVD, and the two
-    halves of a split interval take their chords together.
+    path's bound on the chord ||T(l) - T(r)||_2 (``path`` carries slope
+    bounds): Weyl's inequality for singular values bounds
+    sigma_min [T_t K] >= (ml + mr - move) / 2 > (ml + mr) / 4 inside it.
+    Each probe takes one SVD.
 
     Open intervals are split best first: the one whose smaller end
     margin is least, so a scan that fails reaches its trigger early.  A
@@ -104,8 +105,7 @@ def _scan_stabilizer(path, K, scale, cfg):
     whose margin lies in [trigger, collect) also takes one Newton step
     on sigma_min, whose slope u^T T'(t) v[:n] comes from that probe's
     own singular vectors, and probes that point once: the scan fails
-    there if it triggers, and the point is dropped otherwise.  Only the
-    open intervals hold their end matrices.
+    there if it triggers, and the point is dropped otherwise.
 
     Returns (certified, new_directions, bases): on success ``bases``
     maps each probed time, in increasing order, to the kernel basis of
@@ -119,59 +119,51 @@ def _scan_stabilizer(path, K, scale, cfg):
         return u[:, s < collect_tol] if s[-1] < trigger else None
 
     def probe(t):
-        """The path matrix at t, or near-cokernel directions when the
-        margin there, or at its Newton point, is below the trigger."""
-        mat = path.evaluate(t)
-        u, s, basis, v = _block_svd(mat, K)
+        """Near-cokernel directions when the margin at t, or at its Newton
+        point, is below the trigger, else None."""
+        u, s, basis, v = _block_svd(path.evaluate(t), K)
         dirs = cokernel(u, s)
         if dirs is None and s[-1] < collect_tol:
             slope = u[:, -1] @ path.derivative_at(t) @ v[: path.n]
             step = t - s[-1] / slope if slope else t
             if path.a <= step <= path.b and step != t:
                 dirs = cokernel(*_block_svd(path.evaluate(step), K)[:2])
-        if dirs is not None:
-            return None, dirs
-        margins[t] = float(s[-1])
-        bases[t] = basis
-        return mat, None
+        if dirs is None:
+            margins[t] = float(s[-1])
+            bases[t] = basis
+        return dirs
 
-    def certified(left, right, mats):
-        """Whether each interval [left[j], right[j]] is certified; ``mats``
-        maps its ends to the path matrices there."""
+    def certified(left, right):
+        """Whether each interval [left[j], right[j]] is certified."""
         limit = 0.5 * np.array([margins[l] + margins[r] for l, r in zip(left, right)])
-        return sfmod._chords(path, left, right, mats.__getitem__, limit) < limit
+        return path.chord_norms(np.array(left), np.array(right)) < limit
 
     heap = []
 
-    def push(l, ml, r, mr, depth):
-        # open intervals are disjoint, so no two entries share (key, l)
-        heapq.heappush(heap, (min(margins[l], margins[r]), l, r, depth, ml, mr))
+    def push(l, r, depth):
+        heapq.heappush(heap, (min(margins[l], margins[r]), l, r, depth))
 
     ts = path.t_samples.tolist()
-    mats = {}
     for t in ts:
-        mat, dirs = probe(t)
-        if mat is None:
+        dirs = probe(t)
+        if dirs is not None:
             return False, dirs, None
-        mats[t] = mat
-    for l, r, ok in zip(ts[:-1], ts[1:], certified(ts[:-1], ts[1:], mats)):
+    for l, r, ok in zip(ts[:-1], ts[1:], certified(ts[:-1], ts[1:])):
         if not ok:
-            push(l, mats[l], r, mats[r], 0)
-    del mats
+            push(l, r, 0)
     while heap:
-        _, l, r, depth, ml, mr = heapq.heappop(heap)
+        _, l, r, depth = heapq.heappop(heap)
         if depth >= cfg.refine_max_depth:
             raise OrientationTransportError(
                 "cannot certify the stabilizer: refinement depth exceeded"
             )
         m = 0.5 * (l + r)
-        mm, dirs = probe(m)
-        if mm is None:
+        dirs = probe(m)
+        if dirs is not None:
             return False, dirs, None
-        done = certified([l, m], [m, r], {l: ml, m: mm, r: mr})
-        for half, ok in zip([(l, ml, m, mm), (m, mm, r, mr)], done):
+        for (a, b), ok in zip([(l, m), (m, r)], certified([l, m], [m, r])):
             if not ok:
-                push(*half, depth + 1)
+                push(a, b, depth + 1)
     return True, None, dict(sorted(bases.items()))
 
 
@@ -243,6 +235,7 @@ def _transport_frame(path, K, bases, rng, cfg):
 
 
 def _transport_det(path, cfg, rng, extra_directions, full_stabilizer):
+    path, _ = sfmod._bounded(path)
     scale = max(1.0, sfmod._max_abs(path.values))
     floor = cfg.kernel_threshold_rel * scale
     for idx in (0, -1):

@@ -18,52 +18,68 @@ smallest eigenvalue magnitude is below 1e-10 times its largest, which
 does not depend on the kernel dimension k (its determinant scales as
 c^k).
 
+Movement bounds.  Every path the engine refines carries, on each sample
+segment, a bound beta_seg >= sup ||A'(t)||_2 over the segment
+(``HermitianPath.slope_norms``):
+
+* where the path is affine on the segment (``HermitianPath.affine``, a
+  path interpolated between its samples) beta_seg = ||B||_2 of the
+  segment slope B, and it is exact;
+* on a curved path that declares its derivative A' and a curvature
+  bound gamma >= sup ||A''||_2,
+
+      beta_seg = ||A'(m)||_2 + gamma * len / 2,
+
+  with m the middle of the segment and len its length, since
+  ||A'(t) - A'(m)||_2 <= gamma |t - m| <= gamma * len / 2 there.
+
+Refinement intervals never cross a sample, so ||A(l) - A(r)||_2 <=
+beta_seg (r - l) on every interval [l, r] the engine meets.  By Weyl's
+inequality each sorted eigenvalue, and each singular value, moves by at
+most the 2-norm of the change of the matrix (Kato, Perturbation Theory
+for Linear Operators, II.5); the determinant route of ``orient`` uses
+the same bound.
+
+A callable that declares no curvature bound is refined as its sample
+interpolant: the path linear between its samples, whose derivative on a
+segment is the segment slope.  The straight-line homotopy from the
+callable to its interpolant fixes the endpoints, and spectral flow is
+invariant under homotopy with fixed endpoints (Robbin and Salamon, The
+spectral flow and the Maslov index, 1995), so sf is the callable's.  The
+crossing records are the interpolant's, and the report's method reads
+"interpolant".
+
 A subinterval [l, r] needs no refinement once
 
-    ||A(l) - A(r)||_2 < 1/2 * min_i (|lam_i(l) - delta| + |lam_i(r) - delta|),
+    beta_seg (r - l) < 1/2 * min_i (|lam_i(l) - delta| + |lam_i(r) - delta|),
 
-with i running over the eigenvalues sorted in ascending order.  By
-Weyl's inequality each sorted eigenvalue moves by at most the 2-norm of
-the change of the matrix (Kato, Perturbation Theory for Linear
-Operators, II.5), so on an affine interval branch i can meet delta only
-if that norm is at least |lam_i(l) - delta| + |lam_i(r) - delta|.  The
-factor 1/2 is a safety margin.
+with i running over the eigenvalues sorted in ascending order: branch i
+can meet delta inside [l, r] only if it moves by |lam_i(l) - delta| +
+|lam_i(r) - delta|.  The factor 1/2 is a safety margin.
 
-The chord norm ||A(l) - A(r)||_2 is exact where the path is affine:
-||B||_2 (r - l) on a path built by ``HermitianPath.affine`` (A = C + tB,
-with ||B||_2 taken once), and the segment slope norm times (r - l) on a
-path interpolated between its samples; refinement intervals never cross
-a sample.  On any other path given by a callable it is the 2-norm of the
-difference of the two matrices, and on curved paths it is a heuristic
-for the movement.  There the chord is bracketed first: an interval that
-its largest absolute row sum, an upper bound on the 2-norm, certifies,
-or that its largest row 2-norm, a lower bound, already fails, needs no
-eigvalsh, and every decision is still the exact chord's.
-
-Secant localization.  Where the chords are exact, an interval [l, r]
-whose end counts nl and nr differ holds a zero of f = lam_i - delta for
-the sorted eigenvalue i = min(nl, nr), and f changes sign between its
-ends.  It is split at a secant point of f, from spectra already held:
-the secant through an end and the other probe of its closing pair (see
-below) where that point lies inside, the end nearer the line first, and
-otherwise the secant through l and r.  The point t_s is kept at least
-bisection_tol / 2 inside [l, r], and the bracket is closed by probing
-t_s - q and t_s + q (q = bisection_tol / 4), so [l, r] becomes three
-intervals whose middle one is already narrow.  An outer interval longer
-than half of [l, r] is bisected at the next level instead (the
-Illinois-style safeguard: every two levels at least halve it).  Callable
-paths keep plain bisection.
+Secant localization.  An interval [l, r] whose end counts nl and nr
+differ holds a zero of f = lam_i - delta for the sorted eigenvalue
+i = min(nl, nr), and f changes sign between its ends.  It is split at a
+secant point of f, from spectra already held: the secant through an end
+and the other probe of its closing pair (see below) where that point
+lies inside, the end nearer the line first, and otherwise the secant
+through l and r.  The point t_s is kept at least bisection_tol / 2
+inside [l, r], and the bracket is closed by probing t_s - q and t_s + q
+(q = bisection_tol / 4), so [l, r] becomes three intervals whose middle
+one is already narrow.  An outer interval longer than half of [l, r] is
+bisected at the next level instead (the Illinois-style safeguard: every
+two levels at least halve it).
 
 The crossing window.  A crossing located at t* (the middle of a narrow
-interval) on a path with exact chords gets a window [t* - h, t* + h],
-clipped to its sample segment, that holds no other crossing.  From the
-eigh of A(t*) - delta taken for the record, let the cluster be the k
-eigenvalues below the kernel floor, m the largest of their magnitudes,
-g the smallest magnitude of the others, C = W^T B W the crossing form of
-the exact segment slope B on the cluster's eigenvectors W, c the
-smallest |eigenvalue| of C and beta = ||B||_2.  At t* + s, for |s| beta
-<= g / 4, Weyl's inequality keeps the other eigenvalues at least 3g/4
-from delta and the cluster's within m + g/4 < g/2 (m < g/4).  In the
+interval) on a sample segment where the path is affine gets a window
+[t* - h, t* + h], clipped to the segment, that holds no other crossing.
+From the eigh of A(t*) - delta taken for the record, let the cluster be
+the k eigenvalues below the kernel floor, m the largest of their
+magnitudes, g the smallest magnitude of the others, C = W^T B W the
+crossing form of the segment slope B on the cluster's eigenvectors W, c
+the smallest |eigenvalue| of C and beta = ||B||_2.  At t* + s, for
+|s| beta <= g / 4, Weyl's inequality keeps the other eigenvalues at least
+3g/4 from delta and the cluster's within m + g/4 < g/2 (m < g/4).  In the
 eigenbasis at t*, an eigenvalue lam of the cluster is, by the Schur
 reduction, an eigenvalue of sC + E with
 
@@ -78,26 +94,23 @@ With
 
 the last term is at most |s| c / 2 for |s| <= h, so |lam| >= |s| c / 2 - m:
 every zero of the cluster lies within 2m/c of t*, and the count changes
-across [t* - h, t* + h] by the signature of C (Robbin and Salamon, The
-spectral flow and the Maslov index, 1995).  The window is taken when
-2m/c < bisection_tol / 2 < h, so it holds only this crossing.  The open
-intervals that meet it are cut at t* +- h, the new ends are probed with
-the level's stacked call, and the count change across the window must
-equal the crossing's signature.  The siblings of a crossing so restart
-h from t*, not bisection_tol: their certificate needs an interval whose
-length is about its distance to the crossing divided by ||B|| / |slope|,
-so the partition grows geometrically outward from where it starts.
+across [t* - h, t* + h] by the signature of C (Robbin and Salamon).  The
+window is taken when 2m/c < bisection_tol / 2 < h, so it holds only this
+crossing.  The open intervals that meet it are cut at t* +- h, the new
+ends are probed with the level's stacked call, and the count change
+across the window must equal the crossing's signature.  The siblings of
+a crossing so restart h from t*, not bisection_tol: their certificate
+needs an interval whose length is about its distance to the crossing
+divided by ||B|| / |slope|, so the partition grows geometrically outward
+from where it starts.  On a curved segment E gains a Taylor remainder of
+A, which this derivation does not bound, so no window is taken there.
 
 Refinement runs breadth-first.  Each level classifies all of its open
 intervals at once, takes the certificate for the whole level by
 broadcasting, and diagonalizes all new midpoints in one stacked eigvalsh
 per chunk of at most _STACK_BYTES, with the secant probes and the
-window ends.  On a callable path the chords the
-level's certificate needs (intervals whose end counts agree, where
-neither bound decides) take one more stacked eigvalsh per chunk.  Only
-the current level's endpoint matrices are held.  The spectrum of every
-probed time is kept across delta halvings, so no point of the path is
-diagonalized twice.
+window ends.  The spectrum of every probed time is kept across delta
+halvings, so no point of the path is diagonalized twice.
 """
 
 from dataclasses import dataclass, field
@@ -202,10 +215,16 @@ class HermitianPath:
     Values between samples come from the stored callable when available
     and from linear interpolation otherwise; complex Hermitian input is
     converted on ingest to the doubled real symmetric form and flagged.
-    The derivative is the stored closure or a central finite difference.
+    The derivative is the stored closure, the segment slope of a path
+    interpolated between its samples, or else a central finite
+    difference.  ``curvature`` is a bound gamma >= sup ||A''||_2 that a
+    callable with a derivative may declare (``slope_norms``); an
+    interpolated path has curvature 0.
     """
 
-    def __init__(self, t_samples, values, derivative=None, func=None, realified=False):
+    def __init__(self, t_samples, values, derivative=None, func=None, realified=False, curvature=None):
+        if curvature is not None and not (func is not None and derivative is not None and curvature >= 0.0):
+            raise ValueError("a curvature bound is >= 0 and needs a callable with its derivative")
         t_samples = np.asarray(t_samples, dtype=float)
         if t_samples.ndim != 1 or t_samples.size < 2:
             raise ValueError("need at least two samples")
@@ -238,16 +257,23 @@ class HermitianPath:
         self._derivative = derivative
         self._func = func
         self.realified = realified
-        # 2-norm of dA/dt on each sample segment where the path is affine
-        # there: set by ``affine``, filled lazily for an interpolated path
+        self.curvature = 0.0 if func is None else curvature
+        # bound on ||dA/dt||_2 on each sample segment: set by ``affine``,
+        # else filled lazily by ``slope_norms``
         self._slopes = None
 
     @classmethod
-    def from_callable(cls, func, a, b, num_samples=33, derivative=None):
+    def from_callable(cls, func, a, b, num_samples=33, derivative=None, curvature=None):
+        """func sampled at num_samples equally spaced times of [a, b].
+
+        A callable that declares its ``derivative`` and a ``curvature``
+        bound gamma >= sup ||A''||_2 is refined with certified slope
+        bounds (``slope_norms``); one without gamma is refined as its
+        sample interpolant (module docstring)."""
         grid = np.linspace(a, b, num_samples)
         if grid.size < 2:
             raise ValueError("need at least two samples")
-        return cls(grid, _sample(func, grid), derivative=derivative, func=func)
+        return cls(grid, _sample(func, grid), derivative=derivative, func=func, curvature=curvature)
 
     @classmethod
     def affine(cls, const, linear, a=0.0, b=1.0):
@@ -259,6 +285,7 @@ class HermitianPath:
             b,
             num_samples=2,
             derivative=lambda t: linear,
+            curvature=0.0,
         )
         path._slopes = np.array([_sym_norm2(linear)])
         return path
@@ -287,6 +314,8 @@ class HermitianPath:
     def derivative_at(self, t, h=None):
         if self._derivative is not None:
             return np.asarray(self._derivative(t), dtype=float)
+        if self._func is None:
+            return self.segment_slope(self.segment(t))
         if h is None:
             h = 1e-5 * (self.b - self.a)
         t1 = max(self.a, t - h)
@@ -294,26 +323,25 @@ class HermitianPath:
         return (self.evaluate(t2) - self.evaluate(t1)) / (t2 - t1)
 
     def slope_norms(self):
-        """||dA/dt||_2 on each sample segment where the path is affine
-        between its samples, else None.
+        """A bound beta_seg >= sup ||dA/dt||_2 on each sample segment, or
+        None for a callable that declares no curvature bound.
 
-        Set by ``affine`` (||B||_2) and computed once, by one stacked
-        eigvalsh of the sample differences, for a path interpolated
-        between its samples.  A path given by any other callable returns
-        None (see ``_chords``)."""
-        if self._slopes is None and self._func is None:
-            v = self.values
-            eigs = _eigvalsh_stacked(
-                self.n, len(v) - 1, lambda i, out: np.subtract(v[i + 1], v[i], out=out)
-            )
-            self._slopes = np.abs(eigs).max(axis=1, initial=0.0) / np.diff(self.t_samples)
+        beta_seg = ||A'(m)||_2 + gamma * len / 2 at the segment's middle m
+        (module docstring), exact (||B||_2) where the path is affine: set
+        by ``affine``, else taken once by one stacked eigvalsh of the
+        segment slopes."""
+        if self._slopes is None and self.curvature is not None:
+            lens = np.diff(self.t_samples)
+            eigs = _eigvalsh_stacked(self.n, lens.size, lambda i, out: np.copyto(out, self.segment_slope(i)))
+            self._slopes = np.abs(eigs).max(axis=1, initial=0.0) + 0.5 * self.curvature * lens
         return self._slopes
 
     def chord_norms(self, l, r):
-        """Exact ||A(l) - A(r)||_2 where the path is affine, else None.
+        """A bound on ||A(l) - A(r)||_2, exact where the path is affine,
+        or None for a callable that declares no curvature bound.
 
         ``l`` and ``r`` are interval ends (scalars or arrays), each
-        interval inside one sample segment: the segment's slope norm
+        interval inside one sample segment: the segment's slope bound
         (``slope_norms``) times (r - l)."""
         slopes = self.slope_norms()
         if slopes is None:
@@ -328,12 +356,12 @@ class HermitianPath:
         return min(max(i, 0), self.t_samples.size - 2)
 
     def segment_slope(self, i):
-        """dA/dt on sample segment i of a path affine between its samples:
-        the stored derivative of an ``affine`` path, else the difference
-        quotient of the segment's samples."""
-        if self._func is not None:
-            return self.derivative_at(self.t_samples[i])
+        """dA/dt at the middle of sample segment i: the difference
+        quotient of the segment's samples on a path interpolated between
+        them, else the path's derivative there."""
         ts, v = self.t_samples, self.values
+        if self._func is not None:
+            return self.derivative_at(0.5 * (ts[i] + ts[i + 1]))
         return (v[i + 1] - v[i]) / (ts[i + 1] - ts[i])
 
 
@@ -360,12 +388,6 @@ def _sym_norm2(diff):
 
     One eigvalsh in place of the SVD behind np.linalg.norm(diff, 2)."""
     return float(np.abs(np.linalg.eigvalsh(diff)).max(initial=0.0))
-
-
-def _abs_row_sum(mats):
-    """Largest absolute row sum of a matrix, or of each in a stack: for a
-    symmetric matrix an upper bound on its 2-norm, in O(n^2)."""
-    return np.abs(mats).sum(axis=-1).max(axis=-1, initial=0.0)
 
 
 # Byte budget of one stacked eigvalsh: numpy's per-call overhead dominates
@@ -400,41 +422,6 @@ def _eigvalsh_stacked(n, count, write):
     return eigs
 
 
-def _chords(path, left, right, at, limit):
-    """||A(l) - A(r)||_2 of each interval [left[j], right[j]], as far as
-    the certificate ``chord < limit`` needs it; ``limit`` is an array.
-
-    Exact where the path is affine (``HermitianPath.chord_norms``).  On
-    any other path the chord X = A(l) - A(r) is bracketed first: its
-    largest absolute row sum, an upper bound on ||X||_2, stands where it
-    is below ``limit``, and its largest row 2-norm, a lower bound (each
-    row of a symmetric X is X applied to a unit vector), stands where it
-    reaches ``limit`` with a rounding allowance of 1e-12.  Only the other
-    chords of each chunk are diagonalized, in one stacked eigvalsh; so
-    every certificate decision is the exact chord's.  On a diagonal path
-    both bounds are the 2-norm.  ``at(t)`` is A(t) at an interval end."""
-    chord = path.chord_norms(left, right)
-    if chord is not None:
-        return chord
-
-    def diff(i, out):
-        np.subtract(at(left[i]), at(right[i]), out=out)
-
-    chord = np.empty(len(left))
-    for start, stack in _chunks(path.n, len(left), diff):
-        rows = slice(start, start + len(stack))
-        norms = _abs_row_sum(stack)
-        hard = norms >= limit[rows]
-        if hard.any():
-            low = np.sqrt(np.einsum("kij,kij->ki", stack, stack).max(axis=-1, initial=0.0))
-            norms[hard] = low[hard]
-            hard &= low < limit[rows] * (1.0 + 1e-12)
-        if hard.any():
-            norms[hard] = np.abs(np.linalg.eigvalsh(stack[hard])).max(axis=1, initial=0.0)
-        chord[rows] = norms
-    return chord
-
-
 def _kernel(path, t, tol, delta):
     """eigh of A(t) - delta, with the mask of its numerical kernel
     (|eigenvalue| < tol)."""
@@ -466,8 +453,8 @@ def _window(eigs, ker, form, beta, tol):
     """Half-width h of the crossing window (module docstring), or 0.
 
     ``eigs`` is the spectrum of A(t*) - delta with its cluster ``ker``,
-    ``form`` the eigenvalues of the crossing form of the exact slope B on
-    the segment and ``beta`` = ||B||_2.  The window holds only this
+    ``form`` the eigenvalues of the crossing form of the slope B of an
+    affine segment and ``beta`` = ||B||_2.  The window holds only this
     crossing when every zero of the cluster lies within tol / 2 of t*,
     and it is taken only when it reaches beyond that."""
     m = float(np.abs(eigs[ker]).max())
@@ -482,9 +469,10 @@ def _window(eigs, ker, form, beta, tol):
 def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
     """(record, window half-width) of the crossing located at tstar.
 
-    The window (``_window``) is taken on sample segment ``seg`` of a path
-    affine between its samples, from the same eigh as the record; it is
-    0 when ``seg`` is None."""
+    The window (``_window``) is taken on sample segment ``seg`` where the
+    path is affine, from the same eigh and crossing form as the record
+    (the derivative there is the segment slope); it is 0 when ``seg`` is
+    None."""
     eigs, vecs, ker = _kernel(path, tstar, kernel_floor, delta)
     k = int(np.count_nonzero(ker))
     if k == 0:
@@ -505,8 +493,7 @@ def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
     )
     if seg is None:
         return record, 0.0
-    form = np.linalg.eigvalsh(_compressed(w, path.segment_slope(seg)))
-    return record, _window(eigs, ker, form, float(path.slope_norms()[seg]), tol)
+    return record, _window(eigs, ker, ceigs, float(path.slope_norms()[seg]), tol)
 
 
 def _below(eigs, delta):
@@ -572,27 +559,21 @@ def _secant(spectra, partner, l, r, i, delta):
 def _flow_with_delta(path, delta, cfg, scale, spectra):
     """One refinement pass at shift delta, breadth-first (module docstring).
 
-    ``spectra`` maps each probed time to its eigenvalues; it outlives the
-    delta halvings of one spectral_flow call."""
+    ``path`` carries slope bounds.  ``spectra`` maps each probed time to
+    its eigenvalues; it outlives the delta halvings of one spectral_flow
+    call."""
     kernel_floor = cfg.kernel_threshold_rel * scale
     tol = cfg.bisection_tol
     ts = path.t_samples
     left, right = ts[:-1], ts[1:]
-    exact = path.slope_norms() is not None
+    # crossing windows need segments where the path is affine
+    affine = path.curvature == 0.0
     # intervals that the last secant step did not halve: bisected next
     halve = np.zeros(left.shape, dtype=bool)
     # the other probe of each closing pair
     partner = {}
-    # matrices held for the current level, by time; the samples are views
-    mats = dict(zip(ts.tolist(), path.values))
 
-    def at(t):
-        mat = mats.get(t)
-        if mat is None:
-            mat = mats[t] = path.evaluate(t)
-        return mat
-
-    def probe(times):
+    def probe(times, at=path.evaluate):
         times = [t for t in times if t not in spectra]
 
         def write(i, out):
@@ -603,7 +584,7 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
     def ends(times):
         return np.array([spectra[t] for t in times.tolist()]).reshape(times.size, path.n)
 
-    probe(ts[1:-1].tolist())
+    probe(ts[1:-1].tolist(), dict(zip(ts.tolist(), path.values)).__getitem__)
     crossings = []
     depth = 0
     while True:
@@ -613,7 +594,7 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
         windows = []
         for j in np.flatnonzero(narrow & (nl != nr)):
             mid = 0.5 * (left[j] + right[j])
-            seg = path.segment(mid) if exact else None
+            seg = path.segment(mid) if affine else None
             rec, h = _make_record(path, float(mid), int(nl[j] - nr[j]), delta, kernel_floor, tol, seg)
             crossings.append(rec)
             if h > 0.0:
@@ -633,24 +614,22 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
                 x[~drop] for x in (left, right, el, er, nl, nr, halve)
             )
         # Per-branch certificate (module docstring): by Weyl's inequality
-        # the i-th sorted eigenvalue moves by at most ||A(l) - A(r)||_2,
-        # so on an affine interval it meets delta only if that norm
-        # reaches |el_i - delta| + |er_i - delta|.  So a branch near delta
-        # at one end does not block the certificate when it is far from
-        # delta at the other.
+        # the i-th sorted eigenvalue moves by at most the slope bound
+        # times r - l, so it meets delta only if that reaches
+        # |el_i - delta| + |er_i - delta|.  So a branch near delta at one
+        # end does not block the certificate when it is far from delta at
+        # the other.  Only an interval whose end counts agree can be
+        # certified.
         reach = np.min(np.abs(el - delta) + np.abs(er - delta), axis=1)
-        # only an interval whose end counts agree can be certified
-        ask = nl == nr
-        chord = np.full(left.shape, np.inf)
-        chord[ask] = _chords(path, left[ask], right[ask], at, 0.5 * reach[ask])
-        split = ~ask | ~(chord < 0.5 * reach)
+        cross = nl != nr
+        split = cross | ~(path.chord_norms(left, right) < 0.5 * reach)
         if not split.any() and not used:
             break
         if depth >= cfg.refine_max_depth:
             raise SpectralFlowError("adaptive refinement depth exceeded")
-        # where the chords are exact, an interval whose end counts differ
-        # is split at its secant point (module docstring)
-        sec = split & ~ask & ~halve if exact else np.zeros_like(split)
+        # an interval whose end counts differ is split at its secant
+        # point (module docstring)
+        sec = cross & ~halve
         l, r = left[split & ~sec], right[split & ~sec]
         m = 0.5 * (l + r)
         lefts, rights, halves = [l, m], [m, r], [np.zeros(2 * m.size, dtype=bool)]
@@ -675,9 +654,6 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
             halves.append(np.zeros(pl.size, dtype=bool))
         times += [t for w in used for t in w[:2]]
         left, right, halve = (np.concatenate(x) for x in (lefts, rights, halves))
-        # a callable path needs the next level's ends for its chords
-        keep = () if exact else set(l.tolist()) | set(r.tolist())
-        mats = {t: mats[t] for t in keep if t in mats}
         probe(times)
         for lo, hi, sig in used:
             if _below(spectra[lo], delta) - _below(spectra[hi], delta) != sig:
@@ -692,8 +668,15 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
         delta_used=delta,
         crossings=crossings,
         refinement_depth=depth,
-        method="crossing",
     )
+
+
+def _bounded(path):
+    """(path, method) for the refinement: the path itself when it carries
+    slope bounds, else its sample interpolant (module docstring)."""
+    if path.slope_norms() is not None:
+        return path, "crossing"
+    return HermitianPath(path.t_samples, path.values), "interpolant"
 
 
 def spectral_flow(path, cfg=None):
@@ -705,6 +688,8 @@ def spectral_flow(path, cfg=None):
     path is numerically degenerate.  The report's sf always equals the
     sum of recorded crossing signatures; in endpoint-count mode only the
     endpoint eigenvalue counts are used and no crossings are recorded.
+    A callable that declares no curvature bound is refined as its sample
+    interpolant, and the report's method says so.
     """
     if cfg is None:
         cfg = SpectralFlowConfig()
@@ -717,25 +702,34 @@ def spectral_flow(path, cfg=None):
         return SpectralFlowReport(
             sf=sf, delta_used=delta, crossings=[], refinement_depth=0, method="endpoint-count"
         )
+    path, method = _bounded(path)
     delta0 = _initial_shift(eigs_a, eigs_b, scale, cfg)
     err = None
     for halving in range(cfg.max_halvings + 1):
         delta = delta0 / 2.0**halving
         try:
-            return _flow_with_delta(path, delta, cfg, scale, spectra)
+            report = _flow_with_delta(path, delta, cfg, scale, spectra)
         except _DegenerateCrossing as exc:
             err = exc
+            continue
+        report.method = method
+        return report
     raise SpectralFlowError(
         "no admissible shift after %d halvings: %s" % (cfg.max_halvings, err)
     )
 
 
-def sf_direct_sum(p1, p2, cfg=None):
-    """Spectral flow of the block-diagonal join of two paths.
+def _joined_curvature(p1, p2):
+    """The larger of two paths' curvature bounds, or None when one has
+    none: the bound of their direct sum and of their concatenation."""
+    if p1.curvature is None or p2.curvature is None:
+        return None
+    return max(p1.curvature, p2.curvature)
 
-    When both paths are affine between their samples (``_affine_pieces``),
-    so is the join on the union of their grids, and it is interpolated
-    there: its chords stay exact, the larger of the two parts' chords."""
+
+def sf_direct_sum(p1, p2, cfg=None):
+    """Spectral flow of the block-diagonal join of two paths, sampled on
+    the union of their grids."""
     if abs(p1.a - p2.a) > 1e-12 or abs(p1.b - p2.b) > 1e-12:
         raise ValueError("direct sum requires a common parameter domain")
     n1, n2 = p1.n, p2.n
@@ -752,19 +746,9 @@ def sf_direct_sum(p1, p2, cfg=None):
         out[n1:, n1:] = p2.derivative_at(t)
         return out
 
-    if _affine_pieces(p1) and _affine_pieces(p2):
-        grid = np.union1d(p1.t_samples, p2.t_samples[1:-1])
-        joined = HermitianPath(grid, _sample(f, grid), derivative=df)
-    else:
-        num = max(p1.t_samples.size, p2.t_samples.size, 9)
-        joined = HermitianPath.from_callable(f, p1.a, p1.b, num_samples=num, derivative=df)
+    grid = np.union1d(p1.t_samples, p2.t_samples[1:-1])
+    joined = HermitianPath(grid, _sample(f, grid), derivative=df, func=f, curvature=_joined_curvature(p1, p2))
     return spectral_flow(joined, cfg).sf
-
-
-def _affine_pieces(path):
-    """Whether the path is affine between its samples, so that
-    ``chord_norms`` is exact on it."""
-    return path._func is None or path._slopes is not None
 
 
 def _joins(p1, p2):
@@ -774,7 +758,8 @@ def _joins(p1, p2):
 
 
 def sf_concat(p1, p2, cfg=None):
-    """Spectral flow of the concatenation (p2 reparametrized after p1)."""
+    """Spectral flow of the concatenation (p2 reparametrized after p1),
+    sampled on the union of their grids."""
     if not _joins(p1, p2):
         raise ValueError("concatenation endpoints do not match")
     offset = p1.b - p2.a
@@ -786,14 +771,8 @@ def sf_concat(p1, p2, cfg=None):
     def df(t):
         return p1.derivative_at(t) if t <= junction else p2.derivative_at(t - offset)
 
-    grid = np.unique(
-        np.concatenate([p1.t_samples, p2.t_samples + offset])
-    )
-    vals = _sample(f, grid)
-    # two paths affine between their samples join into one interpolated
-    # on the union grid, whose chords are exact
-    exact = _affine_pieces(p1) and _affine_pieces(p2)
-    joined = HermitianPath(grid, vals, derivative=df, func=None if exact else f)
+    grid = np.unique(np.concatenate([p1.t_samples, p2.t_samples + offset]))
+    joined = HermitianPath(grid, _sample(f, grid), derivative=df, func=f, curvature=_joined_curvature(p1, p2))
     return spectral_flow(joined, cfg).sf
 
 

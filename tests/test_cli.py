@@ -6,6 +6,7 @@ byte-identical JSON payloads, and exit codes must encode the outcome
 """
 
 import csv
+import hashlib
 import json
 import threading
 
@@ -207,3 +208,23 @@ def test_commands_start_no_threads(tmp_path, monkeypatch):
     out = str(tmp_path / "o.json")
     assert run_cli(["otsf", "--seed", "1", "--trials", "3", "--out", out]) == 0
     assert run_cli(["swcheck", "--cutoff", "2", "--trials", "2", "--out", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["otsf", "--seed", "1", "--trials", "10", "--dim", "6"],
+            "77cd1013d58ff14402729b7f07d0991c52f8891a677ea6b098f683243b9affdc",
+        ),
+        (["wallcross"], "32b26a6c1895c7a7c2cd17726b177b94a582b85f2189d534c22f3ac81592a053"),
+    ],
+)
+def test_integer_payloads_are_pinned(tmp_path, args, digest):
+    # These payloads carry only integers, flags and ids, so their bytes
+    # must not depend on the host.  The torus and swcheck payloads carry
+    # residuals and eigenvalues whose last digits depend on the BLAS
+    # build, so they are not pinned.
+    out = tmp_path / "p.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

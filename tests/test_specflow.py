@@ -228,8 +228,6 @@ def test_sym_norm2_matches_svd_norm():
         d = rng.standard_normal((n, n))
         d = d + d.T
         assert sf._sym_norm2(d) == pytest.approx(np.linalg.norm(d, 2), rel=1e-12)
-        # the row-sum bound tried before a callable chord is diagonalized
-        assert sf._abs_row_sum(d) >= sf._sym_norm2(d)
 
 
 def test_exact_chord_matches_the_diagonalized_chord():
@@ -271,8 +269,9 @@ def test_affine_refinement_takes_no_two_norm(monkeypatch):
 
 def test_joins_of_affine_paths_keep_exact_chords(monkeypatch):
     # direct sums and concatenations of affine and sampled paths are
-    # affine between samples: no chord is bounded by row sums or
-    # diagonalized, and the flow is additive
+    # affine between samples: they inherit curvature 0, so they are
+    # refined with exact slope norms, not as interpolants, and the flow
+    # is additive
     rng = np.random.default_rng(45)
     parts = []
     for n in (2, 3, 4):
@@ -281,15 +280,18 @@ def test_joins_of_affine_paths_keep_exact_chords(monkeypatch):
         vals = vals + vals.transpose(0, 2, 1)
         parts.append((affine(rng, n), sf.HermitianPath(grid, vals)))
 
-    def refuse(mats):
-        raise AssertionError("a chord was bounded on a join of affine paths")
+    flow = sf._flow_with_delta
+
+    def exact(path, *args):
+        assert path.curvature == 0.0 and path.slope_norms() is not None
+        return flow(path, *args)
 
     for p1, p2 in parts:
         flows = [sf.spectral_flow(p).sf for p in (p1, p2)]
         cont = sf.HermitianPath.affine(p1.values[-1], p1.values[-1] - p1.values[0], 0.0, 2.0)
         cont_sf = sf.spectral_flow(cont).sf
         with monkeypatch.context() as m:
-            m.setattr(sf, "_abs_row_sum", refuse)
+            m.setattr(sf, "_flow_with_delta", exact)
             assert sf.sf_direct_sum(p1, p2) == sum(flows)
             assert sf.sf_direct_sum(p1, p1) == 2 * flows[0]
             assert sf.sf_concat(p1, cont) == flows[0] + cont_sf
@@ -317,99 +319,166 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
         assert solves[:2] == [(6, 6), (6, 6)]
         assert len(solves) <= 2 + rep.refinement_depth
 
-    # the n = 255 magnetic tower is callable and curved: a level takes
-    # at most one stacked solve per chunk for the chords its bounds do
-    # not settle, and one per chunk for its new midpoints.  Chords cannot
-    # join the midpoint solve: which chords a level needs is known only
-    # from the spectra of its ends.  A depth-first refinement takes 180
-    # separate solves of this path.
+    # the n = 255 magnetic tower declares no curvature bound, so it is
+    # refined as its interpolant: one stacked solve per chunk of its
+    # samples, of its segment slopes, and of each level's new probes.
+    # A depth-first refinement takes 180 separate solves of this path.
     path = tm.magnetic_family_path(3, 8)
     n = path.n
     per = sf._per_chunk(n)
     chunks = lambda count: -(-count // per)
-    levels = []  # per level: (chords asked, their solves, midpoint solves)
     probes = []  # (matrices, solves) of each stacked probe
-    chords, stacked = sf._chords, sf._eigvalsh_stacked
-
-    def level(path_, left, *args):
-        calls = len(shapes)
-        out = chords(path_, left, *args)
-        levels.append([len(left), len(shapes) - calls, 0])
-        return out
+    stacked = sf._eigvalsh_stacked
 
     def probe(n_, count, write):
         calls = len(shapes)
         eigs = stacked(n_, count, write)
         probes.append((count, len(shapes) - calls))
-        if levels:
-            levels[-1][2] += len(shapes) - calls
         return eigs
 
-    monkeypatch.setattr(sf, "_chords", level)
     monkeypatch.setattr(sf, "_eigvalsh_stacked", probe)
     shapes.clear()
     rep = sf.spectral_flow(path)
     assert rep.sf == -3
+    assert rep.method == "interpolant"
     # the crossing records take small eigvalsh of their crossing forms
     big = [s for s in shapes if s[-1] == n]
     assert big[:2] == [(n, n), (n, n)]
     assert all(len(s) == 3 and s[0] <= per for s in big[2:])
-    assert len(levels) == rep.refinement_depth + 1
-    # the samples, then one probe of the new midpoints per level
-    assert len(probes) == rep.refinement_depth + 1
+    # the 15 inner samples, the 16 segment slopes, then one probe per level
+    assert [count for count, _ in probes[:2]] == [15, 16]
+    assert len(probes) == rep.refinement_depth + 2
     assert all(solves == chunks(count) for count, solves in probes)
-    for (asked, chord_solves, midpoint_solves), (count, _) in zip(levels, probes[1:] + [(0, 0)]):
-        assert chord_solves <= chunks(asked)
-        assert midpoint_solves == chunks(count)
     # no other solve of the path's size
-    assert 2 + sum(lv[1] for lv in levels) + sum(s for _, s in probes) == len(big)
+    assert 2 + sum(s for _, s in probes) == len(big)
     assert 2 + sum(s[0] for s in big[2:]) <= 180
 
 
-def test_diagonal_tower_diagonalizes_no_chord(monkeypatch):
-    # on a diagonal path the largest row 2-norm of a chord is its 2-norm,
-    # so every chord the row-sum bound leaves open is failed by the lower
-    # bound without an eigvalsh
-    chords, eigvalsh = sf._chords, np.linalg.eigvalsh
-    inside = []
-    solved = []
-
-    def counting(a, *args, **kwargs):
-        if inside:
-            solved.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    def watched(*args):
-        inside.append(True)
-        try:
-            return chords(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    monkeypatch.setattr(sf, "_chords", watched)
-    rep = sf.spectral_flow(tm.magnetic_family_path(3, 8))
-    assert rep.sf == -3
-    assert rep.refinement_depth > 0
-    assert solved == []
+def test_tower_interpolant_keeps_the_true_crossings():
+    # the tower's zero branches -sign(d)(k + r) are linear, so its sample
+    # interpolant crosses delta where the tower does: once, at r = delta
+    # (d < 0) or r = 1 - delta (d > 0), with a |d|-dimensional kernel
+    cfg = sf.SpectralFlowConfig()
+    for flux in (-2, 3):
+        rep = sf.spectral_flow(tm.magnetic_family_path(flux, 8), cfg)
+        assert rep.method == "interpolant"
+        assert rep.sf == -flux
+        [rec] = rep.crossings
+        want = rep.delta_used if flux < 0 else 1.0 - rep.delta_used
+        assert abs(rec.t - want) <= cfg.bisection_tol
+        assert (rec.kernel_dim, rec.crossing_signature) == (abs(flux), -flux)
 
 
-def test_bounded_chords_decide_as_the_exact_chords():
-    # limits spread across and near the exact chords: every decision
-    # chord < limit, bounded or diagonalized, is the exact chord's
+def test_slope_bounds_cover_the_chords():
+    # beta_seg = ||A'(m)||_2 + gamma len / 2 bounds ||A(l) - A(r)||_2 /
+    # (r - l) on every interval inside a segment of a curved path
     rng = np.random.default_rng(45)
-    a, b = rng.standard_normal((2, 6, 6))
-    path = sf.HermitianPath.from_callable(lambda t: a + a.T + np.sin(3.0 * t) * (b + b.T), 0.0, 1.0)
-    left = rng.uniform(0.0, 0.5, 60)
-    right = left + rng.uniform(0.0, 0.5, 60)
-    exact = np.array([sf._sym_norm2(path.evaluate(l) - path.evaluate(r)) for l, r in zip(left, right)])
-    for limit in (
-        exact * rng.uniform(0.3, 2.0, exact.size),
-        exact * (1.0 + 1e-9),
-        exact * (1.0 - 1e-9),
-    ):
-        got = sf._chords(path, left, right, path.evaluate, limit)
-        assert np.array_equal(got < limit, exact < limit)
+    a, b = (m + m.T for m in rng.standard_normal((2, 6, 6)))
+    path = sf.HermitianPath.from_callable(
+        lambda t: a + np.sin(3.0 * t) * b,
+        0.0,
+        1.0,
+        derivative=lambda t: 3.0 * np.cos(3.0 * t) * b,
+        curvature=9.0 * sf._sym_norm2(b),
+    )
+    ts = path.t_samples
+    seg = rng.integers(0, ts.size - 1, 60)
+    left, right = np.sort(rng.uniform(ts[seg], ts[seg + 1], (2, seg.size)), axis=0)
+    chords = np.array([sf._sym_norm2(path.evaluate(l) - path.evaluate(r)) for l, r in zip(left, right)])
+    assert np.all(chords <= path.chord_norms(left, right) * (1.0 + 1e-12))
+    bare = sf.HermitianPath.from_callable(lambda t: a + np.sin(3.0 * t) * b, 0.0, 1.0)
+    assert bare.curvature is None and bare.chord_norms(left, right) is None
+    with pytest.raises(ValueError):
+        sf.HermitianPath.from_callable(lambda t: a + np.sin(3.0 * t) * b, 0.0, 1.0, curvature=1.0)
+
+
+def test_a_dip_inside_one_segment_is_found_through_the_curvature(monkeypatch):
+    # an eigenvalue dips through delta = 1/4 and returns inside the
+    # sample segment [0, 1/2], where A'(1/4) = 0: the segment's slope
+    # bound is gamma len / 2 alone, and without it the segment would be
+    # certified with both crossings inside.  A curved path takes no
+    # crossing window.
+    q, _ = np.linalg.qr(np.random.default_rng(49).standard_normal((3, 3)))
+    gamma = 16.0
+
+    def at(t, d=0):
+        lam = [-0.1 + 0.5 * gamma * (t - 0.25) ** 2, gamma * (t - 0.25)][d]
+        return q @ np.diag([lam, 1.0 - d, 2.0 - 2.0 * d]) @ q.T
+
+    path = sf.HermitianPath.from_callable(
+        at, -1.0, 1.0, num_samples=5, derivative=lambda t: at(t, 1), curvature=gamma
+    )
+    cfg = sf.SpectralFlowConfig()
+    made = watch_records(monkeypatch)
+    rep = sf.spectral_flow(path, cfg)
+    assert (rep.method, rep.sf, rep.delta_used) == ("crossing", 0, 0.25)
+    assert all(h == 0.0 for _, h, _ in made)
+    half = np.sqrt(2.0 * (0.25 + 0.1) / gamma)
+    assert [r.crossing_signature for r in rep.crossings] == [-1, 1]
+    for rec, want in zip(rep.crossings, (0.25 - half, 0.25 + half)):
+        assert abs(rec.t - want) <= cfg.bisection_tol
+        assert rec.kernel_dim == 1
+
+
+def test_callable_without_curvature_is_refined_as_its_interpolant():
+    rng = np.random.default_rng(50)
+    cfg = sf.SpectralFlowConfig()
+    count = sf.SpectralFlowConfig(endpoint_count_only=True)
+    for _ in range(10):
+        a, b, c = (m + m.T for m in rng.standard_normal((3, 5, 5)))
+        path = sf.HermitianPath.from_callable(lambda t: a + t * b + np.sin(2.0 * t) * c, -1.0, 1.0, 9)
+        rep = sf.spectral_flow(path, cfg)
+        assert rep.method == "interpolant"
+        assert rep.sf == sf.spectral_flow(path, count).sf
+        interpolant = sf.HermitianPath(path.t_samples, path.values)
+        floor = cfg.kernel_threshold_rel * max(1.0, np.abs(path.values).max())
+        for rec in rep.crossings:
+            eigs = np.linalg.eigvalsh(interpolant.evaluate(rec.t))
+            assert np.abs(eigs - rep.delta_used).min() < floor
+
+
+def pencil_crossings(path, delta):
+    """Sorted [t, multiplicity] of the crossings of delta on a path affine
+    between its samples.  On the segment [a, a'] with slope B, A(t) - delta
+    = (A(a) - delta)(I + (t - a) M) with M = (A(a) - delta)^-1 B, so the
+    crossings there are t = a - 1/mu for the real eigenvalues mu of M."""
+    ts = path.t_samples
+    times = []
+    for i in range(ts.size - 1):
+        shifted = path.values[i] - delta * np.eye(path.n)
+        mu = np.linalg.eigvals(np.linalg.solve(shifted, path.segment_slope(i)))
+        mu = mu[(np.abs(mu.imag) <= 1e-9 * np.abs(mu)) & (mu != 0.0)].real
+        t = ts[i] - 1.0 / mu
+        times += t[(t > ts[i]) & (t < ts[i + 1])].tolist()
+    clusters = []
+    for t in sorted(times):
+        if clusters and t - clusters[-1][0] < 1e-9:
+            clusters[-1][1] += 1
+        else:
+            clusters.append([t, 1])
+    return clusters
+
+
+def test_records_are_the_pencil_crossings():
+    # every record's t lies within bisection_tol (plus a rounding
+    # allowance) of a crossing of the pencil, with the crossing's
+    # multiplicity as its kernel dimension, and no crossing is missed
+    rng = np.random.default_rng(41)
+    cfg = sf.SpectralFlowConfig()
+    paths = [affine(rng, int(rng.integers(2, 7))) for _ in range(40)]
+    for _ in range(20):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(2, 10))
+        vals = rng.standard_normal((k, n, n))
+        grid = np.sort(rng.uniform(-1.0, 1.0, k))
+        paths.append(sf.HermitianPath(grid, vals + vals.transpose(0, 2, 1)))
+    paths.append(sf.HermitianPath.affine(np.diag([0.0, 0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 1.0, 0.0]), -1.0, 1.0))
+    for path in paths:
+        rep = sf.spectral_flow(path, cfg)
+        want = pencil_crossings(path, rep.delta_used)
+        assert len(rep.crossings) == len(want)
+        for rec, (t, k) in zip(rep.crossings, want):
+            assert abs(rec.t - t) <= cfg.bisection_tol + 1e-12
+            assert rec.kernel_dim == k
 
 
 def test_magnetic_tower_flow_holds_few_matrices():
