@@ -32,18 +32,38 @@ curved path through its curvature bound.  A callable that declares no
 curvature bound is transported as its sample interpolant, which has the
 endpoints and so the transported sign of the callable.
 
-The scan pops its open intervals best first, the one whose smaller end
-margin is least (a heap), so a scan that must fail reaches a margin
-below the trigger early; a scan that certifies probes the same times in
-any order, since each interval's fate depends only on its own ends.  A
-probe whose margin lies between the trigger and the collection level
-also takes one Newton step on sigma_min, whose slope is u^T T'(t) v[:n]
-with u and v the singular vectors of sigma_min from that probe's own
-SVD, and probes that point once: the scan fails there when it
-triggers, and the point is dropped otherwise.
+The scan is level-synchronous, like the flow route's refinement: each
+level certifies all of its open intervals with one broadcast chord
+bound, then probes all of their midpoints with one stacked SVD of
+[T_t K] per chunk of ``specflow._STACK_BYTES``.  When K is empty, [T] is
+symmetric and sigma_min is its least |eigenvalue|, so the level takes one
+stacked eigvalsh and an SVD only at the probes below the collection
+level.  A probe whose margin lies between the trigger and the collection
+level takes one Newton step on sigma_min, whose slope is u^T T'(t) v[:n]
+with u and v the singular vectors of sigma_min from that probe's SVD;
+the level's Newton points take one more stacked SVD.  When a probe of a
+level, or else one of its Newton points, triggers, the scan fails with
+the near-cokernel of the triggering probe of least margin.  A scan that
+certifies probes the same times in any order, since each interval's
+fate depends only on its own ends.
+
+The transported sign from frame overlaps.  Let B_k be the kernel basis of
+[T K] at the k-th certified probe and O_k = B_{k+1}^T B_k.  The frame is
+carried from probe to probe by projection and symmetric
+re-orthonormalization: frame_{k+1} = polar(B_{k+1} B_{k+1}^T frame_k).
+Writing frame_k = B_k R_k with R_k orthogonal, the projection is
+B_{k+1} O_k R_k, so R_{k+1} = polar(O_k) R_k, and the step is valid when
+the singular values of O_k are at least 1/2 (a step that fails this is
+cut at its midpoint, down to refine_max_depth).  Since
+sgn det polar(O) = sgn det O, the end block is
+
+    det(frame_N[n:]) = det(B_N[n:]) * prod_k sgn det O_k * det R_0,
+
+with R_0 the initial frame's rotation (folded into B_0).  So no frame is
+carried: one stacked product for the O_k, one stacked SVD of their
+singular values for the check and one stacked det give the sign.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +93,24 @@ class TransportReport:
 
 
 def _rank(s):
-    """Numerical rank from singular values in descending order."""
-    return int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
+    """Numerical rank from singular values, or eigenvalue magnitudes, along
+    the last axis."""
+    top = s.max(axis=-1, keepdims=True, initial=0.0)
+    return np.count_nonzero((s > 1e-10 * top) & (top > 0), axis=-1)
 
 
-def _block_svd(mat, K):
-    """One full SVD of [T K]: (u, singular values, kernel basis, right
-    singular vector of the smallest singular value).  [T K] has n rows
-    and at least n columns, so it has n singular values."""
-    block = np.hstack([mat, K])
-    u, s, vt = np.linalg.svd(block, full_matrices=True)
-    return u, s, vt[_rank(s) :].T, vt[s.size - 1]
+def _block_svds(path, K, times):
+    """Full SVDs (u, s, vt) of [T_t K] at each of ``times``, stacked along a
+    leading axis: one svd per chunk of ``specflow._STACK_BYTES``.  [T K]
+    has n rows and at least n columns, so it has n singular values."""
+    n = path.n
+
+    def fill(start, out):
+        path.evaluate_into(times[start : start + len(out)], out[:, :, :n])
+        out[:, :, n:] = K
+
+    parts = [np.linalg.svd(stack) for _, stack in sfmod._chunks(len(times), (n, n + K.shape[1]), fill)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _scan_stabilizer(path, K, scale, cfg):
@@ -91,87 +118,73 @@ def _scan_stabilizer(path, K, scale, cfg):
 
     A probe triggers below a margin of 1e-6 scale (``scale`` as in
     ``_collect_stabilizer``) and collects the directions below 1e-3 scale.
-
-    An interval [l, r] is certified once move < (ml + mr) / 2, with ml,
-    mr the smallest singular values of [T K] at its ends and move the
-    path's bound on the chord ||T(l) - T(r)||_2 (``path`` carries slope
-    bounds): Weyl's inequality for singular values bounds
-    sigma_min [T_t K] >= (ml + mr - move) / 2 > (ml + mr) / 4 inside it.
-    Each probe takes one SVD.
-
-    Open intervals are split best first: the one whose smaller end
-    margin is least, so a scan that fails reaches its trigger early.  A
-    scan that certifies probes the same times in any order.  A probe
-    whose margin lies in [trigger, collect) also takes one Newton step
-    on sigma_min, whose slope u^T T'(t) v[:n] comes from that probe's
-    own singular vectors, and probes that point once: the scan fails
-    there if it triggers, and the point is dropped otherwise.
+    Intervals are certified by move < (ml + mr) / 2, level by level, with
+    Newton points and the failing probe as in the module docstring.
 
     Returns (certified, new_directions, bases): on success ``bases``
     maps each probed time, in increasing order, to the kernel basis of
-    [T K] there; the probes are dense enough that every interval between
-    neighbours is certified."""
+    [T K] there; every interval between neighbours is certified."""
     trigger, collect_tol = 1e-6 * scale, 1e-3 * scale
-    margins, bases = {}, {}
+    n, v = path.n, K.shape[1]
+    bases = {}
 
-    def cokernel(u, s):
-        """Near-cokernel directions when the margin is below the trigger."""
-        return u[:, s < collect_tol] if s[-1] < trigger else None
+    def probe(times):
+        """(margins, None) at ``times``, keeping each kernel basis, or
+        (None, near-cokernel directions) when a probe or its Newton point
+        triggers."""
+        if v:
+            u, s, vt = _block_svds(path, K, times)
+            margins = s[:, -1]
+            bases.update(zip(times.tolist(), (w[r:].T for w, r in zip(vt, _rank(s).tolist()))))
+            low = np.flatnonzero(margins < collect_tol)
+            u, s, vt = u[low], s[low], vt[low]
+        else:
+            eigs = sfmod._eigvalsh_stacked(n, times.size, sfmod._fill_at(path, times))
+            margins = np.abs(eigs).min(axis=1)
+            bases.update(zip(times.tolist(), [np.zeros((n, 0))] * times.size))
+            low = np.flatnonzero(margins < collect_tol)
+            if low.size:
+                u, s, vt = _block_svds(path, K, times[low])
+                margins[low] = s[:, -1]
+        hit = margins[low] < trigger
+        if low.size and not hit.any():
+            near = times[low]
+            slope = np.array([u[j, :, -1] @ path.derivative_at(t) @ vt[j, n - 1, :n] for j, t in enumerate(near.tolist())])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(slope != 0.0, near - s[:, -1] / slope, near)
+            step = step[(path.a <= step) & (step <= path.b) & (step != near)]
+            if step.size:
+                u, s, _ = _block_svds(path, K, step)
+                hit = s[:, -1] < trigger
+        if not hit.any():
+            return margins, None
+        j = np.flatnonzero(hit)[np.argmin(s[hit, -1])]
+        return None, u[j][:, s[j] < collect_tol]
 
-    def probe(t):
-        """Near-cokernel directions when the margin at t, or at its Newton
-        point, is below the trigger, else None."""
-        u, s, basis, v = _block_svd(path.evaluate(t), K)
-        dirs = cokernel(u, s)
-        if dirs is None and s[-1] < collect_tol:
-            slope = u[:, -1] @ path.derivative_at(t) @ v[: path.n]
-            step = t - s[-1] / slope if slope else t
-            if path.a <= step <= path.b and step != t:
-                dirs = cokernel(*_block_svd(path.evaluate(step), K)[:2])
-        if dirs is None:
-            margins[t] = float(s[-1])
-            bases[t] = basis
-        return dirs
-
-    def certified(left, right):
-        """Whether each interval [left[j], right[j]] is certified."""
-        limit = 0.5 * np.array([margins[l] + margins[r] for l, r in zip(left, right)])
-        return path.chord_norms(np.array(left), np.array(right)) < limit
-
-    heap = []
-
-    def push(l, r, depth):
-        heapq.heappush(heap, (min(margins[l], margins[r]), l, r, depth))
-
-    ts = path.t_samples.tolist()
-    for t in ts:
-        dirs = probe(t)
+    ts = path.t_samples
+    margins, dirs = probe(ts)
+    if dirs is not None:
+        return False, dirs, None
+    left, right, ml, mr = ts[:-1], ts[1:], margins[:-1], margins[1:]
+    for depth in range(cfg.refine_max_depth + 1):
+        split = ~(path.chord_norms(left, right) < 0.5 * (ml + mr))
+        if not split.any():
+            return True, None, dict(sorted(bases.items()))
+        if depth == cfg.refine_max_depth:
+            raise OrientationTransportError("cannot certify the stabilizer: refinement depth exceeded")
+        left, right, ml, mr = (x[split] for x in (left, right, ml, mr))
+        mid = 0.5 * (left + right)
+        mm, dirs = probe(mid)
         if dirs is not None:
             return False, dirs, None
-    for l, r, ok in zip(ts[:-1], ts[1:], certified(ts[:-1], ts[1:])):
-        if not ok:
-            push(l, r, 0)
-    while heap:
-        _, l, r, depth = heapq.heappop(heap)
-        if depth >= cfg.refine_max_depth:
-            raise OrientationTransportError(
-                "cannot certify the stabilizer: refinement depth exceeded"
-            )
-        m = 0.5 * (l + r)
-        dirs = probe(m)
-        if dirs is not None:
-            return False, dirs, None
-        for (a, b), ok in zip([(l, m), (m, r)], certified([l, m], [m, r])):
-            if not ok:
-                push(a, b, depth + 1)
-    return True, None, dict(sorted(bases.items()))
+        left, right, ml, mr = (np.concatenate(x) for x in ((left, mid), (mid, right), (ml, mm), (mm, mr)))
 
 
 def _orthonormalize(cols):
     if cols.shape[1] == 0:
         return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, : _rank(s)]
+    return u[:, : int(_rank(s))]
 
 
 def _collect_stabilizer(path, cfg, scale):
@@ -193,45 +206,41 @@ def _collect_stabilizer(path, cfg, scale):
 
 
 def _transport_frame(path, K, bases, rng, cfg):
-    """Parallel-transport a kernel frame along the certified probes;
-    returns both endpoint stabilizer-block determinants.
-
-    ``bases`` maps each probed time, in increasing order, to the kernel
-    basis of [T K] from the scan's SVD; only frame sub-steps between
-    probes take new SVDs."""
-    n = path.n
-    v = K.shape[1]
-    grid = list(bases)
-    frame = bases[grid[0]]
-    if frame.shape[1] != v:
+    """Both endpoint stabilizer-block determinants of the kernel frame
+    carried along the probes of ``bases`` (time to kernel basis of [T K],
+    in increasing order), from the signs of the frame overlaps (module
+    docstring).  Sub-steps take one stacked SVD per level."""
+    n, v = path.n, K.shape[1]
+    stack = list(bases.values())
+    if stack[0].shape[1] != v:
         raise OrientationTransportError("kernel dimension is not the stabilizer rank")
-    if rng is not None and v > 0:
-        q, r = np.linalg.qr(rng.standard_normal((v, v)))
-        frame = frame @ q
-    det_a = float(np.linalg.det(frame[n:, :])) if v else 1.0
-
-    def advance(frame, t_next, t_cur, depth, basis=None):
-        if basis is None:
-            basis = _block_svd(path.evaluate(t_next), K)[2]
-        if basis.shape[1] != v:
+    if any(b.shape[1] != v for b in stack):
+        raise OrientationTransportError("kernel dimension changed along the path")
+    if v == 0:
+        return 1.0, 1.0
+    if rng is not None:
+        q, _ = np.linalg.qr(rng.standard_normal((v, v)))
+        stack[0] = stack[0] @ q
+    times = np.array(list(bases))
+    left, right, lb, rb = times[:-1], times[1:], np.array(stack[:-1]), np.array(stack[1:])
+    sign = 1.0
+    for depth in range(cfg.refine_max_depth + 1):
+        overlap = np.matmul(rb.transpose(0, 2, 1), lb)
+        fine = np.linalg.svd(overlap, compute_uv=False).min(axis=1) >= 0.5
+        sign *= np.prod(np.sign(np.linalg.det(overlap[fine])))
+        if fine.all():
+            break
+        if depth == cfg.refine_max_depth:
+            raise OrientationTransportError("projection between samples is rank-deficient: grid too coarse")
+        left, right, lb, rb = (x[~fine] for x in (left, right, lb, rb))
+        mid = 0.5 * (left + right)
+        _, s, vt = _block_svds(path, K, mid)
+        if np.any(_rank(s) != n):
             raise OrientationTransportError("kernel dimension changed along the path")
-        m = basis @ (basis.T @ frame)
-        if v == 0:
-            return frame
-        u, s, wt = np.linalg.svd(m, full_matrices=False)
-        if s.min() >= 0.5:
-            return u @ wt
-        if depth >= cfg.refine_max_depth:
-            raise OrientationTransportError(
-                "projection between samples is rank-deficient: grid too coarse"
-            )
-        mid = 0.5 * (t_cur + t_next)
-        return advance(advance(frame, mid, t_cur, depth + 1), t_next, mid, depth + 1, basis)
-
-    for i in range(len(grid) - 1):
-        frame = advance(frame, grid[i + 1], grid[i], 0, bases[grid[i + 1]])
-    det_b = float(np.linalg.det(frame[n:, :])) if v else 1.0
-    return det_a, det_b
+        mb = vt[:, n:].transpose(0, 2, 1)
+        left, right, lb, rb = (np.concatenate(x) for x in ((left, mid), (mid, right), (lb, mb), (mb, rb)))
+    det_a, det_b = np.linalg.det(np.array([stack[0][n:], stack[-1][n:]]))
+    return float(det_a), float(det_b * sign)
 
 
 def _transport_det(path, cfg, rng, extra_directions, full_stabilizer):
@@ -284,6 +293,8 @@ def transport_report(path, cfg=None):
     """Run both routes and package the results (endpoints invertible)."""
     if cfg is None:
         cfg = sfmod.SpectralFlowConfig()
+    # one interpolant, and one slope solve, for both routes
+    path, _ = sfmod._bounded(path)
     eps_det, vdim = _transport_det(path, cfg, None, 0, False)
     flow = sfmod.spectral_flow(path, cfg).sf
     return TransportReport(

@@ -109,8 +109,13 @@ Refinement runs breadth-first.  Each level classifies all of its open
 intervals at once, takes the certificate for the whole level by
 broadcasting, and diagonalizes all new midpoints in one stacked eigvalsh
 per chunk of at most _STACK_BYTES, with the secant probes and the
-window ends.  The spectrum of every probed time is kept across delta
-halvings, so no point of the path is diagonalized twice.
+window ends.  ``HermitianPath.evaluate_into`` writes a chunk into one
+reused buffer in one array operation: a broadcast on an affine path, a
+gather and lerp on an interpolated one.  The samples are diagonalized
+once, from their stored values, and the spectrum of every probed time is
+kept across delta halvings, so no point of the path is diagonalized
+twice.  The stabilizer scan of ``orient`` runs level by level the same
+way.
 """
 
 from dataclasses import dataclass, field
@@ -261,6 +266,8 @@ class HermitianPath:
         # bound on ||dA/dt||_2 on each sample segment: set by ``affine``,
         # else filled lazily by ``slope_norms``
         self._slopes = None
+        # (const, linear) of a path made by ``affine``
+        self._affine = None
 
     @classmethod
     def from_callable(cls, func, a, b, num_samples=33, derivative=None, curvature=None):
@@ -288,6 +295,9 @@ class HermitianPath:
             curvature=0.0,
         )
         path._slopes = np.array([_sym_norm2(linear)])
+        if {const.dtype, linear.dtype} <= {np.dtype(float), np.dtype(complex)}:
+            # broadcast by ``evaluate_into`` in the path's realified form
+            path._affine = tuple(realify_matrix(m) if path.realified else m for m in (const, linear))
         return path
 
     @property
@@ -305,11 +315,36 @@ class HermitianPath:
     def evaluate(self, t):
         if self._func is not None:
             return np.asarray(self._func(t), dtype=float)
-        ts = self.t_samples
-        t = min(max(float(t), self.a), self.b)
-        i = self.segment(t)
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        return self.evaluate_into([t], np.empty((1, self.n, self.n)))[0]
+
+    def evaluate_into(self, times, out):
+        """Write A(t) for each of ``times`` into the stack ``out``, bit for
+        bit as ``evaluate``: a broadcast on a path made by ``affine``, a
+        gather and lerp (clamped to [a, b]) on an interpolated path, else
+        a loop."""
+        times = np.asarray(times, dtype=float)
+        if self._affine is not None:
+            const, linear = self._affine
+            np.multiply(times[:, None, None], linear, out=out)
+            out += const
+        elif self._func is None:
+            ts = self.t_samples
+            t = np.clip(times, ts[0], ts[-1])
+            i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
+            w = ((t - ts[i]) / (ts[i + 1] - ts[i]))[:, None, None]
+            np.take(self.values, i, axis=0, out=out, mode="clip")
+            out *= 1.0 - w
+            # right ends in blocks of an eighth of a chunk, so the only
+            # temporary is no larger than that, or than one sample
+            step = _per_chunk(self.n) // 8 or 1
+            for s in range(0, len(out), step):
+                right = np.take(self.values, i[s : s + step] + 1, axis=0, mode="clip")
+                right *= w[s : s + step]
+                out[s : s + step] += right
+        else:
+            for j, t in enumerate(times.tolist()):
+                out[j] = self.evaluate(t)
+        return out
 
     def derivative_at(self, t, h=None):
         if self._derivative is not None:
@@ -332,7 +367,12 @@ class HermitianPath:
         segment slopes."""
         if self._slopes is None and self.curvature is not None:
             lens = np.diff(self.t_samples)
-            eigs = _eigvalsh_stacked(self.n, lens.size, lambda i, out: np.copyto(out, self.segment_slope(i)))
+
+            def fill(start, out):
+                for j, slope in enumerate(out):
+                    slope[...] = self.segment_slope(start + j)
+
+            eigs = _eigvalsh_stacked(self.n, lens.size, fill)
             self._slopes = np.abs(eigs).max(axis=1, initial=0.0) + 0.5 * self.curvature * lens
         return self._slopes
 
@@ -395,31 +435,37 @@ def _sym_norm2(diff):
 _STACK_BYTES = 1 << 21
 
 
-def _per_chunk(n):
-    """Number of n x n float matrices in one chunk of _STACK_BYTES."""
-    return max(1, _STACK_BYTES // (8 * n * n))
+def _per_chunk(n, cols=None):
+    """Number of n x cols float matrices (cols = n by default) in one
+    chunk of _STACK_BYTES."""
+    return max(1, _STACK_BYTES // (8 * n * (cols or n)))
 
 
-def _chunks(n, count, write):
-    """Yield (start, stack) for ``count`` n x n matrices in chunks of at
-    most _STACK_BYTES; ``write(i, out)`` puts matrix i into the n x n
-    array ``out``.  Every chunk reuses one buffer."""
-    per = _per_chunk(n)
-    buf = np.empty((min(per, count), n, n))
+def _chunks(count, shape, fill):
+    """Yield (start, stack) for ``count`` matrices of ``shape`` in chunks
+    of at most _STACK_BYTES; ``fill(start, stack)`` writes matrices
+    start, start + 1, ... into the stack.  Every chunk reuses one
+    buffer."""
+    per = _per_chunk(*shape)
+    buf = np.empty((min(per, count),) + shape)
     for start in range(0, count, per):
         stack = buf[: min(per, count - start)]
-        for j, out in enumerate(stack):
-            write(start + j, out)
+        fill(start, stack)
         yield start, stack
 
 
-def _eigvalsh_stacked(n, count, write):
+def _eigvalsh_stacked(n, count, fill):
     """Eigenvalues of ``count`` n x n matrices, one stacked eigvalsh per
     chunk (``_chunks``).  A row per matrix, ascending."""
     eigs = np.empty((count, n))
-    for start, stack in _chunks(n, count, write):
+    for start, stack in _chunks(count, (n, n), fill):
         eigs[start : start + len(stack)] = np.linalg.eigvalsh(stack)
     return eigs
+
+
+def _fill_at(path, times):
+    """``fill`` for ``_chunks``: the path's values at ``times``."""
+    return lambda start, out: path.evaluate_into(times[start : start + len(out)], out)
 
 
 def _kernel(path, t, tol, delta):
@@ -559,9 +605,9 @@ def _secant(spectra, partner, l, r, i, delta):
 def _flow_with_delta(path, delta, cfg, scale, spectra):
     """One refinement pass at shift delta, breadth-first (module docstring).
 
-    ``path`` carries slope bounds.  ``spectra`` maps each probed time to
-    its eigenvalues; it outlives the delta halvings of one spectral_flow
-    call."""
+    ``path`` carries slope bounds.  ``spectra`` maps each probed time,
+    every sample among them, to its eigenvalues; it outlives the delta
+    halvings of one spectral_flow call."""
     kernel_floor = cfg.kernel_threshold_rel * scale
     tol = cfg.bisection_tol
     ts = path.t_samples
@@ -573,18 +619,13 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
     # the other probe of each closing pair
     partner = {}
 
-    def probe(times, at=path.evaluate):
+    def probe(times):
         times = [t for t in times if t not in spectra]
-
-        def write(i, out):
-            out[...] = at(times[i])
-
-        spectra.update(zip(times, _eigvalsh_stacked(path.n, len(times), write)))
+        spectra.update(zip(times, _eigvalsh_stacked(path.n, len(times), _fill_at(path, times))))
 
     def ends(times):
         return np.array([spectra[t] for t in times.tolist()]).reshape(times.size, path.n)
 
-    probe(ts[1:-1].tolist(), dict(zip(ts.tolist(), path.values)).__getitem__)
     crossings = []
     depth = 0
     while True:
@@ -703,6 +744,9 @@ def spectral_flow(path, cfg=None):
             sf=sf, delta_used=delta, crossings=[], refinement_depth=0, method="endpoint-count"
         )
     path, method = _bounded(path)
+    inner = path.values[1:-1]
+    fill = lambda start, out: np.copyto(out, inner[start : start + len(out)])
+    spectra.update(zip(path.t_samples[1:-1].tolist(), _eigvalsh_stacked(path.n, len(inner), fill)))
     delta0 = _initial_shift(eigs_a, eigs_b, scale, cfg)
     err = None
     for halving in range(cfg.max_halvings + 1):

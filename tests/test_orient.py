@@ -257,11 +257,26 @@ def test_scan_certifies_a_quarter_of_the_end_margins_on_affine_paths():
             assert low >= 0.25 * (ml + mr)
 
 
+def count_decompositions(monkeypatch):
+    """Calls of np.linalg.svd and np.linalg.eigvalsh, each a stack or a
+    single matrix, by name."""
+    calls = {"svd": 0, "eigvalsh": 0}
+    for name in calls:
+
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def test_failing_scan_reaches_its_trigger_in_few_svds(monkeypatch):
     # affine paths (n = 6) with one crossing of the line at 0: with no
-    # stabilizer the scan must fail.  Best-first order and the Newton
-    # probe take 121 SVDs over these five paths; the depth-first scan
-    # took 326.
+    # stabilizer the scan must fail.  The level-synchronous scan takes one
+    # stacked eigvalsh per level and SVDs only near the trigger: 58
+    # decomposition calls over these five paths, where the best-first
+    # scan took 121 single SVDs and the depth-first scan 326.
     cfg = sf.SpectralFlowConfig()
     rng = np.random.default_rng(70)
     paths = []
@@ -270,39 +285,99 @@ def test_failing_scan_reaches_its_trigger_in_few_svds(monkeypatch):
         path = sf.HermitianPath.affine(a, b, -1.0, 1.0)
         if len(sf.spectral_flow(path).crossings) == 1:
             paths.append(path)
-    calls = [0]
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = count_decompositions(monkeypatch)
     for path in paths:
         scale = max(1.0, np.abs(path.values).max())
         certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((6, 0)), scale, cfg)
         assert not certified and dirs.shape[1] >= 1
-    assert calls[0] <= 160
+    assert calls["svd"] <= 160
+    assert calls["svd"] + calls["eigvalsh"] <= 64
 
 
-def test_newton_probe_fails_the_scan_at_its_point():
+def test_newton_probe_fails_the_scan_at_its_point(monkeypatch):
     # sigma_min = |t - 0.3| on [0, 1], collect 2e-3 and trigger 2e-6 at
-    # scale 2: the first probe below collect is 0.30078125, and its
-    # Newton step lands on 0.3, where the scan fails.  That is the 15th
-    # probe; halving down to the trigger took 29.
+    # scale 2: the first probe below collect is 0.30078125, at level 8 of
+    # the bisection, and its Newton step lands on 0.3, where the scan
+    # fails.  Nine stacked eigvalsh (levels 0 to 8) and two SVDs (the
+    # probe and its Newton point); halving down to the trigger would take
+    # 19 levels.
     path = sf.HermitianPath.affine(np.diag([-0.3, 2.0]), np.diag([1.0, 0.0]), 0.0, 1.0)
     cfg = sf.SpectralFlowConfig()
     probed = []
-    evaluate = path.evaluate
+    evaluate_into = path.evaluate_into
 
-    def watched(t):
-        probed.append(t)
-        return evaluate(t)
+    def watched(times, out):
+        probed.append(np.array(times, dtype=float))
+        return evaluate_into(times, out)
 
-    path.evaluate = watched
+    path.evaluate_into = watched
+    calls = count_decompositions(monkeypatch)
     certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((2, 0)), 2.0, cfg)
     assert not certified
     assert np.allclose(np.abs(dirs[:, 0]), [1.0, 0.0])
-    assert probed[-2] == 0.30078125
-    assert abs(probed[-1] - 0.3) < 1e-12
-    assert len(probed) == 15
+    assert probed[-2].tolist() == [0.30078125]
+    assert probed[-1].size == 1 and abs(probed[-1][0] - 0.3) < 1e-12
+    assert calls == {"svd": 2, "eigvalsh": 9}
+
+
+# ------------------------------------------------ frame transport oracle
+
+
+def polar_transport(path, K, bases, cfg):
+    """Reference frame transport: carry the kernel frame itself from probe
+    to probe by projection and symmetric re-orthonormalization (the polar
+    factor), halving a step whose projection has a singular value below
+    1/2.  Returns both endpoint stabilizer-block determinants."""
+    n = path.n
+
+    def advance(frame, t_next, t_cur, depth, basis=None):
+        if basis is None:
+            basis = np.linalg.svd(np.hstack([path.evaluate(t_next), K]))[2][n:].T
+        u, s, wt = np.linalg.svd(basis @ (basis.T @ frame), full_matrices=False)
+        if s.min() >= 0.5:
+            return u @ wt
+        assert depth < cfg.refine_max_depth
+        mid = 0.5 * (t_cur + t_next)
+        return advance(advance(frame, mid, t_cur, depth + 1), t_next, mid, depth + 1, basis)
+
+    grid = list(bases)
+    frame = bases[grid[0]]
+    det_a = np.linalg.det(frame[n:])
+    for cur, nxt in zip(grid, grid[1:]):
+        frame = advance(frame, nxt, cur, 0, bases[nxt])
+    return det_a, np.linalg.det(frame[n:])
+
+
+def test_overlap_signs_give_the_polar_transport(monkeypatch):
+    # the product of sgn det O_k gives the end determinant of the frame
+    # carried by polar steps, on the certified probes and on coarser grids
+    # whose steps need sub-steps
+    cfg = sf.SpectralFlowConfig()
+    rng = np.random.default_rng(71)
+    calls = [0]
+    svds = orient._block_svds
+
+    def counted(*args):
+        calls[0] += 1
+        return svds(*args)
+
+    monkeypatch.setattr(orient, "_block_svds", counted)
+    checked = substeps = 0
+    while checked < 12:
+        path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)), ["affine", "smooth"][checked % 2])
+        path, _ = sf._bounded(path)
+        scale = max(1.0, np.abs(path.values).max())
+        K, bases = orient._collect_stabilizer(path, cfg, scale)
+        if K.shape[1] == 0:
+            continue
+        checked += 1
+        grid = list(bases)
+        for every in (1, 4, 16, len(grid)):
+            coarse = {t: bases[t] for t in grid[::every] + grid[-1:]}
+            want = polar_transport(path, K, coarse, cfg)
+            before = calls[0]
+            got = orient._transport_frame(path, K, coarse, None, cfg)
+            substeps += calls[0] - before
+            assert np.sign(got[0] * got[1]) == np.sign(want[0] * want[1])
+            assert np.allclose(np.abs(got), np.abs(want), rtol=1e-8)
+    assert substeps > 0

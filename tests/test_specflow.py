@@ -369,6 +369,46 @@ def test_tower_interpolant_keeps_the_true_crossings():
         assert (rec.kernel_dim, rec.crossing_signature) == (abs(flux), -flux)
 
 
+def test_stacked_evaluation_is_the_pointwise_evaluation():
+    # evaluate_into writes bit for bit what evaluate returns at each time,
+    # and on interpolated paths what the scalar lerp gives: a broadcast on
+    # affine paths (a complex Hermitian one in its realified form), a
+    # gather and lerp on interpolated paths and a loop on a user callable,
+    # also into a strided stack like orient's [T K]
+    rng = np.random.default_rng(51)
+    n = 5
+    a, b, c = (m + m.T for m in rng.standard_normal((3, n, n)))
+    za, zb = (m + m.conj().T for m in rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)))
+    grid = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, 7)), [1.0]])
+    paths = [
+        sf.HermitianPath.affine(a, b, -1.0, 1.0),
+        sf.HermitianPath.affine(za, zb, -1.0, 1.0),
+        sf.HermitianPath(grid, np.array([a + np.sin(t) * b for t in grid])),
+        sf.HermitianPath(grid, np.array([za + t * t * zb for t in grid])),
+        # n = 120: the right ends are gathered two matrices at a time
+        sf.HermitianPath(grid, np.array([np.kron(np.eye(24), a + t * b) for t in grid])),
+        sf.HermitianPath.from_callable(lambda t: a + t * b + np.sin(1.7 * t) * c, -1.0, 1.0, num_samples=7),
+    ]
+    assert paths[1].realified and paths[1]._affine is not None
+
+    def lerp(path, t):
+        # the scalar interpolation, one time at a time
+        ts, t = path.t_samples, min(max(t, path.a), path.b)
+        i = path.segment(t)
+        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        return (1.0 - w) * path.values[i] + w * path.values[i + 1]
+
+    times = np.concatenate([grid, rng.uniform(-1.0, 1.0, 40), [-1.25, 1.5]])
+    for path in paths:
+        at = path.evaluate if path._func is not None else lambda t: lerp(path, t)
+        want = np.array([at(t) for t in times.tolist()])
+        assert np.array_equal(want, [path.evaluate(t) for t in times.tolist()])
+        out = np.empty((times.size, path.n, path.n + 2))[:, :, : path.n]
+        assert path.evaluate_into(times, out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(path.evaluate_into(times, np.empty_like(want)), want)
+
+
 def test_slope_bounds_cover_the_chords():
     # beta_seg = ||A'(m)||_2 + gamma len / 2 bounds ||A(l) - A(r)||_2 /
     # (r - l) on every interval inside a segment of a curved path
