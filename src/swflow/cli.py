@@ -286,8 +286,8 @@ def cmd_swcheck(cfg):
         rng = _substream(cfg.seed, 20_000 + i)
         c = sl.random_configuration(trunc, rng)
         h = sl.sw_hessian(c)
-        # one temporary the size of h: np.abs of it would add a second
-        sym = sfmod._max_abs(h - h.T)
+        # by row blocks, so that no temporary is the size of h
+        sym = max(sfmod._max_abs(h[i : i + 256] - h[:, i : i + 256].T) for i in range(0, len(h), 256))
         tv = _random_tangent(trunc, rng, radius)
         vec = sl.tangent_to_vector(tv)
         step = 1e-3

@@ -57,6 +57,26 @@ class StabilizerError(ValueError):
     """The proposed stabilizer does not make the block map surjective."""
 
 
+def _rank(s):
+    """Numerical rank from singular values, or eigenvalue magnitudes, along
+    the last axis: the count above RANK_TOL times the largest."""
+    top = s.max(axis=-1, keepdims=True, initial=0.0)
+    return np.count_nonzero((s > RANK_TOL * top) & (top > 0), axis=-1)
+
+
+def _redraw(rng, shape, image):
+    """A standard normal draw of ``shape`` whose ``image`` has singular
+    values within a factor 1e3 of each other, redrawn up to 50 times."""
+    for _ in range(50):
+        w = rng.standard_normal(shape)
+        if shape[1] == 0:
+            return w
+        s = np.linalg.svd(image(w), compute_uv=False)
+        if s.size and s[0] > 0 and s[-1] > 1e-3 * s[0]:
+            return w
+    raise RuntimeError("failed to draw a nondegenerate frame")
+
+
 def swap_sign(w1, w2):
     """Sign for swapping adjacent tensor factors of weights w1, w2."""
     return -1 if (w1 * w2) % 2 else 1
@@ -82,20 +102,17 @@ def weighted_pair(c_dual, w_dual, c, w):
 class LinearMapData:
     """A real matrix with cached SVD-derived kernel and cokernel bases.
 
-    The rank cut is relative: singular values below rank_tol times the
+    The rank cut is relative: singular values below RANK_TOL times the
     largest singular value count as zero.  All bases are orthonormal and
     deterministic for a given input matrix.
     """
 
-    def __init__(self, matrix, rank_tol=RANK_TOL):
+    def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.ndim != 2:
             raise ValueError("expected a 2d matrix")
         u, s, vt = np.linalg.svd(self.matrix, full_matrices=True)
-        if s.size and s[0] > 0.0:
-            self.rank = int(np.sum(s > rank_tol * s[0]))
-        else:
-            self.rank = 0
+        self.rank = int(_rank(s))
         self.singular_values = s
         self.right_singular_basis = vt.T
         self.kernel_basis = vt[self.rank:].T
@@ -158,7 +175,7 @@ def _check_exact(maps, ranks, dims):
             raise ExactnessError("rank defect: homology at position %d" % (i + 1))
 
 
-def adapted_basis(maps, rng=None, ranks=None, max_tries=50):
+def adapted_basis(maps, rng=None, ranks=None):
     """Frames adapted to an exact sequence 0 -> V_n -> ... -> V_0 -> 0.
 
     maps = [f_1, ..., f_n] with f_i: V_i -> V_{i-1}.  Returns a list
@@ -182,15 +199,8 @@ def adapted_basis(maps, rng=None, ranks=None, max_tries=50):
         c = ranks[i]
         if rng is None:
             frames.append(data[i].right_singular_basis[:, :c])
-            continue
-        for _ in range(max_tries):
-            w = rng.standard_normal((dims[i + 1], c))
-            s = np.linalg.svd(maps[i] @ w, compute_uv=False)
-            if c == 0 or (s[0] > 0 and s[-1] > 1e-3 * s[0]):
-                frames.append(w)
-                break
         else:
-            raise RuntimeError("failed to draw a nondegenerate frame")
+            frames.append(_redraw(rng, (dims[i + 1], c), lambda w: maps[i] @ w))
     return frames
 
 
@@ -243,7 +253,7 @@ def is_stabilizer(T, K):
     return LinearMapData(block).rank == T.matrix.shape[0]
 
 
-def _complement_in_kernel(big_basis, embedded, rng, max_tries=50):
+def _complement_in_kernel(big_basis, embedded, rng):
     """Frame inside span(big_basis) complementary to span(embedded).
 
     embedded must have orthonormal columns contained in span(big_basis).
@@ -256,16 +266,11 @@ def _complement_in_kernel(big_basis, embedded, rng, max_tries=50):
         resid = big_basis - embedded @ (embedded.T @ big_basis)
         u, s, _ = np.linalg.svd(resid, full_matrices=False)
         return u[:, :extra]
-    for _ in range(max_tries):
-        eta = big_basis @ rng.standard_normal((total, extra))
-        probe = np.hstack([embedded, eta])
-        s = np.linalg.svd(big_basis.T @ probe, compute_uv=False)
-        if extra == 0 or (s.size and s[0] > 0 and s[-1] > 1e-3 * s[0]):
-            return eta
-    raise RuntimeError("failed to draw a complementary kernel frame")
+    lift = lambda x: big_basis.T @ np.hstack([embedded, big_basis @ x])
+    return big_basis @ _redraw(rng, (total, extra), lift)
 
 
-def stabilized_det_transfer(T, K, coeff=1.0, rng=None, max_tries=50):
+def stabilized_det_transfer(T, K, coeff=1.0, rng=None):
     """Transfer det(ker T) (x) det(coker T)* to det(ker T_K) (x) (det V)*.
 
     The input element is coeff relative to the wedge of T.kernel_basis and
@@ -280,27 +285,21 @@ def stabilized_det_transfer(T, K, coeff=1.0, rng=None, max_tries=50):
     v = K.shape[1]
     if K.shape[0] != m:
         raise ValueError("stabilizer row count must match the target space")
-    if not is_stabilizer(T, K):
+    block = LinearMapData(np.hstack([T.matrix, K]))
+    if block.rank != m:
         raise StabilizerError("[T K] is not surjective")
     n0 = T.cokernel_dim
     kt = T.kernel_dim
-    bkk = stabilized_kernel_basis(T, K)
+    bkk = block.kernel_basis
     # omega: complement of ker F in V, F = proj_coker K
     f_mat = T.cokernel_basis.T @ K
-    f_data = LinearMapData(f_mat)
     if rng is None:
-        omega = f_data.row_space_basis
+        omega = LinearMapData(f_mat).row_space_basis
     else:
-        for _ in range(max_tries):
-            omega = rng.standard_normal((v, n0))
-            s = np.linalg.svd(f_mat @ omega, compute_uv=False)
-            if n0 == 0 or (s[0] > 0 and s[-1] > 1e-3 * s[0]):
-                break
-        else:
-            raise RuntimeError("failed to draw a nondegenerate omega frame")
+        omega = _redraw(rng, (v, n0), lambda w: f_mat @ w)
     # eta: complement of the embedded ker T inside ker T_K
     embedded = np.vstack([T.kernel_basis, np.zeros((v, kt))])
-    eta = _complement_in_kernel(bkk, embedded, rng, max_tries)
+    eta = _complement_in_kernel(bkk, embedded, rng)
     d_f = np.linalg.det(f_mat @ omega) if n0 else 1.0
     cols = np.hstack([embedded, eta])
     d_1 = np.linalg.det(bkk.T @ cols) if cols.shape[1] else 1.0
@@ -315,7 +314,7 @@ def stabilized_det_transfer(T, K, coeff=1.0, rng=None, max_tries=50):
     )
 
 
-def stabilizer_extension(elem, T, K1, K2, rng=None, max_tries=50):
+def stabilizer_extension(elem, T, K1, K2, rng=None):
     """Extend a stabilized element along an enlarged stabilizer.
 
     elem lives in det(ker T_K1) (x) (det V1)* relative to its stored
@@ -332,7 +331,7 @@ def stabilizer_extension(elem, T, K1, K2, rng=None, max_tries=50):
         raise ValueError("element does not match the first stabilizer")
     b12 = stabilized_kernel_basis(T, np.hstack([K1, K2]))
     embedded = np.vstack([elem.kernel_basis, np.zeros((v2, elem.kernel_basis.shape[1]))])
-    eta2 = _complement_in_kernel(b12, embedded, rng, max_tries)
+    eta2 = _complement_in_kernel(b12, embedded, rng)
     cols = np.hstack([embedded, eta2])
     d_1 = np.linalg.det(b12.T @ cols) if cols.shape[1] else 1.0
     omega1 = np.vstack([np.eye(v1), np.zeros((v2, v1))])

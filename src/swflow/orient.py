@@ -47,6 +47,15 @@ the near-cokernel of the triggering probe of least margin.  A scan that
 certifies probes the same times in any order, since each interval's
 fate depends only on its own ends.
 
+The stabilizer grows in one loop (``_collect_stabilizer``), from no
+directions unless ``_transport_det`` is handed a ``start``: each failed
+scan adds the near-cokernel directions it returns, the loop takes the
+full space when they add no rank, and a full-rank stabilizer that fails
+to certify raises ``OrientationTransportError``.  The sign depends
+neither on K nor on the initial kernel frame; the tests show both by
+starting the loop from enlarged stabilizers and the full space, and by
+rotating the first kernel basis handed to ``_transport_frame``.
+
 The transported sign from frame overlaps.  Let B_k be the kernel basis of
 [T K] at the k-th certified probe and O_k = B_{k+1}^T B_k.  The frame is
 carried from probe to probe by projection and symmetric
@@ -57,9 +66,10 @@ the singular values of O_k are at least 1/2 (a step that fails this is
 cut at its midpoint, down to refine_max_depth).  Since
 sgn det polar(O) = sgn det O, the end block is
 
-    det(frame_N[n:]) = det(B_N[n:]) * prod_k sgn det O_k * det R_0,
+    det(frame_N[n:]) = det(B_N[n:]) * prod_k sgn det O_k
 
-with R_0 the initial frame's rotation (folded into B_0).  So no frame is
+for the initial frame B_0 (R_0 = I); a rotation q of B_0 multiplies both
+end determinants by det q and leaves the sign alone.  So no frame is
 carried: one stacked product for the O_k, one stacked SVD of their
 singular values for the check and one stacked det give the sign.
 """
@@ -68,6 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import detsign
 from . import specflow as sfmod
 
 __all__ = [
@@ -90,13 +101,6 @@ class TransportReport:
     eps_sf: int
     sf: int
     stabilizer_dim: int
-
-
-def _rank(s):
-    """Numerical rank from singular values, or eigenvalue magnitudes, along
-    the last axis."""
-    top = s.max(axis=-1, keepdims=True, initial=0.0)
-    return np.count_nonzero((s > 1e-10 * top) & (top > 0), axis=-1)
 
 
 def _block_svds(path, K, times):
@@ -135,7 +139,7 @@ def _scan_stabilizer(path, K, scale, cfg):
         if v:
             u, s, vt = _block_svds(path, K, times)
             margins = s[:, -1]
-            bases.update(zip(times.tolist(), (w[r:].T for w, r in zip(vt, _rank(s).tolist()))))
+            bases.update(zip(times.tolist(), (w[r:].T for w, r in zip(vt, detsign._rank(s).tolist()))))
             low = np.flatnonzero(margins < collect_tol)
             u, s, vt = u[low], s[low], vt[low]
         else:
@@ -180,32 +184,23 @@ def _scan_stabilizer(path, K, scale, cfg):
         left, right, ml, mr = (np.concatenate(x) for x in ((left, mid), (mid, right), (ml, mm), (mm, mr)))
 
 
-def _orthonormalize(cols):
-    if cols.shape[1] == 0:
-        return cols
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, : int(_rank(s))]
-
-
-def _collect_stabilizer(path, cfg, scale):
-    """Constant stabilizer covering every near-singular parameter; ``scale``
-    is the largest entry magnitude of the samples, floored at 1."""
-    n = path.n
-    V = np.zeros((n, 0))
-    for _ in range(n + 1):
+def _collect_stabilizer(path, cfg, scale, V):
+    """Constant stabilizer covering every near-singular parameter, grown
+    from V (orthonormal columns) as in the module docstring; ``scale`` is
+    the largest entry magnitude of the samples, floored at 1.  Returns
+    (V, bases) with ``bases`` as from a certifying ``_scan_stabilizer``."""
+    while True:
         certified, dirs, bases = _scan_stabilizer(path, V, scale, cfg)
         if certified:
             return V, bases
-        V = _orthonormalize(np.hstack([V, dirs]))
-    # fallback: the full space always stabilizes ([T I] has margin >= 1)
-    V = np.eye(n)
-    certified, _, bases = _scan_stabilizer(path, V, scale, cfg)
-    if not certified:
-        raise OrientationTransportError("full-space stabilizer failed to certify")
-    return V, bases
+        if V.shape[1] == path.n:
+            raise OrientationTransportError("full-rank stabilizer failed to certify")
+        u, s, _ = np.linalg.svd(np.hstack([V, dirs]), full_matrices=False)
+        grown = u[:, : int(detsign._rank(s))]
+        V = grown if grown.shape[1] > V.shape[1] else np.eye(path.n)
 
 
-def _transport_frame(path, K, bases, rng, cfg):
+def _transport_frame(path, K, bases, cfg):
     """Both endpoint stabilizer-block determinants of the kernel frame
     carried along the probes of ``bases`` (time to kernel basis of [T K],
     in increasing order), from the signs of the frame overlaps (module
@@ -218,9 +213,6 @@ def _transport_frame(path, K, bases, rng, cfg):
         raise OrientationTransportError("kernel dimension changed along the path")
     if v == 0:
         return 1.0, 1.0
-    if rng is not None:
-        q, _ = np.linalg.qr(rng.standard_normal((v, v)))
-        stack[0] = stack[0] @ q
     times = np.array(list(bases))
     left, right, lb, rb = times[:-1], times[1:], np.array(stack[:-1]), np.array(stack[1:])
     sign = 1.0
@@ -235,7 +227,7 @@ def _transport_frame(path, K, bases, rng, cfg):
         left, right, lb, rb = (x[~fine] for x in (left, right, lb, rb))
         mid = 0.5 * (left + right)
         _, s, vt = _block_svds(path, K, mid)
-        if np.any(_rank(s) != n):
+        if np.any(detsign._rank(s) != n):
             raise OrientationTransportError("kernel dimension changed along the path")
         mb = vt[:, n:].transpose(0, 2, 1)
         left, right, lb, rb = (np.concatenate(x) for x in ((left, mid), (mid, right), (lb, mb), (mb, rb)))
@@ -243,43 +235,32 @@ def _transport_frame(path, K, bases, rng, cfg):
     return float(det_a), float(det_b * sign)
 
 
-def _transport_det(path, cfg, rng, extra_directions, full_stabilizer):
+def _transport_det(path, cfg, start=None):
+    """(sign, stabilizer rank) of the kernel-bundle route, with the
+    stabilizer grown from ``start`` (orthonormal columns; none when None)."""
     path, _ = sfmod._bounded(path)
     scale = max(1.0, sfmod._max_abs(path.values))
     floor = cfg.kernel_threshold_rel * scale
     for idx in (0, -1):
         if np.abs(np.linalg.eigvalsh(path.values[idx])).min() < floor:
             raise ValueError("endpoint is singular: kernel-bundle route undefined")
-    if full_stabilizer:
-        V = np.eye(path.n)
-        _, _, bases = _scan_stabilizer(path, V, scale, cfg)
-    else:
-        V, bases = _collect_stabilizer(path, cfg, scale)
-    if extra_directions > 0:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        extra = gen.standard_normal((path.n, extra_directions))
-        V = _orthonormalize(np.hstack([V, extra]))
-        certified, _, bases = _scan_stabilizer(path, V, scale, cfg)
-        if not certified:
-            raise OrientationTransportError("enlarged stabilizer failed to certify")
-    det_a, det_b = _transport_frame(path, V, bases, rng, cfg)
+    V = np.zeros((path.n, 0)) if start is None else start
+    V, bases = _collect_stabilizer(path, cfg, scale, V)
+    det_a, det_b = _transport_frame(path, V, bases, cfg)
     if abs(det_a) < 1e-12 or abs(det_b) < 1e-12:
         raise OrientationTransportError("stabilizer block is numerically singular")
     return (1 if det_a * det_b > 0 else -1), V.shape[1]
 
 
-def orientation_transport_det(
-    path, cfg=None, rng=None, extra_directions=0, full_stabilizer=False
-):
+def orientation_transport_det(path, cfg=None):
     """Transported orientation sign via the kernel-bundle trivialization.
 
-    Requires invertible endpoints.  The result is independent of the
-    stabilizer (enlarge with extra_directions or force the full space
-    with full_stabilizer) and of the initial frame (randomized when rng
-    is given)."""
+    Requires invertible endpoints.  The sign depends neither on the
+    stabilizer nor on the initial kernel frame (module docstring); a
+    stabilizer that cannot be certified raises OrientationTransportError."""
     if cfg is None:
         cfg = sfmod.SpectralFlowConfig()
-    eps, _ = _transport_det(path, cfg, rng, extra_directions, full_stabilizer)
+    eps, _ = _transport_det(path, cfg)
     return eps
 
 
@@ -295,7 +276,7 @@ def transport_report(path, cfg=None):
         cfg = sfmod.SpectralFlowConfig()
     # one interpolant, and one slope solve, for both routes
     path, _ = sfmod._bounded(path)
-    eps_det, vdim = _transport_det(path, cfg, None, 0, False)
+    eps_det, vdim = _transport_det(path, cfg)
     flow = sfmod.spectral_flow(path, cfg).sf
     return TransportReport(
         eps_det=eps_det,

@@ -183,14 +183,15 @@ class TrackedBranches:
     second_derivatives: np.ndarray  # (n,) curvature of each branch at 0
 
 
-def realify_matrix(m):
+def realify_matrix(m, out=None):
     """Real 2n x 2n matrix of a complex n x n map acting on (Re, Im).
 
     Leading axes are a stack of maps; all are written into one output
-    array, with no other temporary."""
+    array (``out`` when given), with no other temporary."""
     m = np.asarray(m)
     r, n = m.shape[-2:]
-    out = np.empty(m.shape[:-2] + (2 * r, 2 * n), dtype=m.real.dtype)
+    if out is None:
+        out = np.empty(m.shape[:-2] + (2 * r, 2 * n), dtype=m.real.dtype)
     out[..., :r, :n] = out[..., r:, n:] = m.real
     out[..., r:, :n] = m.imag
     np.negative(m.imag, out=out[..., :r, n:])
@@ -219,7 +220,8 @@ class HermitianPath:
 
     Values between samples come from the stored callable when available
     and from linear interpolation otherwise; complex Hermitian input is
-    converted on ingest to the doubled real symmetric form and flagged.
+    converted on ingest to the doubled real symmetric form and flagged,
+    and checked in that form (R - R^T holds the entries of v - v^H).
     The derivative is the stored closure, the segment slope of a path
     interpolated between its samples, or else a central finite
     difference.  ``curvature`` is a bound gamma >= sup ||A''||_2 that a
@@ -227,7 +229,7 @@ class HermitianPath:
     interpolated path has curvature 0.
     """
 
-    def __init__(self, t_samples, values, derivative=None, func=None, realified=False, curvature=None):
+    def __init__(self, t_samples, values, derivative=None, func=None, curvature=None):
         if curvature is not None and not (func is not None and derivative is not None and curvature >= 0.0):
             raise ValueError("a curvature bound is >= 0 and needs a callable with its derivative")
         t_samples = np.asarray(t_samples, dtype=float)
@@ -238,13 +240,8 @@ class HermitianPath:
         values = np.asarray(values)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise ValueError("samples must be square matrices")
-        if np.iscomplexobj(values):
-            # defect and scale one sample at a time, so that no temporary
-            # is larger than one sample
-            scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in values))
-            defect = max(float(np.abs(v - v.conj().T).max(initial=0.0)) for v in values)
-            if defect > 1e-12 * scale:
-                raise ValueError("complex samples are not Hermitian")
+        realified = np.iscomplexobj(values)
+        if realified:
             values = realify_matrix(values)
             if func is not None:
                 raw = func
@@ -252,7 +249,6 @@ class HermitianPath:
             if derivative is not None:
                 rawd = derivative
                 derivative = lambda t: realify_matrix(rawd(t))
-            realified = True
         values = values.astype(float, copy=False)
         _check_symmetric(values)
         if values.shape[0] != t_samples.size:

@@ -575,7 +575,7 @@ def _pair_at(first, second, a, b, xa, xb):
     )
 
 
-def _coupling_blocks(trunc, psi):
+def _coupling_blocks(trunc, psi, out=None):
     """Realified zero-order blocks linear in the background spinor.
 
     Returns (spinor row from 1-forms, spinor row from functions,
@@ -585,16 +585,21 @@ def _coupling_blocks(trunc, psi):
     Only the entries where that mode lies in the spinor's support are
     formed, together with their partners under the pairing p <-> -p of
     u, each with the products and two-term sums of ``_pair``, and
-    scattered into zero blocks.  A zero spinor gives zero blocks.
+    scattered into zero blocks.  A zero spinor gives zero blocks.  ``out``
+    holds four zero blocks of those shapes to scatter into in place of
+    new ones; None for a block allocates it.
     """
     tab = _tables(trunc)
     m = trunc.mode_count
-    # block_a[part, t, s, q, j] is row (part, t, s) and column (q, j)
-    block_a = np.zeros((2, m, 2, m, 3))
-    block_f = np.zeros((2, m, 2, m))
-    # block_q[t, j, part, p, s] is row (t, j) and column (part, p, s)
-    block_q = np.zeros((m, 3, 2, m, 2))
-    block_v = np.zeros((m, 2, m, 2))
+    shapes = ((4 * m, 3 * m), (4 * m, m), (3 * m, 4 * m), (m, 4 * m))
+    out = [np.zeros(s) if b is None else b for s, b in zip(shapes, out or (None,) * 4)]
+    # block_a[part, t, s, q, j] is row (part, t, s) and column (q, j);
+    # block_q[t, j, part, p, s] is row (t, j) and column (part, p, s).
+    # Splitting axes makes views, also of a block of a larger matrix.
+    block_a = out[0].reshape(2, m, 2, m, 3)
+    block_f = out[1].reshape(2, m, 2, m)
+    block_q = out[2].reshape(m, 3, 2, m, 2)
+    block_v = out[3].reshape(m, 2, m, 2)
     support = _sparse_rows(psi)
     if support.size:
         sig_psi = np.einsum("jab,mb->maj", cl.PAULI, psi)
@@ -638,31 +643,25 @@ def _coupling_blocks(trunc, psi):
             sa, sb = 0.5j * (wa - np.conj(wb)), 0.5j * (wb - np.conj(wa))
             for t, val in zip((a, b), _pair_at(ch, co, a, b, sa, sb)):
                 block_v[t, part, o] = val.real
-    return (
-        block_a.reshape(4 * m, 3 * m),
-        block_f.reshape(4 * m, m),
-        block_q.reshape(3 * m, 4 * m),
-        block_v.reshape(m, 4 * m),
-    )
+    return tuple(out)
 
 
 def _assemble_hessian(c, extended):
     tr = c.trunc
     m = tr.mode_count
     fo = _first_order(tr)
-    block_a, block_f, block_q, block_v = _coupling_blocks(tr, c.psi)
     n_s, n_a = 4 * m, 3 * m
     size = n_s + n_a + (m if extended else 0)
     h = np.zeros((size, size))
-    h[:n_s, :n_s] = sfmod.realify_matrix(_dirac_matrix(c))
-    h[:n_s, n_s : n_s + n_a] = block_a
-    h[n_s : n_s + n_a, :n_s] = block_q
-    h[n_s : n_s + n_a, n_s : n_s + n_a] = fo.minus_star_d
+    # the blocks are written into h, with no temporary of their size
+    sfmod.realify_matrix(_dirac_matrix(c), out=h[:n_s, :n_s])
+    sp, fm, fn = slice(0, n_s), slice(n_s, n_s + n_a), slice(n_s + n_a, size)
+    gauge = (h[sp, fn], h[fn, sp]) if extended else (None, None)
+    _coupling_blocks(tr, c.psi, out=(h[sp, fm], gauge[0], h[fm, sp], gauge[1]))
+    h[fm, fm] = fo.minus_star_d
     if extended:
-        h[:n_s, n_s + n_a :] = block_f
-        h[n_s : n_s + n_a, n_s + n_a :] = 2.0 * fo.d0
-        h[n_s + n_a :, :n_s] = block_v
-        h[n_s + n_a :, n_s : n_s + n_a] = 2.0 * fo.cod1
+        np.multiply(2.0, fo.d0, out=h[fm, fn])
+        np.multiply(2.0, fo.cod1, out=h[fn, fm])
     return h
 
 

@@ -77,33 +77,75 @@ def test_interior_singularity_found_with_coarse_grid():
 
 
 def test_stabilizer_enlargement_invariance():
+    # the stabilizer loop grows from random orthonormal extras
     rng = np.random.default_rng(61)
+    cfg = sf.SpectralFlowConfig()
     for _ in range(15):
         path = random_invertible_endpoint_path(rng, 4)
         base = orient.orientation_transport_det(path)
         for extra in (1, 2, 3):
-            got = orient.orientation_transport_det(
-                path, extra_directions=extra, rng=rng
-            )
+            start, _ = np.linalg.qr(rng.standard_normal((path.n, extra)))
+            got, _ = orient._transport_det(path, cfg, start)
             assert got == base
 
 
 def test_initial_frame_randomization_invariance():
+    # a random rotation of the first kernel basis leaves the sign alone
     rng = np.random.default_rng(62)
+    cfg = sf.SpectralFlowConfig()
     for _ in range(15):
         path = random_invertible_endpoint_path(rng, 5)
         base = orient.orientation_transport_det(path)
-        got = orient.orientation_transport_det(path, rng=rng)
-        assert got == base
+        path, _ = sf._bounded(path)
+        scale = max(1.0, np.abs(path.values).max())
+        K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
+        v = K.shape[1]
+        if v:
+            q, _ = np.linalg.qr(rng.standard_normal((v, v)))
+            first = next(iter(bases))
+            bases[first] = bases[first] @ q
+        det_a, det_b = orient._transport_frame(path, K, bases, cfg)
+        assert (1 if det_a * det_b > 0 else -1) == base
 
 
 def test_full_space_stabilizer_matches():
     rng = np.random.default_rng(63)
+    cfg = sf.SpectralFlowConfig()
     for _ in range(10):
         path = random_invertible_endpoint_path(rng, 4)
         base = orient.orientation_transport_det(path)
-        full = orient.orientation_transport_det(path, full_stabilizer=True)
+        full, _ = orient._transport_det(path, cfg, np.eye(path.n))
         assert full == base
+
+
+def test_full_rank_stabilizer_that_fails_raises():
+    # [T I] has smallest singular value 1 where an eigenvalue of T crosses
+    # 0, below the trigger 1e-6 * scale = 40: a full-rank stabilizer that
+    # does not certify raises the typed error, from the full space and on
+    # the default route alike
+    path = sf.HermitianPath.affine(1e7 * np.diag([-1.0, -0.5, 2.0]), 2e7 * np.eye(3), 0.0, 1.0)
+    with pytest.raises(orient.OrientationTransportError):
+        orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3))
+    with pytest.raises(orient.OrientationTransportError):
+        orient.orientation_transport_det(path)
+
+
+def test_default_route_scans_once_per_stabilizer_direction(monkeypatch):
+    # on the first 40 paths of the 1000-path acceptance stream each failed
+    # scan adds one direction and the last scan certifies
+    scans = [0]
+    scan = orient._scan_stabilizer
+
+    def counted(*args):
+        scans[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(orient, "_scan_stabilizer", counted)
+    rng = np.random.default_rng(303)
+    for i in range(40):
+        before = scans[0]
+        rep = orient.transport_report(cli._random_symmetric_path(rng, 4 + i % 7))
+        assert scans[0] - before == rep.stabilizer_dim + 1
 
 
 def test_realified_paths_transport_positively():
@@ -248,7 +290,7 @@ def test_scan_certifies_a_quarter_of_the_end_margins_on_affine_paths():
     for _ in range(30):
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)))
         scale = max(1.0, np.abs(path.values).max())
-        K, bases = orient._collect_stabilizer(path, cfg, scale)
+        K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
         grid = list(bases)
         margins = [smallest_singular_value(path, K, t) for t in grid]
         for l, r, ml, mr in zip(grid, grid[1:], margins, margins[1:]):
@@ -367,7 +409,7 @@ def test_overlap_signs_give_the_polar_transport(monkeypatch):
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)), ["affine", "smooth"][checked % 2])
         path, _ = sf._bounded(path)
         scale = max(1.0, np.abs(path.values).max())
-        K, bases = orient._collect_stabilizer(path, cfg, scale)
+        K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
         if K.shape[1] == 0:
             continue
         checked += 1
@@ -376,7 +418,7 @@ def test_overlap_signs_give_the_polar_transport(monkeypatch):
             coarse = {t: bases[t] for t in grid[::every] + grid[-1:]}
             want = polar_transport(path, K, coarse, cfg)
             before = calls[0]
-            got = orient._transport_frame(path, K, coarse, None, cfg)
+            got = orient._transport_frame(path, K, coarse, cfg)
             substeps += calls[0] - before
             assert np.sign(got[0] * got[1]) == np.sign(want[0] * want[1])
             assert np.allclose(np.abs(got), np.abs(want), rtol=1e-8)

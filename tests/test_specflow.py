@@ -693,6 +693,18 @@ def test_complex_ingest_stays_under_twice_the_realified_samples():
     assert peak < 2.0 * path.values.nbytes
 
 
+def test_complex_samples_with_a_hermitian_defect_are_rejected():
+    # a defect of 1e-6 in the real or the imaginary part of one entry is
+    # caught by the symmetry check of the realified samples
+    herm = np.array([[1.0, 1j], [-1j, 2.0]])
+    sf.HermitianPath(np.array([0.0, 1.0]), np.array([herm, 2.0 * herm]))
+    for defect in (1e-6, 1e-6j):
+        bad = herm.copy()
+        bad[0, 1] += defect
+        with pytest.raises(ValueError):
+            sf.HermitianPath(np.array([0.0, 1.0]), np.array([herm, bad]))
+
+
 def test_from_callable_keeps_complex_and_rejects_ragged_samples():
     herm = np.array([[0.0, 1j], [-1j, 0.0]])
     path = sf.HermitianPath.from_callable(lambda t: t * np.eye(2) + (t > 0.5) * herm, 0.0, 1.0, 3)
