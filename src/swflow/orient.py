@@ -51,8 +51,12 @@ The stabilizer grows in one loop (``_collect_stabilizer``), from no
 directions unless ``_transport_det`` is handed a ``start``: each failed
 scan adds the near-cokernel directions it returns, the loop takes the
 full space when they add no rank, and a full-rank stabilizer that fails
-to certify raises ``OrientationTransportError``.  The sign depends
-neither on K nor on the initial kernel frame; the tests show both by
+to certify raises ``OrientationTransportError``.  The directions V are
+orthonormal, and the scan and the transport take K = scale V, with scale
+the largest entry magnitude of the samples floored at 1: the trigger is
+relative to scale, and sigma_min [T, scale I] >= scale, so the full
+space clears it on every path.  The sign depends neither on K nor on the
+initial kernel frame; the tests show both by
 starting the loop from enlarged stabilizers and the full space, and by
 rotating the first kernel basis handed to ``_transport_frame``.
 
@@ -187,12 +191,15 @@ def _scan_stabilizer(path, K, scale, cfg):
 def _collect_stabilizer(path, cfg, scale, V):
     """Constant stabilizer covering every near-singular parameter, grown
     from V (orthonormal columns) as in the module docstring; ``scale`` is
-    the largest entry magnitude of the samples, floored at 1.  Returns
-    (V, bases) with ``bases`` as from a certifying ``_scan_stabilizer``."""
+    the largest entry magnitude of the samples, floored at 1.  The scan
+    takes K = scale V, sized like T, since its trigger is relative to
+    scale: sigma_min [T K] >= scale on the full space.  Returns (K,
+    bases) with ``bases`` as from a certifying ``_scan_stabilizer``."""
     while True:
-        certified, dirs, bases = _scan_stabilizer(path, V, scale, cfg)
+        K = scale * V
+        certified, dirs, bases = _scan_stabilizer(path, K, scale, cfg)
         if certified:
-            return V, bases
+            return K, bases
         if V.shape[1] == path.n:
             raise OrientationTransportError("full-rank stabilizer failed to certify")
         u, s, _ = np.linalg.svd(np.hstack([V, dirs]), full_matrices=False)
@@ -245,11 +252,11 @@ def _transport_det(path, cfg, start=None):
         if np.abs(np.linalg.eigvalsh(path.values[idx])).min() < floor:
             raise ValueError("endpoint is singular: kernel-bundle route undefined")
     V = np.zeros((path.n, 0)) if start is None else start
-    V, bases = _collect_stabilizer(path, cfg, scale, V)
-    det_a, det_b = _transport_frame(path, V, bases, cfg)
+    K, bases = _collect_stabilizer(path, cfg, scale, V)
+    det_a, det_b = _transport_frame(path, K, bases, cfg)
     if abs(det_a) < 1e-12 or abs(det_b) < 1e-12:
         raise OrientationTransportError("stabilizer block is numerically singular")
-    return (1 if det_a * det_b > 0 else -1), V.shape[1]
+    return (1 if det_a * det_b > 0 else -1), K.shape[1]
 
 
 def orientation_transport_det(path, cfg=None):

@@ -96,14 +96,43 @@ the last term is at most |s| c / 2 for |s| <= h, so |lam| >= |s| c / 2 - m:
 every zero of the cluster lies within 2m/c of t*, and the count changes
 across [t* - h, t* + h] by the signature of C (Robbin and Salamon).  The
 window is taken when 2m/c < bisection_tol / 2 < h, so it holds only this
-crossing.  The open intervals that meet it are cut at t* +- h, the new
+crossing.  The open intervals that meet it are cut at its ends, the new
 ends are probed with the level's stacked call, and the count change
 across the window must equal the crossing's signature.  The siblings of
-a crossing so restart h from t*, not bisection_tol: their certificate
-needs an interval whose length is about its distance to the crossing
-divided by ||B|| / |slope|, so the partition grows geometrically outward
-from where it starts.  On a curved segment E gains a Taylor remainder of
-A, which this derivation does not bound, so no window is taken there.
+a crossing so restart at the window's ends, not bisection_tol from t*:
+their certificate needs an interval whose length is about its distance
+to the crossing divided by ||B|| / |slope|, so the partition grows
+geometrically outward from where it starts.  On a curved segment E gains
+a Taylor remainder of A, which this derivation does not bound, so no
+window is taken there.
+
+The window at a sample.  The window above is clipped to the segment of
+t*.  A crossing that lands on an interior sample t_j (a branch that
+meets delta at t_j) would keep an end at t_j, where that branch sits on
+the line: the neighbouring interval on the far side of t_j has reach 0
+at that end, and its certificate fails by a factor of 2 at every
+bisection, down to bisection_tol.  So a crossing located within
+bisection_tol of an interior sample t_j of a path interpolated between
+its samples takes its window at t_j, on both sides.  There
+
+    A(t_j + s) = A(t_j) + s B_R,    A(t_j - s) = A(t_j) - s B_L
+
+for s from 0 to the length of the right (left) segment, with B_R and B_L
+the two segment slopes, so the derivation above holds on each side from
+one eigh of the stored sample A(t_j) - delta: with the cluster's
+one-sided crossing forms C_L = W^T B_L W and C_R = W^T B_R W it gives
+h_L and h_R, each clipped to its segment.  Every zero of the cluster
+lies within 2m/c of t_j.  At t_j + h_R the cluster's eigenvalues below
+the line are those of the negative eigenvalues of C_R, and at t_j - h_L
+those of the positive eigenvalues of C_L, so the count changes across
+[t_j - h_L, t_j + h_R] by #pos(C_L) - #neg(C_R).  That is the crossing's
+signature when both forms are nonsingular and have that signature (and
+so the same inertia), and the window is taken only then, with the
+cluster at t_j of the record's kernel dimension; otherwise (a corner at
+t_j whose one-sided forms differ) the crossing takes the one-sided
+window.  A callable with curvature 0 (a concatenation of affine paths)
+may meet its join only to the join tolerance, so it takes the
+one-sided window.
 
 Refinement runs breadth-first.  Each level classifies all of its open
 intervals at once, takes the certificate for the whole level by
@@ -464,10 +493,10 @@ def _fill_at(path, times):
     return lambda start, out: path.evaluate_into(times[start : start + len(out)], out)
 
 
-def _kernel(path, t, tol, delta):
-    """eigh of A(t) - delta, with the mask of its numerical kernel
+def _kernel(a, tol, delta):
+    """eigh of the matrix a - delta, with the mask of its numerical kernel
     (|eigenvalue| < tol)."""
-    eigs, vecs = np.linalg.eigh(path.evaluate(t) - delta * np.eye(path.n))
+    eigs, vecs = np.linalg.eigh(a - delta * np.eye(len(a)))
     return eigs, vecs, np.abs(eigs) < tol
 
 
@@ -483,7 +512,7 @@ def crossing_operator(path, t, tol, delta=0.0):
     The kernel collects eigenvectors of A(t) - delta with |eigenvalue| <
     tol; the result is the k x k symmetric matrix of the compressed
     derivative (empty when A(t) - delta is invertible)."""
-    _, vecs, ker = _kernel(path, t, tol, delta)
+    _, vecs, ker = _kernel(path.evaluate(t), tol, delta)
     return _compressed(vecs[:, ker], path.derivative_at(t))
 
 
@@ -515,7 +544,7 @@ def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
     path is affine, from the same eigh and crossing form as the record
     (the derivative there is the segment slope); it is 0 when ``seg`` is
     None."""
-    eigs, vecs, ker = _kernel(path, tstar, kernel_floor, delta)
+    eigs, vecs, ker = _kernel(path.evaluate(tstar), kernel_floor, delta)
     k = int(np.count_nonzero(ker))
     if k == 0:
         raise _DegenerateCrossing("no numerical kernel at a located crossing")
@@ -536,6 +565,34 @@ def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
     if seg is None:
         return record, 0.0
     return record, _window(eigs, ker, ceigs, float(path.slope_norms()[seg]), tol)
+
+
+def _sample_window(path, tstar, rec, delta, kernel_floor, tol):
+    """The window (lo, hi) at the interior sample within tol of the
+    crossing recorded at tstar, or None (module docstring).
+
+    ``path`` is interpolated between its samples.  One eigh of the stored
+    sample gives the cluster, whose crossing forms of the left and right
+    segment slopes must both have the record's signature; ``_window``
+    gives each side's half-width, clipped to its segment."""
+    ts = path.t_samples
+    j = path.segment(tstar)
+    j += int(ts[j + 1] - tstar < tstar - ts[j])
+    if not (0 < j < ts.size - 1 and abs(ts[j] - tstar) < tol):
+        return None
+    eigs, vecs, ker = _kernel(path.values[j], kernel_floor, delta)
+    if np.count_nonzero(ker) != rec.kernel_dim:
+        return None
+    w = vecs[:, ker]
+    h = []
+    for seg in (j - 1, j):
+        form = np.linalg.eigvalsh(_compressed(w, path.segment_slope(seg)))
+        if _signature(form, 0.0) != rec.crossing_signature:
+            return None
+        h.append(_window(eigs, ker, form, float(path.slope_norms()[seg]), tol))
+    if not min(h) > 0.0:
+        return None
+    return max(ts[j - 1], ts[j] - h[0]), min(ts[j + 1], ts[j] + h[1])
 
 
 def _below(eigs, delta):
@@ -608,8 +665,10 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
     tol = cfg.bisection_tol
     ts = path.t_samples
     left, right = ts[:-1], ts[1:]
-    # crossing windows need segments where the path is affine
+    # crossing windows need segments where the path is affine, and a
+    # window at a sample needs a path interpolated between its samples
     affine = path.curvature == 0.0
+    interpolated = path._func is None
     # intervals that the last secant step did not halve: bisected next
     halve = np.zeros(left.shape, dtype=bool)
     # the other probe of each closing pair
@@ -634,9 +693,11 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
             seg = path.segment(mid) if affine else None
             rec, h = _make_record(path, float(mid), int(nl[j] - nr[j]), delta, kernel_floor, tol, seg)
             crossings.append(rec)
-            if h > 0.0:
-                lo, hi = max(ts[seg], mid - h), min(ts[seg + 1], mid + h)
-                windows.append((float(lo), float(hi), rec.crossing_signature))
+            window = _sample_window(path, mid, rec, delta, kernel_floor, tol) if interpolated else None
+            if window is None and h > 0.0:
+                window = max(ts[seg], mid - h), min(ts[seg + 1], mid + h)
+            if window is not None:
+                windows.append((float(window[0]), float(window[1]), rec.crossing_signature))
         drop = narrow
         pieces, used = [], []
         if windows:

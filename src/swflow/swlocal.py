@@ -587,19 +587,21 @@ def _coupling_blocks(trunc, psi, out=None):
     u, each with the products and two-term sums of ``_pair``, and
     scattered into zero blocks.  A zero spinor gives zero blocks.  ``out``
     holds four zero blocks of those shapes to scatter into in place of
-    new ones; None for a block allocates it.
+    new ones, with None for a function block (the second and fourth)
+    that is not wanted: it is neither allocated nor formed, and is None
+    in the result.  Without ``out`` all four are allocated.
     """
     tab = _tables(trunc)
     m = trunc.mode_count
     shapes = ((4 * m, 3 * m), (4 * m, m), (3 * m, 4 * m), (m, 4 * m))
-    out = [np.zeros(s) if b is None else b for s, b in zip(shapes, out or (None,) * 4)]
+    out = [np.zeros(s) for s in shapes] if out is None else list(out)
     # block_a[part, t, s, q, j] is row (part, t, s) and column (q, j);
     # block_q[t, j, part, p, s] is row (t, j) and column (part, p, s).
     # Splitting axes makes views, also of a block of a larger matrix.
     block_a = out[0].reshape(2, m, 2, m, 3)
-    block_f = out[1].reshape(2, m, 2, m)
+    block_f = None if out[1] is None else out[1].reshape(2, m, 2, m)
     block_q = out[2].reshape(m, 3, 2, m, 2)
-    block_v = out[3].reshape(m, 2, m, 2)
+    block_v = None if out[3] is None else out[3].reshape(m, 2, m, 2)
     support = _sparse_rows(psi)
     if support.size:
         sig_psi = np.einsum("jab,mb->maj", cl.PAULI, psi)
@@ -618,6 +620,8 @@ def _coupling_blocks(trunc, psi, out=None):
         # and -i psi_s there; x u pairs the columns q and -q.
         o, a, b = paired(tab.diff[:, support])
         for vals, block in ((0.5 * sig_psi, block_a), (-1j * psi, block_f)):
+            if block is None:
+                continue
             xa, xb = _gather(tab.diff[o, a], vals), _gather(tab.diff[o, b], vals)
             for p, val in zip((a, b), _pair_at(diag, off, a, b, xa, xb)):
                 block[0][o, :, p] = val.real
@@ -633,12 +637,15 @@ def _coupling_blocks(trunc, psi, out=None):
         ch, co = np.conj(diag), np.conj(off)
         o_q, a_q, b_q = paired(tab.diff[support].T)
         g = (_gather(tab.shift[a_q, o_q], sig_psi), _gather(tab.shift[b_q, o_q], sig_psi))
-        w = (_gather(tab.diff[o, a], np.conj(psi)), _gather(tab.diff[o, b], np.conj(psi)))
+        if block_v is not None:
+            w = (_gather(tab.diff[o, a], np.conj(psi)), _gather(tab.diff[o, b], np.conj(psi)))
         for part in range(2):
             ha, hb = g if part == 0 else (-1j * g[0], -1j * g[1])
             sa, sb = 0.25 * (ha + np.conj(hb)), 0.25 * (hb + np.conj(ha))
             for t, val in zip((a_q, b_q), _pair_at(ch, co, a_q, b_q, sa, sb)):
                 block_q[t, :, part, o_q] = val.real.transpose(0, 2, 1)
+            if block_v is None:
+                continue
             wa, wb = w if part == 0 else (1j * w[0], 1j * w[1])
             sa, sb = 0.5j * (wa - np.conj(wb)), 0.5j * (wb - np.conj(wa))
             for t, val in zip((a, b), _pair_at(ch, co, a, b, sa, sb)):
@@ -656,6 +663,7 @@ def _assemble_hessian(c, extended):
     # the blocks are written into h, with no temporary of their size
     sfmod.realify_matrix(_dirac_matrix(c), out=h[:n_s, :n_s])
     sp, fm, fn = slice(0, n_s), slice(n_s, n_s + n_a), slice(n_s + n_a, size)
+    # the gauge blocks only in the extended Hessian: None forms neither
     gauge = (h[sp, fn], h[fn, sp]) if extended else (None, None)
     _coupling_blocks(tr, c.psi, out=(h[sp, fm], gauge[0], h[fm, sp], gauge[1]))
     h[fm, fm] = fo.minus_star_d

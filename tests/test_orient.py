@@ -118,12 +118,29 @@ def test_full_space_stabilizer_matches():
         assert full == base
 
 
-def test_full_rank_stabilizer_that_fails_raises():
-    # [T I] has smallest singular value 1 where an eigenvalue of T crosses
-    # 0, below the trigger 1e-6 * scale = 40: a full-rank stabilizer that
-    # does not certify raises the typed error, from the full space and on
-    # the default route alike
-    path = sf.HermitianPath.affine(1e7 * np.diag([-1.0, -0.5, 2.0]), 2e7 * np.eye(3), 0.0, 1.0)
+@pytest.mark.parametrize("c", [1e7, 1e9])
+def test_large_paths_transport_with_the_flow_sign(c):
+    # the stabilizer directions are sized by scale = 4c, so [T, scale V]
+    # clears the trigger 1e-6 * scale where an eigenvalue of T crosses 0;
+    # with unit directions [T I] had margin 1 there, below the trigger,
+    # and even the full space failed.  Two eigenvalues cross: sf = 2.
+    path = sf.HermitianPath.affine(c * np.diag([-1.0, -0.5, 2.0]), 2.0 * c * np.eye(3), 0.0, 1.0)
+    rep = orient.transport_report(path)
+    assert (rep.sf, rep.eps_det, rep.eps_sf) == (2, 1, 1)
+    full, _ = orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3))
+    assert full == 1
+
+
+def test_full_rank_stabilizer_that_fails_raises(monkeypatch):
+    # a scan that never certifies: its directions stop adding rank, the
+    # loop takes the full space, and a full-rank stabilizer that fails
+    # raises the typed error, from the full space and on the default
+    # route alike
+    def failing(path, K, scale, cfg):
+        return False, np.eye(path.n)[:, :1], None
+
+    monkeypatch.setattr(orient, "_scan_stabilizer", failing)
+    path = sf.HermitianPath.affine(np.diag([-1.0, -0.5, 2.0]), 2.0 * np.eye(3), 0.0, 1.0)
     with pytest.raises(orient.OrientationTransportError):
         orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3))
     with pytest.raises(orient.OrientationTransportError):

@@ -369,6 +369,81 @@ def test_tower_interpolant_keeps_the_true_crossings():
         assert (rec.kernel_dim, rec.crossing_signature) == (abs(flux), -flux)
 
 
+def watch_sample_windows(monkeypatch):
+    """Collect the result of every ``_sample_window`` call."""
+    made = []
+    window = sf._sample_window
+
+    def watched(*args):
+        made.append(window(*args))
+        return made[-1]
+
+    monkeypatch.setattr(sf, "_sample_window", watched)
+    return made
+
+
+def sample_crossing_path(rising, q):
+    """Interpolated between five samples on [0, 1], conjugated by q: a
+    branch t (1 - t) rises (falls) through delta = 1/4 at the sample
+    1/4 (3/4), beside a branch 2 + t and a constant -3."""
+    ts = np.linspace(0.0, 1.0, 5)
+    branch = ts if rising else 1.0 - ts
+    diag = np.stack([np.diag([x, 2.0 + t, -3.0]) for x, t in zip(branch, ts)])
+    return sf.HermitianPath(ts, q @ diag @ q.T)
+
+
+@pytest.mark.parametrize("rising", [True, False])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_a_crossing_on_a_sample_takes_its_window_on_both_sides(monkeypatch, rising, rotated):
+    # the one-sided window ends on the sample, where the branch sits on
+    # the line, so the neighbour beyond it bisects down to bisection_tol;
+    # the window at the sample ends that ladder and keeps the record
+    q = np.linalg.qr(np.random.default_rng(50).standard_normal((3, 3)))[0] if rotated else np.eye(3)
+    path = sample_crossing_path(rising, q)
+    cfg = sf.SpectralFlowConfig()
+    made = watch_sample_windows(monkeypatch)
+    rep = sf.spectral_flow(path, cfg)
+    assert (rep.sf, rep.delta_used) == ((1 if rising else -1), 0.25)
+    [rec] = rep.crossings
+    assert abs(rec.t - (0.25 if rising else 0.75)) <= cfg.bisection_tol
+    assert rep.refinement_depth <= 3
+    [(lo, hi)] = made
+    assert lo < rec.t < hi
+    monkeypatch.setattr(sf, "_sample_window", lambda *args: None)
+    one_sided = sf.spectral_flow(path, cfg)
+    assert one_sided.crossings == rep.crossings
+    assert one_sided.refinement_depth > 20
+
+
+def test_magnetic_towers_take_few_levels():
+    # every zero branch of a nonzero-flux tower meets delta = 1/4 on a
+    # sample (r = 1/4 or 3/4 of the 17-point grid)
+    for flux in (-3, -2, -1, 1, 2, 3):
+        for depth in (2, 4, 8):
+            rep = sf.spectral_flow(tm.magnetic_family_path(flux, depth))
+            assert rep.sf == -flux
+            assert rep.refinement_depth <= 3
+
+
+def test_a_corner_at_a_sample_takes_one_sided_windows(monkeypatch):
+    # a branch rises to delta = 0.2 at the sample 1/2 and falls back: its
+    # one-sided crossing forms +1.2 and -1.2 differ in inertia, so the
+    # count change across a window at the sample would be
+    # #pos(C_L) - #neg(C_R) = 0, not a record's signature.  Each record
+    # takes its one-sided window, and the flow is 0.
+    ts = np.array([0.0, 0.5, 1.0])
+    path = sf.HermitianPath(ts, np.stack([np.diag([x, 2.0, -3.0]) for x in (-0.4, 0.2, -0.4)]))
+    cfg = sf.SpectralFlowConfig()
+    windows = watch_sample_windows(monkeypatch)
+    made = watch_records(monkeypatch)
+    rep = sf.spectral_flow(path, cfg)
+    assert (rep.sf, rep.delta_used) == (0, 0.2)
+    assert [r.crossing_signature for r in rep.crossings] == [1, -1]
+    assert all(abs(r.t - 0.5) <= cfg.bisection_tol and r.kernel_dim == 1 for r in rep.crossings)
+    assert windows == [None, None]
+    assert all(h > 0.0 for _, h, _ in made)
+
+
 def test_stacked_evaluation_is_the_pointwise_evaluation():
     # evaluate_into writes bit for bit what evaluate returns at each time,
     # and on interpolated paths what the scalar lerp gives: a broadcast on
