@@ -145,8 +145,31 @@ once, from their stored values, and the spectrum of every probed time is
 kept across delta halvings, so no point of the path is diagonalized
 twice.  The stabilizer scan of ``orient`` runs level by level the same
 way.
+
+Block-diagonal paths.  Every path holds a partition of its index set
+that each of its values respects (``HermitianPath.blocks``), found once
+as the connected components of a union support: of const and linear on
+a path made by ``affine``, of the samples on a path refined as its
+sample interpolant.  A callable with a curvature bound is one block, and
+a dense support is one block after one check.  The spectrum of a direct
+sum is the union of its blocks' spectra, so each spectrum is taken with
+one stacked eigvalsh per block size (1 x 1 blocks are read) and merged by
+sorting; it is the sorted spectrum of the whole matrix, and every step
+above reads only sorted spectra.  The 2-norm of a direct sum is the
+largest of its blocks' norms, so beta_seg is the maximum over blocks and
+the Weyl certificate holds unchanged; the secant step reads the same
+sorted eigenvalue i.  An eigenvector of a block, embedded in R^n, is one
+of the whole matrix, so the kernel at a crossing comes from one stacked
+eigh per block size, and its crossing form needs only the rows of the
+blocks that hold it, since the slope respects the partition.  The window
+takes g over the eigenvalues of all blocks and beta over all blocks, so
+its derivation holds as it stands.  Probes evaluate only the blocks,
+from the stored blocks of const and linear or of the samples, bit for
+bit as the dense evaluation.  A one-block path takes the dense route:
+the same calls, with the same shapes, as the engine made before blocks.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,6 +316,10 @@ class HermitianPath:
         self._slopes = None
         # (const, linear) of a path made by ``affine``
         self._affine = None
+        # the partition of ``blocks`` and, per block size, the stored
+        # blocks of ``block_values``: both found on first use
+        self._blocks = None
+        self._block_data = None
 
     @classmethod
     def from_callable(cls, func, a, b, num_samples=33, derivative=None, curvature=None):
@@ -319,10 +346,14 @@ class HermitianPath:
             derivative=lambda t: linear,
             curvature=0.0,
         )
-        path._slopes = np.array([_sym_norm2(linear)])
         if {const.dtype, linear.dtype} <= {np.dtype(float), np.dtype(complex)}:
             # broadcast by ``evaluate_into`` in the path's realified form
             path._affine = tuple(realify_matrix(m) if path.realified else m for m in (const, linear))
+        if _one_block(path):
+            path._slopes = np.array([_sym_norm2(linear)])
+        else:
+            slope = _block_spectra([lin[None] for _, lin in path._stored_blocks()])
+            path._slopes = np.abs(slope).max(axis=1)
         return path
 
     @property
@@ -353,10 +384,8 @@ class HermitianPath:
             np.multiply(times[:, None, None], linear, out=out)
             out += const
         elif self._func is None:
-            ts = self.t_samples
-            t = np.clip(times, ts[0], ts[-1])
-            i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
-            w = ((t - ts[i]) / (ts[i + 1] - ts[i]))[:, None, None]
+            i, w = self._lerp(times)
+            w = w[:, None, None]
             np.take(self.values, i, axis=0, out=out, mode="clip")
             out *= 1.0 - w
             # right ends in blocks of an eighth of a chunk, so the only
@@ -370,6 +399,63 @@ class HermitianPath:
             for j, t in enumerate(times.tolist()):
                 out[j] = self.evaluate(t)
         return out
+
+    def _lerp(self, times):
+        """(i, w): the sample segment of each of ``times``, clamped to
+        [a, b], and its weight on the segment's right sample."""
+        ts = self.t_samples
+        t = np.clip(times, ts[0], ts[-1])
+        i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
+        return i, (t - ts[i]) / (ts[i + 1] - ts[i])
+
+    @property
+    def blocks(self):
+        """A partition of the index set that every value respects: one
+        (count, size) array of indices per block size, ascending in size,
+        each block's indices ascending; ``[arange(n)[None]]`` is one block.
+
+        Found once, as the connected components of the union support of
+        ``const`` and ``linear`` on a path made by ``affine``, or of the
+        samples on a path that is refined as its sample interpolant; a
+        callable with a curvature bound is one block."""
+        if self._blocks is None:
+            support = None
+            if self._affine is not None:
+                support = (self._affine[0] != 0) | (self._affine[1] != 0)
+            elif self._func is None or self.curvature is None:
+                support = self.values[0] != 0
+                for v in self.values[1:]:
+                    support |= v != 0
+            self._blocks = _partition(support, self.n)
+        return self._blocks
+
+    def _stored_blocks(self):
+        """Per block size, the blocks ``block_values`` evaluates from:
+        (const, linear) on a path made by ``affine``, else the samples as
+        one (samples, count, size, size) stack."""
+        if self._block_data is None:
+            if self._affine is not None:
+                self._block_data = [tuple(_gather(m, idx) for m in self._affine) for idx in self.blocks]
+            else:
+                self._block_data = [_gather(self.values, idx) for idx in self.blocks]
+        return self._block_data
+
+    def block_values(self, times):
+        """A(t) for each of ``times``, block by block: per block size a
+        (times, count, size, size) stack, bit for bit the blocks of
+        ``evaluate_into`` on a path made by ``affine`` or interpolated
+        between its samples (the sample interpolant elsewhere)."""
+        times = np.asarray(times, dtype=float)
+        if self._affine is not None:
+            return [times[:, None, None, None] * lin + const for const, lin in self._stored_blocks()]
+        i, w = self._lerp(times)
+        w = w[:, None, None, None]
+        return [vals[i] * (1.0 - w) + vals[i + 1] * w for vals in self._stored_blocks()]
+
+    def sample_blocks(self, part):
+        """The stored samples ``values[part]`` (a slice), block by block:
+        per block size a (samples, count, size, size) stack."""
+        return [_gather(self.values[part], idx) for idx in self.blocks]
 
     def derivative_at(self, t, h=None):
         if self._derivative is not None:
@@ -389,7 +475,7 @@ class HermitianPath:
         beta_seg = ||A'(m)||_2 + gamma * len / 2 at the segment's middle m
         (module docstring), exact (||B||_2) where the path is affine: set
         by ``affine``, else taken once by one stacked eigvalsh of the
-        segment slopes."""
+        segment slopes, block by block on a path of several blocks."""
         if self._slopes is None and self.curvature is not None:
             lens = np.diff(self.t_samples)
 
@@ -397,7 +483,11 @@ class HermitianPath:
                 for j, slope in enumerate(out):
                     slope[...] = self.segment_slope(start + j)
 
-            eigs = _eigvalsh_stacked(self.n, lens.size, fill)
+            if _one_block(self):
+                eigs = _eigvalsh_stacked(self.n, lens.size, fill)
+            else:
+                # several blocks only where the path is interpolated
+                eigs = _block_spectra([(v[1:] - v[:-1]) / lens[:, None, None, None] for v in self._stored_blocks()])
             self._slopes = np.abs(eigs).max(axis=1, initial=0.0) + 0.5 * self.curvature * lens
         return self._slopes
 
@@ -420,11 +510,18 @@ class HermitianPath:
         i = int(np.searchsorted(self.t_samples, t, side="right")) - 1
         return min(max(i, 0), self.t_samples.size - 2)
 
-    def segment_slope(self, i):
+    def segment_slope(self, i, rows=None):
         """dA/dt at the middle of sample segment i: the difference
         quotient of the segment's samples on a path interpolated between
-        them, else the path's derivative there."""
+        them, else the path's derivative there.  With ``rows`` (indices
+        of whole blocks of a path made by ``affine`` or interpolated),
+        only its rows x rows part."""
         ts, v = self.t_samples, self.values
+        if rows is not None:
+            ix = np.ix_(rows, rows)
+            if self._affine is not None:
+                return self._affine[1][ix]
+            return (v[i + 1][ix] - v[i][ix]) / (ts[i + 1] - ts[i])
         if self._func is not None:
             return self.derivative_at(0.5 * (ts[i] + ts[i + 1]))
         return (v[i + 1] - v[i]) / (ts[i + 1] - ts[i])
@@ -446,6 +543,58 @@ def _sample(func, grid):
             vals = vals.astype(np.result_type(vals, sample))
         vals[i] = sample
     return vals
+
+
+def _partition(support, n):
+    """The connected components of the graph on range(n) whose edges are
+    the True entries of ``support`` (None: one component), as index
+    arrays grouped by size (``HermitianPath.blocks``).
+
+    Each index takes the least label among its neighbours' and then the
+    label of that label, until no label changes.  Labels only decrease
+    and stay inside their component, and at the fixed point they are
+    constant along every edge."""
+    if support is None or support.all():
+        return [np.arange(n)[None]]
+    support = support | support.T
+    np.fill_diagonal(support, True)
+    rows, cols = np.nonzero(support)
+    # every row holds its diagonal, so row i starts the i-th run
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    labels = np.arange(n)
+    while True:
+        least = np.minimum.reduceat(labels[cols], starts)
+        least = least[least]
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    order = np.argsort(labels, kind="stable")
+    _, first, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
+
+
+def _one_block(path):
+    """Whether the path's partition is one block (the dense route)."""
+    blocks = path.blocks
+    return len(blocks) == 1 and len(blocks[0]) == 1
+
+
+def _gather(stack, idx):
+    """The blocks idx (count, size) of a matrix or a stack of matrices:
+    shape (..., count, size, size)."""
+    return stack[..., idx[:, :, None], idx[:, None, :]]
+
+
+def _block_spectra(groups):
+    """Sorted spectra of direct sums given block by block: per block size
+    a (..., count, size, size) stack, diagonalized by one stacked
+    eigvalsh (1 x 1 blocks are read), then merged by sorting.  The
+    spectrum of a direct sum is the union of its blocks' spectra."""
+    parts = []
+    for g in groups:
+        eigs = g[..., 0] if g.shape[-1] == 1 else np.linalg.eigvalsh(g)
+        parts.append(eigs.reshape(eigs.shape[:-2] + (eigs.shape[-2] * eigs.shape[-1],)))
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
 
 def _sym_norm2(diff):
@@ -493,11 +642,60 @@ def _fill_at(path, times):
     return lambda start, out: path.evaluate_into(times[start : start + len(out)], out)
 
 
+def _spectra(path, times):
+    """Sorted spectra of the path at ``times``, a row per time: stacked
+    dense solves on a one-block path (``_eigvalsh_stacked``), else the
+    blocks' values (``HermitianPath.block_values``) in chunks of at most
+    _STACK_BYTES, each through ``_block_spectra``."""
+    if _one_block(path):
+        return _eigvalsh_stacked(path.n, len(times), _fill_at(path, times))
+    times = np.asarray(times, dtype=float)
+    per = max(1, _STACK_BYTES // (8 * sum(idx.size * idx.shape[1] for idx in path.blocks)))
+    eigs = np.empty((times.size, path.n))
+    for start in range(0, times.size, per):
+        eigs[start : start + per] = _block_spectra(path.block_values(times[start : start + per]))
+    return eigs
+
+
 def _kernel(a, tol, delta):
     """eigh of the matrix a - delta, with the mask of its numerical kernel
     (|eigenvalue| < tol)."""
     eigs, vecs = np.linalg.eigh(a - delta * np.eye(len(a)))
     return eigs, vecs, np.abs(eigs) < tol
+
+
+def _kernel_frame(path, tol, delta, t=None, j=None):
+    """(eigs, ker, w, rows) of A - delta at time t, or at stored sample j.
+
+    ``eigs`` are the eigenvalues, ``ker`` the mask of the numerical kernel
+    (|eigenvalue| < tol) and w the kernel eigenvectors.  On a one-block
+    path they come from one dense eigh and ``rows`` is None.  Otherwise
+    each block is diagonalized by one stacked eigh per block size (1 x 1
+    blocks are read), ``eigs`` run in block order, and w holds the
+    kernel vectors on ``rows``, the indices of the blocks that hold
+    them: A and its derivative respect the partition, so the crossing
+    form needs no other row."""
+    if _one_block(path):
+        eigs, vecs, ker = _kernel(path.values[j] if t is None else path.evaluate(t), tol, delta)
+        return eigs, ker, vecs[:, ker], None
+    groups = path.sample_blocks(slice(j, j + 1)) if t is None else path.block_values([t])
+    eigs, kers, cols, hosts = [], [], [], []
+    for idx, g in zip(path.blocks, groups):
+        size = idx.shape[1]
+        if size == 1:
+            e, v = g[0, :, :, 0] - delta, np.ones((len(idx), 1, 1))
+        else:
+            e, v = np.linalg.eigh(g[0] - delta * np.eye(size))
+        ker = np.abs(e) < tol
+        block, col = np.nonzero(ker)
+        w = np.zeros((path.n, block.size))
+        w[idx[block], np.arange(block.size)[:, None]] = v[block, :, col]
+        eigs.append(e.ravel())
+        kers.append(ker.ravel())
+        cols.append(w)
+        hosts.append(idx[ker.any(axis=1)].ravel())
+    rows = np.sort(np.concatenate(hosts))
+    return np.concatenate(eigs), np.concatenate(kers), np.hstack(cols)[rows], rows
 
 
 def _compressed(w, d):
@@ -544,12 +742,12 @@ def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
     path is affine, from the same eigh and crossing form as the record
     (the derivative there is the segment slope); it is 0 when ``seg`` is
     None."""
-    eigs, vecs, ker = _kernel(path.evaluate(tstar), kernel_floor, delta)
+    eigs, ker, w, rows = _kernel_frame(path, kernel_floor, delta, t=tstar)
     k = int(np.count_nonzero(ker))
     if k == 0:
         raise _DegenerateCrossing("no numerical kernel at a located crossing")
-    w = vecs[:, ker]
-    ceigs = np.linalg.eigvalsh(_compressed(w, path.derivative_at(tstar)))
+    slope = path.derivative_at(tstar) if rows is None else path.segment_slope(path.segment(tstar), rows)
+    ceigs = np.linalg.eigvalsh(_compressed(w, slope))
     mags = np.abs(ceigs)
     # det scales as c^k, so compare the smallest magnitude, not det
     if mags.max() == 0.0 or mags.min() < 1e-10 * mags.max():
@@ -580,13 +778,12 @@ def _sample_window(path, tstar, rec, delta, kernel_floor, tol):
     j += int(ts[j + 1] - tstar < tstar - ts[j])
     if not (0 < j < ts.size - 1 and abs(ts[j] - tstar) < tol):
         return None
-    eigs, vecs, ker = _kernel(path.values[j], kernel_floor, delta)
+    eigs, ker, w, rows = _kernel_frame(path, kernel_floor, delta, j=j)
     if np.count_nonzero(ker) != rec.kernel_dim:
         return None
-    w = vecs[:, ker]
     h = []
     for seg in (j - 1, j):
-        form = np.linalg.eigvalsh(_compressed(w, path.segment_slope(seg)))
+        form = np.linalg.eigvalsh(_compressed(w, path.segment_slope(seg, rows)))
         if _signature(form, 0.0) != rec.crossing_signature:
             return None
         h.append(_window(eigs, ker, form, float(path.slope_norms()[seg]), tol))
@@ -648,7 +845,8 @@ def _secant(spectra, partner, l, r, i, delta):
     fl, fr = spectra[l][i] - delta, spectra[r][i] - delta
     for end, f in sorted([(l, fl), (r, fr)], key=lambda e: abs(e[1])):
         other = partner.get(end)
-        if other is not None:
+        # a closing pair closer than the float spacing of t collapses
+        if other is not None and other != end:
             slope = (spectra[other][i] - delta - f) / (other - end)
             if slope != 0.0 and l < end - f / slope < r:
                 return end - f / slope
@@ -676,7 +874,7 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
 
     def probe(times):
         times = [t for t in times if t not in spectra]
-        spectra.update(zip(times, _eigvalsh_stacked(path.n, len(times), _fill_at(path, times))))
+        spectra.update(zip(times, _spectra(path, times)))
 
     def ends(times):
         return np.array([spectra[t] for t in times.tolist()]).reshape(times.size, path.n)
@@ -774,7 +972,11 @@ def _bounded(path):
     slope bounds, else its sample interpolant (module docstring)."""
     if path.slope_norms() is not None:
         return path, "crossing"
-    return HermitianPath(path.t_samples, path.values), "interpolant"
+    # the callable's samples, checked on ingest, and so its partition
+    interpolant = copy.copy(path)
+    interpolant._func = interpolant._derivative = None
+    interpolant.curvature = 0.0
+    return interpolant, "interpolant"
 
 
 def spectral_flow(path, cfg=None):
@@ -792,8 +994,11 @@ def spectral_flow(path, cfg=None):
     if cfg is None:
         cfg = SpectralFlowConfig()
     scale = max(1.0, _max_abs(path.values))
-    eigs_a = np.linalg.eigvalsh(path.values[0])
-    eigs_b = np.linalg.eigvalsh(path.values[-1])
+    if _one_block(path):
+        eigs_a = np.linalg.eigvalsh(path.values[0])
+        eigs_b = np.linalg.eigvalsh(path.values[-1])
+    else:
+        eigs_a, eigs_b = _block_spectra(path.sample_blocks(slice(None, None, len(path.values) - 1)))
     spectra = {path.a: eigs_a, path.b: eigs_b}
     if cfg.endpoint_count_only:
         sf, delta = _endpoint_flow(eigs_a, eigs_b, scale, cfg)
@@ -802,8 +1007,12 @@ def spectral_flow(path, cfg=None):
         )
     path, method = _bounded(path)
     inner = path.values[1:-1]
-    fill = lambda start, out: np.copyto(out, inner[start : start + len(out)])
-    spectra.update(zip(path.t_samples[1:-1].tolist(), _eigvalsh_stacked(path.n, len(inner), fill)))
+    if _one_block(path):
+        fill = lambda start, out: np.copyto(out, inner[start : start + len(out)])
+        eigs = _eigvalsh_stacked(path.n, len(inner), fill)
+    else:
+        eigs = _block_spectra(path.sample_blocks(slice(1, -1)))
+    spectra.update(zip(path.t_samples[1:-1].tolist(), eigs))
     delta0 = _initial_shift(eigs_a, eigs_b, scale, cfg)
     err = None
     for halving in range(cfg.max_halvings + 1):

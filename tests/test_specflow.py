@@ -7,7 +7,10 @@ arriving at zero from above counts -1; branches that stay on one side
 contribute nothing.
 """
 
+import json
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +301,22 @@ def test_joins_of_affine_paths_keep_exact_chords(monkeypatch):
             assert sf.sf_concat(p2, sf.HermitianPath(p2.t_samples + 2.0, p2.values[::-1])) == 0
 
 
+def random_orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def conjugated(path, rng):
+    """Q^T A(t) Q for a random orthogonal Q mixing every index, as a
+    callable without a curvature bound sampled where ``path`` is."""
+    q = random_orthogonal(rng, path.n)
+
+    def value(t):
+        m = q.T @ path.evaluate(t) @ q
+        return 0.5 * (m + m.T)
+
+    return sf.HermitianPath(path.t_samples, np.array([value(t) for t in path.t_samples]), func=value)
+
+
 def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -319,11 +338,15 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
         assert solves[:2] == [(6, 6), (6, 6)]
         assert len(solves) <= 2 + rep.refinement_depth
 
-    # the n = 255 magnetic tower declares no curvature bound, so it is
-    # refined as its interpolant: one stacked solve per chunk of its
-    # samples, of its segment slopes, and of each level's new probes.
-    # A depth-first refinement takes 180 separate solves of this path.
-    path = tm.magnetic_family_path(3, 8)
+    # the n = 255 magnetic tower conjugated by a random orthogonal Q is
+    # one dense block and declares no curvature bound, so it is refined
+    # as its interpolant: one stacked solve per chunk of its samples, of
+    # its segment slopes, and of each level's new probes.  A depth-first
+    # refinement takes 180 separate solves of this path.  A delta_cap of
+    # 0.4 puts delta = 0.2 and the triple crossing between samples: Q
+    # splits the triple eigenvalue by rounding, and on a sample that halves
+    # delta.
+    path = conjugated(tm.magnetic_family_path(3, 8), np.random.default_rng(49))
     n = path.n
     per = sf._per_chunk(n)
     chunks = lambda count: -(-count // per)
@@ -338,8 +361,8 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
 
     monkeypatch.setattr(sf, "_eigvalsh_stacked", probe)
     shapes.clear()
-    rep = sf.spectral_flow(path)
-    assert rep.sf == -3
+    rep = sf.spectral_flow(path, sf.SpectralFlowConfig(delta_cap=0.4))
+    assert (rep.sf, rep.delta_used) == (-3, 0.2)
     assert rep.method == "interpolant"
     # the crossing records take small eigvalsh of their crossing forms
     big = [s for s in shapes if s[-1] == n]
@@ -637,6 +660,199 @@ def test_endpoint_count_mode_matches_engine():
         assert fast.crossings == []
         assert fast.method == "endpoint-count"
         assert full.method == "crossing"
+
+
+# ------------------------------------------------- block-diagonal paths
+
+
+def test_tower_records_equal_frozen_corpus():
+    # tests/data/tower_records.json holds, for the 21 towers
+    # magnetic_family_path(d, depth), d in -3..3 and depth in {2, 4, 8},
+    # the records of the dense route that took them before the block
+    # route existed: t and delta_used as float.hex, kernel dimension,
+    # signature and determinant sign, sf and refinement depth
+    with open(Path(__file__).with_name("data") / "tower_records.json") as fh:
+        frozen = json.load(fh)["towers"]
+    assert len(frozen) == 21 and sum(len(tower["crossings"]) for tower in frozen) == 18
+    for tower in frozen:
+        rep = sf.spectral_flow(tm.magnetic_family_path(tower["flux"], tower["depth"]))
+        got = {
+            "flux": tower["flux"],
+            "depth": tower["depth"],
+            "sf": rep.sf,
+            "delta_used": float(rep.delta_used).hex(),
+            "refinement_depth": rep.refinement_depth,
+            "crossings": [
+                [float(r.t).hex(), r.kernel_dim, r.crossing_signature, r.crossing_det_sign] for r in rep.crossings
+            ],
+        }
+        assert got == tower
+
+
+def block_path(rng, kind):
+    """(path, planted blocks): a path on [-1, 1] that is block diagonal on
+    a random permutation of its index set, with 3 to 6 blocks of sizes 1
+    to 4, affine or interpolated between 7 random samples.  The last
+    block repeats the first conjugated by a random orthogonal matrix, so
+    the two blocks cross the line together."""
+    sizes = rng.integers(1, 5, size=int(rng.integers(2, 6))).tolist()
+    sizes.append(sizes[0])
+    perm = rng.permutation(sum(sizes))
+    planted = np.split(perm, np.cumsum(sizes)[:-1])
+    times = 2 if kind == "affine" else 7
+    mats = np.zeros((times, perm.size, perm.size))
+    for idx in planted[:-1]:
+        block = rng.standard_normal((times, idx.size, idx.size))
+        mats[:, idx[:, None], idx] = block + block.transpose(0, 2, 1)
+    q = random_orthogonal(rng, sizes[0])
+    first, last = planted[0], planted[-1]
+    mats[:, last[:, None], last] = q.T @ mats[:, first[:, None], first] @ q
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    if kind == "affine":
+        return sf.HermitianPath.affine(mats[0], mats[1], -1.0, 1.0), planted
+    grid = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, times - 2)), [1.0]])
+    return sf.HermitianPath(grid, mats), planted
+
+
+def dense_twin(path, rng):
+    """Q^T A Q of a block path for a random orthogonal Q mixing all
+    blocks: one block, so the dense route."""
+    q = random_orthogonal(rng, path.n)
+    if path._affine is not None:
+        const, linear = (0.5 * (m + m.T) for m in (q.T @ x @ q for x in path._affine))
+        return sf.HermitianPath.affine(const, linear, path.a, path.b)
+    vals = q.T @ path.values @ q
+    return sf.HermitianPath(path.t_samples, 0.5 * (vals + vals.transpose(0, 2, 1)))
+
+
+@pytest.mark.parametrize("kind", ["affine", "interpolated"])
+def test_block_route_agrees_with_the_dense_route(kind):
+    # the partition is the planted one, and the block route gives the
+    # dense route's sf, kernel dimensions and signatures, with t within
+    # bisection_tol; the repeated block makes simultaneous crossings
+    rng = np.random.default_rng(60)
+    cfg = sf.SpectralFlowConfig()
+    shared = 0
+    for _ in range(25):
+        path, planted = block_path(rng, kind)
+        found = sorted(tuple(block) for idx in path.blocks for block in idx.tolist())
+        assert found == sorted(tuple(np.sort(idx).tolist()) for idx in planted)
+        dense = dense_twin(path, rng)
+        assert len(dense.blocks) == 1 and dense.blocks[0].shape == (1, path.n)
+        got, want = sf.spectral_flow(path, cfg), sf.spectral_flow(dense, cfg)
+        assert got.sf == want.sf
+        assert len(got.crossings) == len(want.crossings)
+        for rec, ref in zip(got.crossings, want.crossings):
+            assert abs(rec.t - ref.t) <= cfg.bisection_tol
+            assert (rec.kernel_dim, rec.crossing_signature) == (ref.kernel_dim, ref.crossing_signature)
+        shared += sum(rec.kernel_dim > 1 for rec in got.crossings)
+    assert shared > 0
+
+
+def test_partition_of_each_kind_of_path():
+    # affine: const and linear; interpolated and a callable without a
+    # curvature bound: the samples; a callable with one: one block
+    a = np.diag([1.0, 2.0, 3.0])
+    a[0, 2] = a[2, 0] = 0.5
+    b = np.diag([1.0, -1.0, 0.0])
+    blocks = lambda path: [idx.tolist() for idx in path.blocks]
+    assert blocks(sf.HermitianPath.affine(a, b)) == [[[1]], [[0, 2]]]
+    assert blocks(sf.HermitianPath.affine(np.zeros((3, 3)), b)) == [[[0], [1], [2]]]
+    assert blocks(sf.HermitianPath(np.array([0.0, 1.0]), np.array([a, b]))) == [[[1]], [[0, 2]]]
+    bare = sf.HermitianPath.from_callable(lambda t: a + t * b, 0.0, 1.0)
+    assert blocks(bare) == [[[1]], [[0, 2]]]
+    curved = sf.HermitianPath.from_callable(lambda t: a + t * b, 0.0, 1.0, derivative=lambda t: b, curvature=0.0)
+    assert blocks(curved) == [[[0, 1, 2]]]
+    # a chain through off-diagonal entries in a random order is one
+    # block, beside the indices it does not visit
+    order = np.random.default_rng(61).permutation(40)
+    chain = np.zeros((40, 40))
+    chain[order[:-5], order[1:-4]] = chain[order[1:-4], order[:-5]] = 1.0
+    assert blocks(sf.HermitianPath.affine(chain, np.zeros((40, 40)))) == [
+        [[i] for i in sorted(order[-4:].tolist())],
+        [sorted(order[:-4].tolist())],
+    ]
+
+
+# today's call shapes of the dense route, recorded before the block route
+# existed, on the 5 x 5 paths of ``dense_shape_paths``
+DENSE_CALLS = {
+    "affine": [
+        ("eigvalsh", (5, 5)), ("eigvalsh", (5, 5)), ("eigvalsh", (5, 5)), ("eigvalsh", (2, 5, 5)),
+        ("eigvalsh", (2, 5, 5)), ("eigvalsh", (5, 5, 5)), ("eigvalsh", (6, 5, 5)), ("eigvalsh", (7, 5, 5)),
+        ("eigvalsh", (6, 5, 5)), ("eigh", (5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 5, 5)),
+        ("eigvalsh", (1, 5, 5)),
+    ],
+    "interpolated": [
+        ("eigvalsh", (5, 5)), ("eigvalsh", (5, 5)), ("eigvalsh", (8, 5, 5)), ("eigvalsh", (7, 5, 5)),
+        ("eigvalsh", (10, 5, 5)), ("eigvalsh", (8, 5, 5)), ("eigvalsh", (10, 5, 5)), ("eigvalsh", (9, 5, 5)),
+        ("eigh", (5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (8, 5, 5)), ("eigvalsh", (7, 5, 5)),
+        ("eigh", (5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 5, 5)),
+    ],
+}
+
+
+def dense_shape_paths():
+    rng = np.random.default_rng(7)
+    a, b, c = (m + m.T for m in (rng.standard_normal((5, 5)) for _ in range(3)))
+    grid = np.linspace(-1.0, 1.0, 9)
+    return {
+        "affine": lambda: sf.HermitianPath.affine(a, b, -1.0, 1.0),
+        "interpolated": lambda: sf.HermitianPath(grid, np.array([a + t * b + np.sin(1.7 * t) * c for t in grid])),
+    }
+
+
+def watch_solves(monkeypatch):
+    """Record (name, shape) of every np.linalg eigvalsh and eigh call."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+
+        def watched(a, *args, _solve=solve, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, watched)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["tower", "four", "dense"])
+def test_block_paths_solve_only_their_blocks(monkeypatch, case):
+    # a tower (1 x 1 blocks) makes no n x n solve at all; a Dirac family
+    # (4 x 4 blocks) solves only (., 4, 4) stacks beside its crossing
+    # forms; a dense path makes today's calls
+    if case == "dense":
+        for kind, make in dense_shape_paths().items():
+            calls = watch_solves(monkeypatch)
+            sf.spectral_flow(make())
+            assert calls == DENSE_CALLS[kind]
+        return
+    if case == "tower":
+        path = tm.magnetic_family_path(3, 8)
+    else:
+        tr = tm.TorusTruncation(1)
+        path = tm.dirac_family_path(tr, np.array([-0.3, 0.1, 0.05]), np.array([0.5, 0.05, 0.0]))
+    calls = watch_solves(monkeypatch)
+    rep = sf.spectral_flow(path)
+    assert rep.crossings
+    forms = {(rec.kernel_dim, rec.kernel_dim) for rec in rep.crossings}
+    stacks = {shape[-2:] for _, shape in calls if len(shape) > 2}
+    assert all(shape in forms for _, shape in calls if len(shape) == 2)
+    assert stacks == (set() if case == "tower" else {(4, 4)})
+    assert not any(shape[-1] == path.n for _, shape in calls)
+
+
+def test_secant_skips_a_collapsed_closing_pair():
+    # diag(-1, -0.5, 2) + (2t/L) I on [0, L] has SF 2.  At L = 1e6,
+    # bisection_tol / 4 is below the float spacing of t, so a closing
+    # pair collapses onto its end; the secant skips it, and the path
+    # ends in the typed error, with no 0/0 warning
+    length = 1e6
+    path = sf.HermitianPath.affine(np.diag([-1.0, -0.5, 2.0]), 2.0 / length * np.eye(3), 0.0, length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sf.SpectralFlowError):
+            sf.spectral_flow(path)
 
 
 # ------------------------------------------------------------- axioms

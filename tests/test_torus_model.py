@@ -7,6 +7,8 @@ of the magnetic tower family, and independent assembly of both sides of
 the curvature identity for the squared Dirac operator.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,124 @@ def test_constant_family_flow_vanishes():
     alpha = np.array([0.7, 0.2, -0.4])
     path = tm.dirac_family_path(tr, alpha, alpha)
     assert sfmod.spectral_flow(path).sf == 0
+
+
+def dirac_crossings(trunc, alpha0, alpha1, delta):
+    """Closed-form crossing records (t, kernel_dim, signature) of
+    dirac_family_path(trunc, alpha0, alpha1) at shift delta, by t.
+
+    The family is affine in t, and so is its sample interpolant.  Mode k
+    has the eigenvalues +-|v(t)|, v(t) = k + alpha0/2 + t beta/2 with
+    beta = alpha1 - alpha0, each twice once realified.  The branch
+    +|v| meets delta at the real roots in [0, 1] of
+
+        |v(t)|^2 - delta^2 = qa t^2 + qb t + qc,
+
+    where d|v|^2/dt = v . beta = +-sqrt(disc): each simple root gives
+    kernel dimension 2 and signature 2 sign(v . beta), a double root
+    (disc = 0) touches delta without crossing it, and coincident roots
+    of several modes add up."""
+    beta = alpha1 - alpha0
+    c = trunc.modes + alpha0 / 2.0
+    qa, qb, qc = beta @ beta / 4.0, c @ beta, np.sum(c * c, axis=1) - delta**2
+    disc = qb**2 - 4.0 * qa * qc
+    roots = {}
+    for i in np.flatnonzero(disc > 0.0):
+        for sign in (-1, 1):
+            t = (-qb[i] + sign * np.sqrt(disc[i])) / (2.0 * qa)
+            if 0.0 <= t <= 1.0:
+                dim, sig = roots.get(t, (0, 0))
+                roots[t] = (dim + 2, sig + 2 * sign)
+    return sorted((t, dim, sig) for t, (dim, sig) in roots.items())
+
+
+def closed_form_flow(trunc, alpha0, alpha1, cfg=None):
+    """The family's flow report, whose records are its closed form's."""
+    rep = sfmod.spectral_flow(tm.dirac_family_path(trunc, alpha0, alpha1), cfg)
+    assert_closed_form(rep, trunc, alpha0, alpha1)
+    return rep
+
+
+def assert_closed_form(rep, trunc, alpha0, alpha1):
+    want = dirac_crossings(trunc, alpha0, alpha1, rep.delta_used)
+    got = [(rec.t, rec.kernel_dim, rec.crossing_signature) for rec in rep.crossings]
+    assert len(got) == len(want)
+    for (t, dim, sig), (t0, dim0, sig0) in zip(got, want):
+        assert abs(t - t0) <= 1e-9
+        assert (dim, sig) == (dim0, sig0)
+    assert rep.sf == sum(sig for _, _, sig in want)
+
+
+def near_zero_holonomy_path(rng, trunc):
+    """A holonomy path whose alpha/2 passes within 0.1 of a mode -k0 in
+    each coordinate at a random time t* in [0.3, 0.7], along a random
+    direction."""
+    k0 = rng.integers(-trunc.cutoff + 1, trunc.cutoff, size=3) if trunc.cutoff > 1 else np.zeros(3)
+    near = -k0 + rng.uniform(-0.1, 0.1, size=3)
+    step = rng.standard_normal(3)
+    step *= rng.uniform(0.5, 1.5) / np.linalg.norm(step)
+    tstar = rng.uniform(0.3, 0.7)
+    return 2.0 * (near - tstar * step), 2.0 * (near + (1.0 - tstar) * step)
+
+
+@pytest.mark.parametrize("cutoff, count", [(1, 8), (2, 4), (3, 2)])
+def test_dirac_family_records_match_the_closed_form(cutoff, count):
+    # every simple root gives a record of kernel dimension 2 and
+    # signature +-2 within 1e-9 of it
+    tr = tm.TorusTruncation(cutoff)
+    rng = np.random.default_rng(80 + cutoff)
+    records = 0
+    for _ in range(count):
+        rep = closed_form_flow(tr, *near_zero_holonomy_path(rng, tr))
+        assert all(rec.kernel_dim == 2 and abs(rec.crossing_signature) == 2 for rec in rep.crossings)
+        records += len(rep.crossings)
+    assert records == 2 * count
+
+
+def test_dirac_gauge_period_records_match_the_closed_form():
+    # one gauge period alpha -> alpha + (2, 0, 0) at cutoff 3 (n = 1372),
+    # resolved crossing by crossing: its net flow is 0
+    tr = tm.TorusTruncation(3)
+    alpha = np.array([-0.9, 0.05, 0.02])
+    path = tm.dirac_family_path(tr, alpha, alpha + np.array([2.0, 0.0, 0.0]))
+    started = time.perf_counter()
+    rep = sfmod.spectral_flow(path)
+    # 343 blocks of 4 x 4: no solve of the whole n = 1372
+    assert time.perf_counter() - started < 0.5
+    assert rep.sf == 0 and len(rep.crossings) == 2
+    assert_closed_form(rep, tr, alpha, alpha + np.array([2.0, 0.0, 0.0]))
+
+
+def test_dirac_coincident_roots_add_up():
+    # alpha/2 = (x, 0, 0.3) sweeps x from -4 to 4: the modes (k1, 1, k3)
+    # and (k1, -1, k3) have the same |v(t)|, so their roots coincide and
+    # give kernel dimension 4.  The endpoints lie at least 3 from every
+    # mode of the cutoff-1 truncation, so a delta_cap of 4 gives a shift
+    # delta = 1.5 that the pairs reach.
+    tr = tm.TorusTruncation(1)
+    cfg = sfmod.SpectralFlowConfig(delta_cap=4.0)
+    rep = closed_form_flow(tr, np.array([-8.0, 0.0, 0.6]), np.array([8.0, 0.0, 0.6]), cfg)
+    dims = [rec.kernel_dim for rec in rep.crossings]
+    assert (dims.count(4), dims.count(2), len(dims)) == (12, 18, 30)
+
+
+def test_dirac_double_root_gives_no_record():
+    # alpha/2 = (t - 1/2, 1/4, 0): every endpoint eigenvalue has magnitude
+    # at least 0.559, so delta = delta_cap / 2 = 1/4, and |v(t)| of the
+    # zero mode touches 1/4 at t = 1/2 without crossing it.  No interval
+    # that ends near a tangency is certified, so the refinement runs down
+    # to bisection_tol there, with about 2^(depth/2) intervals per level:
+    # the default 1e-10 gives the same result in about 20 s, 1e-6 in a
+    # fraction of a second.
+    tr = tm.TorusTruncation(1)
+    alpha0, alpha1 = np.array([-1.0, 0.5, 0.0]), np.array([1.0, 0.5, 0.0])
+    rep = closed_form_flow(tr, alpha0, alpha1, sfmod.SpectralFlowConfig(bisection_tol=1e-6))
+    assert rep.delta_used == 0.25
+    assert (rep.sf, rep.crossings) == (0, [])
+    beta = alpha1 - alpha0
+    c = tr.modes[tr.index((0, 0, 0))] + alpha0 / 2.0
+    # the quadratic of the zero mode has a double root at 1/2
+    assert ((c @ beta) ** 2 - (beta @ beta) * (c @ c - 0.25**2), -(c @ beta) / (beta @ beta / 2.0)) == (0.0, 0.5)
 
 
 # ------------------------------------------------------- magnetic towers
