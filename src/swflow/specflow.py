@@ -154,8 +154,9 @@ sample interpolant.  A callable with a curvature bound is one block, and
 a dense support is one block after one check.  The spectrum of a direct
 sum is the union of its blocks' spectra, so each spectrum is taken with
 one stacked eigvalsh per block size (1 x 1 blocks are read) and merged by
-sorting; it is the sorted spectrum of the whole matrix, and every step
-above reads only sorted spectra.  The 2-norm of a direct sum is the
+sorting.  That is the sorted spectrum of the whole matrix (bit for bit
+where every block is 1 x 1, as dense eigvalsh returns a diagonal exactly),
+and every step above reads only sorted spectra.  The 2-norm of a direct sum is the
 largest of its blocks' norms, so beta_seg is the maximum over blocks and
 the Weyl certificate holds unchanged; the secant step reads the same
 sorted eigenvalue i.  An eigenvector of a block, embedded in R^n, is one
