@@ -714,22 +714,12 @@ def block_path(rng, kind):
     return sf.HermitianPath(grid, mats), planted
 
 
-def dense_twin(path, rng):
-    """Q^T A Q of a block path for a random orthogonal Q mixing all
-    blocks: one block, so the dense route."""
-    q = random_orthogonal(rng, path.n)
-    if path._affine is not None:
-        const, linear = (0.5 * (m + m.T) for m in (q.T @ x @ q for x in path._affine))
-        return sf.HermitianPath.affine(const, linear, path.a, path.b)
-    vals = q.T @ path.values @ q
-    return sf.HermitianPath(path.t_samples, 0.5 * (vals + vals.transpose(0, 2, 1)))
-
-
 @pytest.mark.parametrize("kind", ["affine", "interpolated"])
 def test_block_route_agrees_with_the_dense_route(kind):
     # the partition is the planted one, and the block route gives the
     # dense route's sf, kernel dimensions and signatures, with t within
-    # bisection_tol; the repeated block makes simultaneous crossings
+    # bisection_tol; the dense twin Q^T A Q mixes all blocks, and the
+    # repeated block makes simultaneous crossings
     rng = np.random.default_rng(60)
     cfg = sf.SpectralFlowConfig()
     shared = 0
@@ -737,7 +727,7 @@ def test_block_route_agrees_with_the_dense_route(kind):
         path, planted = block_path(rng, kind)
         found = sorted(tuple(block) for idx in path.blocks for block in idx.tolist())
         assert found == sorted(tuple(np.sort(idx).tolist()) for idx in planted)
-        dense = dense_twin(path, rng)
+        dense = conjugated(path, rng)
         assert len(dense.blocks) == 1 and dense.blocks[0].shape == (1, path.n)
         got, want = sf.spectral_flow(path, cfg), sf.spectral_flow(dense, cfg)
         assert got.sf == want.sf
