@@ -146,28 +146,29 @@ kept across delta halvings, so no point of the path is diagonalized
 twice.  The stabilizer scan of ``orient`` runs level by level the same
 way.
 
-Block-diagonal paths.  Every path holds a partition of its index set
-that each of its values respects (``HermitianPath.blocks``), found once
-as the connected components of a union support: of const and linear on
-a path made by ``affine``, of the samples on a path refined as its
-sample interpolant.  A callable with a curvature bound is one block, and
-a dense support is one block after one check.  The spectrum of a direct
-sum is the union of its blocks' spectra, so each spectrum is taken with
-one stacked eigvalsh per block size (1 x 1 blocks are read) and merged by
+Block-diagonal paths.  Every path holds a partition of its index set that
+each of its values respects (``HermitianPath.blocks``), found once as
+the connected components of a union support: of const and linear on a
+path made by ``affine``, of the samples on a path refined as its sample
+interpolant.  A callable with a curvature bound is one block, and a dense
+support is one block after one check.  The spectrum of a direct sum is
+the union of its blocks' spectra, so each spectrum is taken with one
+stacked eigvalsh per block size (1 x 1 blocks are read) and merged by
 sorting.  That is the sorted spectrum of the whole matrix (bit for bit
-where every block is 1 x 1, as dense eigvalsh returns a diagonal exactly),
-and every step above reads only sorted spectra.  The 2-norm of a direct sum is the
-largest of its blocks' norms, so beta_seg is the maximum over blocks and
-the Weyl certificate holds unchanged; the secant step reads the same
-sorted eigenvalue i.  An eigenvector of a block, embedded in R^n, is one
-of the whole matrix, so the kernel at a crossing comes from one stacked
-eigh per block size, and its crossing form needs only the rows of the
-blocks that hold it, since the slope respects the partition.  The window
-takes g over the eigenvalues of all blocks and beta over all blocks, so
-its derivation holds as it stands.  Probes evaluate only the blocks,
-from the stored blocks of const and linear or of the samples, bit for
-bit as the dense evaluation.  A one-block path takes the dense route:
-the same calls, with the same shapes, as the engine made before blocks.
+where every block is 1 x 1, as dense eigvalsh returns a diagonal
+exactly), and every step above reads only sorted spectra.  The 2-norm of
+a direct sum is the largest of its blocks' norms, so beta_seg is the
+maximum over blocks and the Weyl certificate holds unchanged; the secant
+step reads the same sorted eigenvalue i.  An eigenvector of a block,
+embedded in R^n, is one of the whole matrix, so the kernel at a crossing
+comes from one stacked eigh per block size, and its crossing form needs
+only the rows of the blocks that hold it, since the slope respects the
+partition.  The window takes g over the eigenvalues of all blocks and
+beta over all blocks, so its derivation holds as it stands.  Probes
+evaluate only the blocks, from the stored blocks of const and linear or
+of the samples, bit for bit as the dense evaluation.  A one-block path
+takes the dense route, with solves of the whole matrix or of stacks of
+it.
 """
 
 import copy
@@ -279,7 +280,8 @@ class HermitianPath:
     interpolated between its samples, or else a central finite
     difference.  ``curvature`` is a bound gamma >= sup ||A''||_2 that a
     callable with a derivative may declare (``slope_norms``); an
-    interpolated path has curvature 0.
+    interpolated path has curvature 0.  ``blocks`` is a partition of the
+    index set that every value respects (module docstring).
     """
 
     def __init__(self, t_samples, values, derivative=None, func=None, curvature=None):
