@@ -231,7 +231,8 @@ def near_zero_holonomy_path(rng, trunc):
     """A holonomy path whose alpha/2 passes within 0.1 of a mode -k0 in
     each coordinate at a random time t* in [0.3, 0.7], along a random
     direction."""
-    k0 = rng.integers(-trunc.cutoff + 1, trunc.cutoff, size=3) if trunc.cutoff > 1 else np.zeros(3)
+    # inside the truncation by a margin of one, so the path stays away from its edge
+    k0 = rng.integers(-trunc.cutoff + 1, trunc.cutoff, size=3)
     near = -k0 + rng.uniform(-0.1, 0.1, size=3)
     step = rng.standard_normal(3)
     step *= rng.uniform(0.5, 1.5) / np.linalg.norm(step)
