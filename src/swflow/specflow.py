@@ -257,15 +257,38 @@ def _max_abs(a):
     return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
 
-def _check_symmetric(values, tol=1e-12):
-    """Reject a matrix, or a stack of matrices, that is not symmetric.
+def _sym_defect(m, tile=256):
+    """max |m - m^T| of a square matrix, NaN when m holds a NaN.
 
-    The defect is taken one matrix at a time, so the only temporary is
-    the size of one sample."""
-    scale = max(1.0, _max_abs(values))
+    Up to ``tile`` rows this is one m - m^T.  A larger m is visited by
+    tile x tile blocks of its upper triangle, each against its mirror,
+    so every pair (i, j) is seen once and no temporary is larger than a
+    tile; |m_ij - m_ji| is exact and symmetric in i and j, so the
+    maximum is the same bit for bit."""
+    n = m.shape[0]
+    if n <= tile:
+        return _max_abs(m - m.T)
+    starts = range(0, n, tile)
+    return float(np.max([
+        _max_abs(m[i : i + tile, j : j + tile] - m[j : j + tile, i : i + tile].T)
+        for i in starts
+        for j in starts
+        if j >= i
+    ]))
+
+
+def _check_symmetric(values, tol=1e-12):
+    """Reject a matrix, or a stack of matrices, that is not finite or not
+    symmetric.
+
+    The defect is taken one matrix at a time by ``_sym_defect``, so the
+    only temporary is the size of one sample at most."""
+    top = _max_abs(values)
+    if not np.isfinite(top):
+        raise ValueError("path samples are not finite")
     mats = values[None] if values.ndim == 2 else values
-    defect = max(_max_abs(v - v.T) for v in mats)
-    if defect > tol * scale:
+    defect = max(_sym_defect(v) for v in mats)
+    if defect > tol * max(1.0, top):
         raise ValueError("path samples are not symmetric within tolerance")
 
 
@@ -352,7 +375,7 @@ class HermitianPath:
         if {const.dtype, linear.dtype} <= {np.dtype(float), np.dtype(complex)}:
             # broadcast by ``evaluate_into`` in the path's realified form
             path._affine = tuple(realify_matrix(m) if path.realified else m for m in (const, linear))
-        if _one_block(path):
+        if _one_block(path.blocks):
             path._slopes = np.array([_sym_norm2(linear)])
         else:
             slope = _block_spectra([lin[None] for _, lin in path._stored_blocks()])
@@ -486,7 +509,7 @@ class HermitianPath:
                 for j, slope in enumerate(out):
                     slope[...] = self.segment_slope(start + j)
 
-            if _one_block(self):
+            if _one_block(self.blocks):
                 eigs = _eigvalsh_stacked(self.n, lens.size, fill)
             else:
                 # several blocks only where the path is interpolated
@@ -576,9 +599,8 @@ def _partition(support, n):
     return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
 
 
-def _one_block(path):
-    """Whether the path's partition is one block (the dense route)."""
-    blocks = path.blocks
+def _one_block(blocks):
+    """Whether a partition (``_partition``) is one block: the dense route."""
     return len(blocks) == 1 and len(blocks[0]) == 1
 
 
@@ -590,12 +612,13 @@ def _gather(stack, idx):
 
 def _block_spectra(groups):
     """Sorted spectra of direct sums given block by block: per block size
-    a (..., count, size, size) stack, diagonalized by one stacked
-    eigvalsh (1 x 1 blocks are read), then merged by sorting.  The
-    spectrum of a direct sum is the union of its blocks' spectra."""
+    a (..., count, size, size) stack of symmetric or Hermitian blocks,
+    diagonalized by one stacked eigvalsh (1 x 1 blocks are read, their
+    real part), then merged by sorting.  The spectrum of a direct sum is
+    the union of its blocks' spectra."""
     parts = []
     for g in groups:
-        eigs = g[..., 0] if g.shape[-1] == 1 else np.linalg.eigvalsh(g)
+        eigs = g[..., 0].real if g.shape[-1] == 1 else np.linalg.eigvalsh(g)
         parts.append(eigs.reshape(eigs.shape[:-2] + (eigs.shape[-2] * eigs.shape[-1],)))
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
@@ -650,7 +673,7 @@ def _spectra(path, times):
     dense solves on a one-block path (``_eigvalsh_stacked``), else the
     blocks' values (``HermitianPath.block_values``) in chunks of at most
     _STACK_BYTES, each through ``_block_spectra``."""
-    if _one_block(path):
+    if _one_block(path.blocks):
         return _eigvalsh_stacked(path.n, len(times), _fill_at(path, times))
     times = np.asarray(times, dtype=float)
     per = max(1, _STACK_BYTES // (8 * sum(idx.size * idx.shape[1] for idx in path.blocks)))
@@ -678,7 +701,7 @@ def _kernel_frame(path, tol, delta, t=None, j=None):
     kernel vectors on ``rows``, the indices of the blocks that hold
     them: A and its derivative respect the partition, so the crossing
     form needs no other row."""
-    if _one_block(path):
+    if _one_block(path.blocks):
         eigs, vecs, ker = _kernel(path.values[j] if t is None else path.evaluate(t), tol, delta)
         return eigs, ker, vecs[:, ker], None
     groups = path.sample_blocks(slice(j, j + 1)) if t is None else path.block_values([t])
@@ -997,7 +1020,7 @@ def spectral_flow(path, cfg=None):
     if cfg is None:
         cfg = SpectralFlowConfig()
     scale = max(1.0, _max_abs(path.values))
-    if _one_block(path):
+    if _one_block(path.blocks):
         eigs_a = np.linalg.eigvalsh(path.values[0])
         eigs_b = np.linalg.eigvalsh(path.values[-1])
     else:
@@ -1010,7 +1033,7 @@ def spectral_flow(path, cfg=None):
         )
     path, method = _bounded(path)
     inner = path.values[1:-1]
-    if _one_block(path):
+    if _one_block(path.blocks):
         fill = lambda start, out: np.copyto(out, inner[start : start + len(out)])
         eigs = _eigvalsh_stacked(path.n, len(inner), fill)
     else:

@@ -262,6 +262,8 @@ class Configuration:
             self.a_field = np.asarray(self.a_field, dtype=float)
             if self.a_field.shape != (m, 3):
                 raise ValueError("1-form offset must have shape (modes, 3)")
+        if not all(np.isfinite(x).all() for x in (self.psi, self.alpha, self.a_field)):
+            raise ValueError("configuration fields must be finite")
 
     @property
     def reducible(self):
@@ -828,15 +830,23 @@ def _reducible_spectrum(c, dirac=None):
 
     With a zero spinor the coupling blocks vanish, so the Hessian is
     diag(R, F) with R the realified Dirac operator D_A.  Realification
-    doubles every eigenvalue, so D_A is diagonalized as the complex
-    Hermitian matrix of size 2M, each eigenvalue listed twice, and F's
-    cached spectrum (``_form_basis``) is appended.  ``dirac`` is the
-    ``_dirac_block`` of c when the caller has it.
+    doubles every eigenvalue, so D_A's complex spectrum is listed twice,
+    and F's cached spectrum (``_form_basis``) is appended.  D_A is taken
+    by the blocks of its support (specflow._partition): a 1-form that is
+    zero off the zero mode leaves one 2 x 2 block sigma . v per mode (two
+    1 x 1 blocks, which take no solve, where v is along e_3 or zero), and
+    the 2 x 2 blocks take one stacked solve; a 1-form with a nonzero mode
+    in its support couples all modes, and D_A takes one dense solve.
+    ``dirac`` is the ``_dirac_block`` of c when the caller has it.
     """
     d, top = _dirac_block(c) if dirac is None else dirac
     form = _form_basis(c.trunc)
-    eigs = np.repeat(np.linalg.eigvalsh(d), 2)
-    return np.concatenate([eigs, form.lam]), max(top, form.top)
+    blocks = sfmod._partition(d != 0, d.shape[0])
+    if sfmod._one_block(blocks):
+        eigs = np.linalg.eigvalsh(d)
+    else:
+        eigs = sfmod._block_spectra([sfmod._gather(d, idx) for idx in blocks])
+    return np.concatenate([np.repeat(eigs, 2), form.lam]), max(top, form.top)
 
 
 @dataclass

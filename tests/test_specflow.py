@@ -947,6 +947,47 @@ def test_rejects_asymmetric_samples():
         sf.HermitianPath(grid, vals)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_rejects_non_finite_samples(bad, complex_input):
+    # a non-finite entry in any sample is rejected at ingest, before the
+    # engine could spend its delta halvings on it
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((4, 4))
+    vals = np.array([a + a.T + t * np.eye(4) for t in np.linspace(-1.0, 1.0, 5)])
+    if complex_input:
+        vals = vals + 0j
+    vals[3, 1, 2] = vals[3, 2, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        sf.HermitianPath(np.linspace(-1.0, 1.0, 5), vals)
+
+
+@pytest.mark.parametrize("n", [5, 256, 257, 600, 2401])
+def test_sym_defect_is_the_dense_defect_bit_for_bit(n):
+    # rounding-sized asymmetry everywhere and the largest defect below the
+    # diagonal in the last tile, which is ragged unless n is a multiple
+    # of the tile
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    m += m.T
+    m += 1e-14 * rng.standard_normal((n, n))
+    i = n - 1
+    j = int(rng.integers(0, i))
+    m[i, j] += 1e-9 * (1.0 + rng.random())
+    want = sf._max_abs(m - m.T)
+    assert want > 1e-9
+    assert sf._sym_defect(m).hex() == want.hex()
+    m[j, i] = np.nan
+    assert np.isnan(sf._sym_defect(m))
+
+
+def test_sym_defect_propagates_a_nan_after_a_finite_tile():
+    # the first tiles are exactly symmetric; the NaN sits in a later one
+    h = np.zeros((600, 600))
+    h[300, 500] = np.nan
+    assert np.isnan(sf._sym_defect(h))
+
+
 def test_from_callable_builds_in_one_copy_of_the_samples():
     # n = 255 magnetic tower with 17 samples: 8.8 MB of values
     tm.magnetic_family_path(3, 8)

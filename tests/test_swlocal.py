@@ -656,16 +656,92 @@ def test_reducible_extended_hessian_is_block_diagonal(cutoff):
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
 def test_reducible_spectrum_is_the_realified_spectrum(cutoff):
     # the complex Dirac block, each eigenvalue listed twice, joined with
-    # F's spectrum, is the spectrum of the realified block diag(R, F)
+    # F's spectrum, is the spectrum of the realified block diag(R, F);
+    # with a zero 1-form D_A is taken by its 1 x 1 and 2 x 2 blocks
     rng = np.random.default_rng(110 + cutoff)
     tr = tm.TorusTruncation(cutoff)
-    for c in (random_reducible(tr, rng), sl.random_configuration(tr, rng)):
+    flat = [
+        sl.Configuration(tr, np.zeros((tr.mode_count, 2)), alpha)
+        for alpha in (np.zeros(3), rng.uniform(-1.0, 1.0, size=3))
+    ]
+    for c in [random_reducible(tr, rng), sl.random_configuration(tr, rng)] + flat:
         eigs, top = sl._reducible_spectrum(c)
         r = sfmod.realify_matrix(sl._dirac_matrix(c))
         want = np.sort(np.concatenate([np.linalg.eigvalsh(r), sl._form_basis(tr).lam]))
         assert eigs.shape == want.shape
         assert np.max(np.abs(np.sort(eigs) - want)) <= 1e-12 * np.max(np.abs(want))
         assert top == max(sfmod._max_abs(r), sl._form_basis(tr).top)
+
+
+def reducible_spectrum_solves(monkeypatch, c):
+    """Shapes of the eigvalsh calls of one ``_reducible_spectrum`` of c."""
+    sl._form_basis(c.trunc)  # the per-cutoff cache is filled outside the spy
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", spy)
+        sl._reducible_spectrum(c)
+    return shapes
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_flat_dirac_blocks_take_no_solve_of_size_2m(monkeypatch, cutoff):
+    # a 1-form that is zero off the zero mode leaves D_A one 2 x 2 block
+    # sigma . v per mode (two 1 x 1 blocks, which take no solve, where v
+    # is along e_3 or zero): only stacks of 2 x 2 blocks are diagonalized
+    rng = np.random.default_rng(130 + cutoff)
+    tr = tm.TorusTruncation(cutoff)
+    m = tr.mode_count
+    on_zero_mode = np.zeros((m, 3))
+    on_zero_mode[tr.index((0, 0, 0))] = rng.standard_normal(3)
+    for alpha in (np.zeros(3), rng.uniform(-1.0, 1.0, size=3)):
+        for a_field in (None, on_zero_mode):
+            c = sl.Configuration(tr, np.zeros((m, 2)), alpha, a_field)
+            shapes = reducible_spectrum_solves(monkeypatch, c)
+            assert len(shapes) == 1
+            assert shapes[0][-2:] == (2, 2)
+
+
+def test_a_coupling_one_form_takes_one_dense_solve(monkeypatch):
+    # a 1-form with a nonzero mode in its support couples all modes, and
+    # D_A takes the one (2M, 2M) solve of the dense route
+    rng = np.random.default_rng(140)
+    tr = tm.TorusTruncation(2)
+    m = tr.mode_count
+    shapes = reducible_spectrum_solves(monkeypatch, random_reducible(tr, rng))
+    assert shapes == [(2 * m, 2 * m)]
+
+
+def test_reducible_kernel_dimensions_at_cutoff_4():
+    # 2M = 1458: D_A has no kernel at a generic holonomy and a complex
+    # 2-dimensional one at alpha = 0 (the constant spinors); F adds 4
+    tr = tm.TorusTruncation(4)
+    m = tr.mode_count
+    assert 2 * m == 1458
+    rng = np.random.default_rng(150)
+    dims = {}
+    for label, alpha in (("generic", rng.uniform(0.2, 0.8, size=3)), ("zero", np.zeros(3))):
+        eigs, _ = sl._reducible_spectrum(sl.Configuration(tr, np.zeros((m, 2)), alpha))
+        assert eigs.shape == (8 * m,)
+        dims[label] = int(np.sum(np.abs(eigs) <= 1e-8 * np.max(np.abs(eigs))))
+    assert dims == {"generic": 4, "zero": 8}
+
+
+@pytest.mark.parametrize("field", ["psi", "alpha", "a_field"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_configuration_rejects_non_finite_fields(field, bad):
+    rng = np.random.default_rng(160)
+    tr = tm.TorusTruncation(1)
+    c = sl.random_configuration(tr, rng)
+    fields = {"psi": c.psi.copy(), "alpha": c.alpha.copy(), "a_field": c.a_field.copy()}
+    fields[field].flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sl.Configuration(tr, **fields)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
@@ -760,8 +836,8 @@ def test_sign_route_makes_one_schur_solve_per_configuration(monkeypatch):
     # An irreducible Hessian (size 8M) is neither assembled nor
     # diagonalized: its count is one solve of the Schur complement over
     # the form block (size 4M + 4).  The reducible ends are taken by
-    # blocks, the Dirac block as complex (size 2M, no real solve of size
-    # 4M), and the dense fallback is not taken.
+    # blocks, the Dirac block as complex (no real solve of size 4M), and
+    # the dense fallback is not taken.
     rng = np.random.default_rng(103)
     tr = tm.TorusTruncation(1)
     n_s = 4 * tr.mode_count
