@@ -689,6 +689,42 @@ def test_tower_records_equal_frozen_corpus():
         assert got == tower
 
 
+def frozen_entry(rep):
+    """A report as tests/data holds it: floats as float.hex."""
+    return {
+        "sf": rep.sf,
+        "delta_used": float(rep.delta_used).hex(),
+        "refinement_depth": rep.refinement_depth,
+        "crossings": [
+            [float(r.t).hex(), r.kernel_dim, r.crossing_signature, r.crossing_det_sign] for r in rep.crossings
+        ],
+    }
+
+
+def test_corpus_records_equal_frozen_corpus():
+    # tests/data/corpus_records.json holds, for the first 20 paths of each
+    # of seeds 303 and 505 from cli._random_symmetric_path (n = 4 + i % 7),
+    # the report of each path, and for each curved one also the report of
+    # its sample interpolant, taken when a one-block path still had a
+    # dense route of its own: every record must stay bit for bit
+    from swflow import cli
+
+    with open(Path(__file__).with_name("data") / "corpus_records.json") as fh:
+        frozen = json.load(fh)["paths"]
+    assert len(frozen) == 58 and sum(len(entry["crossings"]) for entry in frozen) == 91
+    got = []
+    for seed in (303, 505):
+        rng = np.random.default_rng(seed)
+        for i in range(20):
+            path = cli._random_symmetric_path(rng, 4 + i % 7)
+            kind = "affine" if path._affine is not None else "curved"
+            got.append({"seed": seed, "index": i, "kind": kind, **frozen_entry(sf.spectral_flow(path))})
+            if kind == "curved":
+                interpolant = sf.HermitianPath(path.t_samples, path.values)
+                got.append({"seed": seed, "index": i, "kind": "interpolant", **frozen_entry(sf.spectral_flow(interpolant))})
+    assert got == frozen
+
+
 def block_path(rng, kind):
     """(path, planted blocks): a path on [-1, 1] that is block diagonal on
     a random permutation of its index set, with 3 to 6 blocks of sizes 1
