@@ -36,9 +36,9 @@ The scan is level-synchronous, like the flow route's refinement: each
 level certifies all of its open intervals with one broadcast chord
 bound, then probes all of their midpoints with one stacked SVD of
 [T_t K] per chunk of ``specflow._STACK_BYTES``.  When K is empty, [T] is
-symmetric and sigma_min is its least |eigenvalue|, so the level takes one
-stacked eigvalsh and an SVD only at the probes below the collection
-level.  A probe whose margin lies between the trigger and the collection
+symmetric and sigma_min is its least |eigenvalue|, so the level takes the
+flow route's spectra by blocks (``specflow._spectra``) and an SVD only at
+the probes below the collection level.  A probe whose margin lies between the trigger and the collection
 level takes one Newton step on sigma_min, whose slope is u^T T'(t) v[:n]
 with u and v the singular vectors of sigma_min from that probe's SVD;
 the level's Newton points take one more stacked SVD.  When a probe of a
@@ -147,7 +147,7 @@ def _scan_stabilizer(path, K, scale, cfg):
             low = np.flatnonzero(margins < collect_tol)
             u, s, vt = u[low], s[low], vt[low]
         else:
-            eigs = sfmod._eigvalsh_stacked(n, times.size, sfmod._fill_at(path, times))
+            eigs = sfmod._spectra(path, times)
             margins = np.abs(eigs).min(axis=1)
             bases.update(zip(times.tolist(), [np.zeros((n, 0))] * times.size))
             low = np.flatnonzero(margins < collect_tol)
@@ -248,9 +248,8 @@ def _transport_det(path, cfg, start=None):
     path, _ = sfmod._bounded(path)
     scale = max(1.0, sfmod._max_abs(path.values))
     floor = cfg.kernel_threshold_rel * scale
-    for idx in (0, -1):
-        if np.abs(np.linalg.eigvalsh(path.values[idx])).min() < floor:
-            raise ValueError("endpoint is singular: kernel-bundle route undefined")
+    if np.abs(sfmod._end_spectra(path)).min() < floor:
+        raise ValueError("endpoint is singular: kernel-bundle route undefined")
     V = np.zeros((path.n, 0)) if start is None else start
     K, bases = _collect_stabilizer(path, cfg, scale, V)
     det_a, det_b = _transport_frame(path, K, bases, cfg)

@@ -138,9 +138,9 @@ Refinement runs breadth-first.  Each level classifies all of its open
 intervals at once, takes the certificate for the whole level by
 broadcasting, and diagonalizes all new midpoints in one stacked eigvalsh
 per chunk of at most _STACK_BYTES, with the secant probes and the
-window ends.  ``HermitianPath.evaluate_into`` writes a chunk into one
-reused buffer in one array operation: a broadcast on an affine path, a
-gather and lerp on an interpolated one.  The samples are diagonalized
+window ends.  ``HermitianPath.block_values`` evaluates a chunk in one
+array operation per block size: a broadcast on an affine path, a gather
+and lerp on an interpolated one.  The samples are diagonalized
 once, from their stored values, and the spectrum of every probed time is
 kept across delta halvings, so no point of the path is diagonalized
 twice.  The stabilizer scan of ``orient`` runs level by level the same
@@ -166,9 +166,9 @@ only the rows of the blocks that hold it, since the slope respects the
 partition.  The window takes g over the eigenvalues of all blocks and
 beta over all blocks, so its derivation holds as it stands.  Probes
 evaluate only the blocks, from the stored blocks of const and linear or
-of the samples, bit for bit as the dense evaluation.  A one-block path
-takes the dense route, with solves of the whole matrix or of stacks of
-it.
+of the samples, bit for bit as the dense evaluation.  A path of one
+block takes the same route: its block is a view of the whole matrix, and
+the stacked eigvalsh of that block is its sorted spectrum as it stands.
 """
 
 import copy
@@ -337,8 +337,8 @@ class HermitianPath:
         self._func = func
         self.realified = realified
         self.curvature = 0.0 if func is None else curvature
-        # bound on ||dA/dt||_2 on each sample segment: set by ``affine``,
-        # else filled lazily by ``slope_norms``
+        # bound on ||dA/dt||_2 on each sample segment, filled lazily by
+        # ``slope_norms``
         self._slopes = None
         # (const, linear) of a path made by ``affine``
         self._affine = None
@@ -373,13 +373,9 @@ class HermitianPath:
             curvature=0.0,
         )
         if {const.dtype, linear.dtype} <= {np.dtype(float), np.dtype(complex)}:
-            # broadcast by ``evaluate_into`` in the path's realified form
+            # broadcast by ``block_values`` and ``evaluate_into`` in the
+            # path's realified form
             path._affine = tuple(realify_matrix(m) if path.realified else m for m in (const, linear))
-        if _one_block(path.blocks):
-            path._slopes = np.array([_sym_norm2(linear)])
-        else:
-            slope = _block_spectra([lin[None] for _, lin in path._stored_blocks()])
-            path._slopes = np.abs(slope).max(axis=1)
         return path
 
     @property
@@ -463,24 +459,38 @@ class HermitianPath:
             if self._affine is not None:
                 self._block_data = [tuple(_gather(m, idx) for m in self._affine) for idx in self.blocks]
             else:
-                self._block_data = [_gather(self.values, idx) for idx in self.blocks]
+                self._block_data = self.sample_blocks(slice(None))
         return self._block_data
 
     def block_values(self, times):
         """A(t) for each of ``times``, block by block: per block size a
         (times, count, size, size) stack, bit for bit the blocks of
-        ``evaluate_into`` on a path made by ``affine`` or interpolated
-        between its samples (the sample interpolant elsewhere)."""
+        ``evaluate_into`` (of the sample interpolant on a callable without
+        a curvature bound).  A curved callable is one block."""
         times = np.asarray(times, dtype=float)
+        out = []
         if self._affine is not None:
-            return [times[:, None, None, None] * lin + const for const, lin in self._stored_blocks()]
-        i, w = self._lerp(times)
-        w = w[:, None, None, None]
-        return [vals[i] * (1.0 - w) + vals[i + 1] * w for vals in self._stored_blocks()]
+            for const, lin in self._stored_blocks():
+                out.append(times[:, None, None, None] * lin)
+                out[-1] += const
+        elif self._func is not None and self.curvature is not None:
+            out.append(np.empty((times.size, 1, self.n, self.n)))
+            self.evaluate_into(times, out[-1][:, 0])
+        else:
+            i, w = self._lerp(times)
+            w = w[:, None, None, None]
+            for stored in self._stored_blocks():
+                out.append(stored[i])
+                out[-1] *= 1.0 - w
+                right = stored[i + 1]
+                right *= w
+                out[-1] += right
+        return out
 
     def sample_blocks(self, part):
         """The stored samples ``values[part]`` (a slice), block by block:
-        per block size a (samples, count, size, size) stack."""
+        per block size a (samples, count, size, size) stack, a view of the
+        samples on a path of one block."""
         return [_gather(self.values[part], idx) for idx in self.blocks]
 
     def derivative_at(self, t, h=None):
@@ -499,23 +509,32 @@ class HermitianPath:
         None for a callable that declares no curvature bound.
 
         beta_seg = ||A'(m)||_2 + gamma * len / 2 at the segment's middle m
-        (module docstring), exact (||B||_2) where the path is affine: set
-        by ``affine``, else taken once by one stacked eigvalsh of the
-        segment slopes, block by block on a path of several blocks."""
+        (module docstring), exact (||B||_2) where the path is affine:
+        taken once, from the spectra of the segment slopes by blocks
+        (``_chunked_spectra``)."""
         if self._slopes is None and self.curvature is not None:
             lens = np.diff(self.t_samples)
-
-            def fill(start, out):
-                for j, slope in enumerate(out):
-                    slope[...] = self.segment_slope(start + j)
-
-            if _one_block(self.blocks):
-                eigs = _eigvalsh_stacked(self.n, lens.size, fill)
-            else:
-                # several blocks only where the path is interpolated
-                eigs = _block_spectra([(v[1:] - v[:-1]) / lens[:, None, None, None] for v in self._stored_blocks()])
+            eigs = _chunked_spectra(self, lens.size, self._slope_blocks)
             self._slopes = np.abs(eigs).max(axis=1, initial=0.0) + 0.5 * self.curvature * lens
         return self._slopes
+
+    def _slope_blocks(self, lo, hi):
+        """The slopes of sample segments lo to hi - 1, block by block as
+        ``block_values``: the stored blocks of linear on a path made by
+        ``affine``, difference quotients of the stored sample blocks on an
+        interpolated path, and A' at the middles on a curved callable."""
+        if self._affine is not None:
+            return [lin[None] for _, lin in self._stored_blocks()]
+        if self._func is None:
+            lens = np.diff(self.t_samples[lo : hi + 1])[:, None, None, None]
+            out = [v[lo + 1 : hi + 1] - v[lo:hi] for v in self._stored_blocks()]
+            for slope in out:
+                slope /= lens
+            return out
+        out = np.empty((hi - lo, 1, self.n, self.n))
+        for i in range(lo, hi):
+            out[i - lo, 0] = self.segment_slope(i)
+        return [out]
 
     def chord_norms(self, l, r):
         """A bound on ||A(l) - A(r)||_2, exact where the path is affine,
@@ -536,21 +555,27 @@ class HermitianPath:
         i = int(np.searchsorted(self.t_samples, t, side="right")) - 1
         return min(max(i, 0), self.t_samples.size - 2)
 
-    def segment_slope(self, i, rows=None):
+    def segment_slope(self, i):
         """dA/dt at the middle of sample segment i: the difference
         quotient of the segment's samples on a path interpolated between
-        them, else the path's derivative there.  With ``rows`` (indices
-        of whole blocks of a path made by ``affine`` or interpolated),
-        only its rows x rows part."""
+        them, else the path's derivative there."""
         ts, v = self.t_samples, self.values
-        if rows is not None:
-            ix = np.ix_(rows, rows)
-            if self._affine is not None:
-                return self._affine[1][ix]
-            return (v[i + 1][ix] - v[i][ix]) / (ts[i + 1] - ts[i])
         if self._func is not None:
             return self.derivative_at(0.5 * (ts[i] + ts[i + 1]))
         return (v[i + 1] - v[i]) / (ts[i + 1] - ts[i])
+
+    def slope_at(self, t, rows):
+        """A'(t) on rows x rows, with ``rows`` indices of whole blocks: the
+        slope of a path made by ``affine``, the slope of t's sample segment
+        on a path refined as its sample interpolant, else
+        ``derivative_at(t)`` on a curved callable."""
+        ix = np.ix_(rows, rows)
+        if self._affine is not None:
+            return self._affine[1][ix]
+        if self._func is None or self.curvature is None:
+            ts, v, i = self.t_samples, self.values, self.segment(t)
+            return (v[i + 1][ix] - v[i][ix]) / (ts[i + 1] - ts[i])
+        return self.derivative_at(t)[ix]
 
 
 def _sample(func, grid):
@@ -599,14 +624,13 @@ def _partition(support, n):
     return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
 
 
-def _one_block(blocks):
-    """Whether a partition (``_partition``) is one block: the dense route."""
-    return len(blocks) == 1 and len(blocks[0]) == 1
-
-
 def _gather(stack, idx):
     """The blocks idx (count, size) of a matrix or a stack of matrices:
-    shape (..., count, size, size)."""
+    shape (..., count, size, size).  Each block's indices ascend, as in
+    ``_partition``, so a block of all n indices is the identity partition,
+    and it is returned as a view of the stack, not a copy."""
+    if idx.shape[1] == stack.shape[-1]:
+        return stack[..., None, :, :]
     return stack[..., idx[:, :, None], idx[:, None, :]]
 
 
@@ -615,11 +639,14 @@ def _block_spectra(groups):
     a (..., count, size, size) stack of symmetric or Hermitian blocks,
     diagonalized by one stacked eigvalsh (1 x 1 blocks are read, their
     real part), then merged by sorting.  The spectrum of a direct sum is
-    the union of its blocks' spectra."""
+    the union of its blocks' spectra; a single block's is eigvalsh's,
+    already sorted."""
     parts = []
     for g in groups:
         eigs = g[..., 0].real if g.shape[-1] == 1 else np.linalg.eigvalsh(g)
         parts.append(eigs.reshape(eigs.shape[:-2] + (eigs.shape[-2] * eigs.shape[-1],)))
+    if len(groups) == 1 and groups[0].shape[-3] == 1:
+        return parts[0]
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
 
@@ -654,56 +681,39 @@ def _chunks(count, shape, fill):
         yield start, stack
 
 
-def _eigvalsh_stacked(n, count, fill):
-    """Eigenvalues of ``count`` n x n matrices, one stacked eigvalsh per
-    chunk (``_chunks``).  A row per matrix, ascending."""
-    eigs = np.empty((count, n))
-    for start, stack in _chunks(count, (n, n), fill):
-        eigs[start : start + len(stack)] = np.linalg.eigvalsh(stack)
+def _chunked_spectra(path, count, groups):
+    """Sorted spectra of ``count`` direct sums on the path's partition, a
+    row each: ``groups(lo, hi)`` gives sums lo to hi - 1 block by block
+    (per block size a (hi - lo, count, size, size) stack), in chunks of at
+    most _STACK_BYTES, each through ``_block_spectra``."""
+    per = max(1, _STACK_BYTES // (8 * sum(idx.size * idx.shape[1] for idx in path.blocks)))
+    eigs = np.empty((count, path.n))
+    for lo in range(0, count, per):
+        hi = min(lo + per, count)
+        eigs[lo:hi] = _block_spectra(groups(lo, hi))
     return eigs
-
-
-def _fill_at(path, times):
-    """``fill`` for ``_chunks``: the path's values at ``times``."""
-    return lambda start, out: path.evaluate_into(times[start : start + len(out)], out)
 
 
 def _spectra(path, times):
-    """Sorted spectra of the path at ``times``, a row per time: stacked
-    dense solves on a one-block path (``_eigvalsh_stacked``), else the
-    blocks' values (``HermitianPath.block_values``) in chunks of at most
-    _STACK_BYTES, each through ``_block_spectra``."""
-    if _one_block(path.blocks):
-        return _eigvalsh_stacked(path.n, len(times), _fill_at(path, times))
-    times = np.asarray(times, dtype=float)
-    per = max(1, _STACK_BYTES // (8 * sum(idx.size * idx.shape[1] for idx in path.blocks)))
-    eigs = np.empty((times.size, path.n))
-    for start in range(0, times.size, per):
-        eigs[start : start + per] = _block_spectra(path.block_values(times[start : start + per]))
-    return eigs
+    """Sorted spectra of the path at ``times``, a row per time, from the
+    blocks' values (``HermitianPath.block_values``)."""
+    return _chunked_spectra(path, len(times), lambda lo, hi: path.block_values(times[lo:hi]))
 
 
-def _kernel(a, tol, delta):
-    """eigh of the matrix a - delta, with the mask of its numerical kernel
-    (|eigenvalue| < tol)."""
-    eigs, vecs = np.linalg.eigh(a - delta * np.eye(len(a)))
-    return eigs, vecs, np.abs(eigs) < tol
+def _end_spectra(path):
+    """Sorted spectra of the path's first and last samples, by blocks."""
+    return _block_spectra(path.sample_blocks(slice(None, None, path.t_samples.size - 1)))
 
 
 def _kernel_frame(path, tol, delta, t=None, j=None):
     """(eigs, ker, w, rows) of A - delta at time t, or at stored sample j.
 
-    ``eigs`` are the eigenvalues, ``ker`` the mask of the numerical kernel
-    (|eigenvalue| < tol) and w the kernel eigenvectors.  On a one-block
-    path they come from one dense eigh and ``rows`` is None.  Otherwise
-    each block is diagonalized by one stacked eigh per block size (1 x 1
-    blocks are read), ``eigs`` run in block order, and w holds the
-    kernel vectors on ``rows``, the indices of the blocks that hold
-    them: A and its derivative respect the partition, so the crossing
-    form needs no other row."""
-    if _one_block(path.blocks):
-        eigs, vecs, ker = _kernel(path.values[j] if t is None else path.evaluate(t), tol, delta)
-        return eigs, ker, vecs[:, ker], None
+    Each block is diagonalized by one stacked eigh per block size (1 x 1
+    blocks are read).  ``eigs`` are the eigenvalues in block order, ``ker``
+    the mask of the numerical kernel (|eigenvalue| < tol), and w holds the
+    kernel eigenvectors on ``rows``, the indices of the blocks that hold
+    them: A and its derivative respect the partition, so the crossing form
+    needs no other row."""
     groups = path.sample_blocks(slice(j, j + 1)) if t is None else path.block_values([t])
     eigs, kers, cols, hosts = [], [], [], []
     for idx, g in zip(path.blocks, groups):
@@ -735,9 +745,11 @@ def crossing_operator(path, t, tol, delta=0.0):
 
     The kernel collects eigenvectors of A(t) - delta with |eigenvalue| <
     tol; the result is the k x k symmetric matrix of the compressed
-    derivative (empty when A(t) - delta is invertible)."""
-    _, vecs, ker = _kernel(path.evaluate(t), tol, delta)
-    return _compressed(vecs[:, ker], path.derivative_at(t))
+    derivative (empty when A(t) - delta is invertible).  A callable that
+    declares no curvature bound is read as its sample interpolant, as in
+    ``spectral_flow``."""
+    _, _, w, rows = _kernel_frame(path, tol, delta, t=t)
+    return _compressed(w, path.slope_at(t, rows))
 
 
 def _signature(eigs, floor):
@@ -772,8 +784,7 @@ def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
     k = int(np.count_nonzero(ker))
     if k == 0:
         raise _DegenerateCrossing("no numerical kernel at a located crossing")
-    slope = path.derivative_at(tstar) if rows is None else path.segment_slope(path.segment(tstar), rows)
-    ceigs = np.linalg.eigvalsh(_compressed(w, slope))
+    ceigs = np.linalg.eigvalsh(_compressed(w, path.slope_at(tstar, rows)))
     mags = np.abs(ceigs)
     # det scales as c^k, so compare the smallest magnitude, not det
     if mags.max() == 0.0 or mags.min() < 1e-10 * mags.max():
@@ -809,7 +820,7 @@ def _sample_window(path, tstar, rec, delta, kernel_floor, tol):
         return None
     h = []
     for seg in (j - 1, j):
-        form = np.linalg.eigvalsh(_compressed(w, path.segment_slope(seg, rows)))
+        form = np.linalg.eigvalsh(_compressed(w, path.slope_at(0.5 * (ts[seg] + ts[seg + 1]), rows)))
         if _signature(form, 0.0) != rec.crossing_signature:
             return None
         h.append(_window(eigs, ker, form, float(path.slope_norms()[seg]), tol))
@@ -1020,11 +1031,7 @@ def spectral_flow(path, cfg=None):
     if cfg is None:
         cfg = SpectralFlowConfig()
     scale = max(1.0, _max_abs(path.values))
-    if _one_block(path.blocks):
-        eigs_a = np.linalg.eigvalsh(path.values[0])
-        eigs_b = np.linalg.eigvalsh(path.values[-1])
-    else:
-        eigs_a, eigs_b = _block_spectra(path.sample_blocks(slice(None, None, len(path.values) - 1)))
+    eigs_a, eigs_b = _end_spectra(path)
     spectra = {path.a: eigs_a, path.b: eigs_b}
     if cfg.endpoint_count_only:
         sf, delta = _endpoint_flow(eigs_a, eigs_b, scale, cfg)
@@ -1032,12 +1039,7 @@ def spectral_flow(path, cfg=None):
             sf=sf, delta_used=delta, crossings=[], refinement_depth=0, method="endpoint-count"
         )
     path, method = _bounded(path)
-    inner = path.values[1:-1]
-    if _one_block(path.blocks):
-        fill = lambda start, out: np.copyto(out, inner[start : start + len(out)])
-        eigs = _eigvalsh_stacked(path.n, len(inner), fill)
-    else:
-        eigs = _block_spectra(path.sample_blocks(slice(1, -1)))
+    eigs = _chunked_spectra(path, path.t_samples.size - 2, lambda lo, hi: path.sample_blocks(slice(lo + 1, hi + 1)))
     spectra.update(zip(path.t_samples[1:-1].tolist(), eigs))
     delta0 = _initial_shift(eigs_a, eigs_b, scale, cfg)
     err = None

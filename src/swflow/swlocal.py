@@ -714,7 +714,7 @@ def _eigenbasis(f, groups):
     (|lam| < 1/2) and ``pos`` split it; ``gap`` is the smallest |lam| on
     the range, ``frob`` is ||F||_F and ``top`` F's largest entry."""
     sfmod._check_symmetric(f)
-    blocks = [f[g[:, :, None], g[:, None, :]] for g in groups]
+    blocks = [sfmod._gather(f, g) for g in groups]
     if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(f):
         raise ValueError("matrix is not block diagonal over the given groups")
     parts, lams = [], []
@@ -832,20 +832,18 @@ def _reducible_spectrum(c, dirac=None):
     diag(R, F) with R the realified Dirac operator D_A.  Realification
     doubles every eigenvalue, so D_A's complex spectrum is listed twice,
     and F's cached spectrum (``_form_basis``) is appended.  D_A is taken
-    by the blocks of its support (specflow._partition): a 1-form that is
-    zero off the zero mode leaves one 2 x 2 block sigma . v per mode (two
-    1 x 1 blocks, which take no solve, where v is along e_3 or zero), and
-    the 2 x 2 blocks take one stacked solve; a 1-form with a nonzero mode
-    in its support couples all modes, and D_A takes one dense solve.
-    ``dirac`` is the ``_dirac_block`` of c when the caller has it.
+    by the blocks of its support (specflow._partition), one stacked solve
+    per block size (specflow._block_spectra).  A 1-form that is zero off
+    the zero mode leaves one 2 x 2 block sigma . v per mode (two 1 x 1
+    blocks, which take no solve, where v is along e_3 or zero); one on the
+    modes +-k couples mode p only with p +- k, so D_A splits along the
+    lines of direction k; a 1-form that is nonzero on every mode couples
+    all modes, and D_A is one block.  ``dirac`` is the ``_dirac_block`` of
+    c when the caller has it.
     """
     d, top = _dirac_block(c) if dirac is None else dirac
     form = _form_basis(c.trunc)
-    blocks = sfmod._partition(d != 0, d.shape[0])
-    if sfmod._one_block(blocks):
-        eigs = np.linalg.eigvalsh(d)
-    else:
-        eigs = sfmod._block_spectra([sfmod._gather(d, idx) for idx in blocks])
+    eigs = sfmod._block_spectra([sfmod._gather(d, idx) for idx in sfmod._partition(d != 0, d.shape[0])])
     return np.concatenate([np.repeat(eigs, 2), form.lam]), max(top, form.top)
 
 

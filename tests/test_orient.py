@@ -357,26 +357,40 @@ def test_newton_probe_fails_the_scan_at_its_point(monkeypatch):
     # sigma_min = |t - 0.3| on [0, 1], collect 2e-3 and trigger 2e-6 at
     # scale 2: the first probe below collect is 0.30078125, at level 8 of
     # the bisection, and its Newton step lands on 0.3, where the scan
-    # fails.  Nine stacked eigvalsh (levels 0 to 8) and two SVDs (the
+    # fails.  Nine stacked spectra (levels 0 to 8), which the diagonal
+    # path reads off its 1 x 1 blocks with no eigvalsh, and two SVDs (the
     # probe and its Newton point); halving down to the trigger would take
     # 19 levels.
     path = sf.HermitianPath.affine(np.diag([-0.3, 2.0]), np.diag([1.0, 0.0]), 0.0, 1.0)
+    assert [idx.shape for idx in path.blocks] == [(2, 1)]
     cfg = sf.SpectralFlowConfig()
-    probed = []
+    probed, levels = [], []
     evaluate_into = path.evaluate_into
 
     def watched(times, out):
         probed.append(np.array(times, dtype=float))
         return evaluate_into(times, out)
 
+    spectra = sf._spectra
+
+    def counted(path_, times):
+        levels.append(len(times))
+        return spectra(path_, times)
+
     path.evaluate_into = watched
+    monkeypatch.setattr(sf, "_spectra", counted)
     calls = count_decompositions(monkeypatch)
     certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((2, 0)), 2.0, cfg)
     assert not certified
     assert np.allclose(np.abs(dirs[:, 0]), [1.0, 0.0])
+    # only the two SVD probes evaluate the whole matrix
+    assert len(probed) == 2
     assert probed[-2].tolist() == [0.30078125]
     assert probed[-1].size == 1 and abs(probed[-1][0] - 0.3) < 1e-12
-    assert calls == {"svd": 2, "eigvalsh": 9}
+    assert calls == {"svd": 2, "eigvalsh": 0}
+    # the two samples, the middle, then the two intervals beside 0.3 that
+    # the chord bound cannot certify at each level
+    assert levels == [2, 1] + [2] * 7
 
 
 # ------------------------------------------------ frame transport oracle

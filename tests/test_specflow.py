@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swflow import orient
+from swflow import cli, orient
 from swflow import specflow as sf
 from swflow import torus_model as tm
 
@@ -327,15 +327,17 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
 
-    # affine paths: exact chords, so the two endpoint solves and one
-    # stacked solve of the new midpoints per level
+    # affine paths: exact chords, so one stacked solve of the two
+    # endpoints, one of the slope and one of the new midpoints per level,
+    # each a stack of the one 6 x 6 block
     rng = np.random.default_rng(48)
     for _ in range(10):
         path = affine(rng, 6)
         shapes.clear()
         rep = sf.spectral_flow(path)
         solves = [s for s in shapes if s[-1] == path.n]
-        assert solves[:2] == [(6, 6), (6, 6)]
+        assert solves[:2] == [(2, 1, 6, 6), (1, 1, 6, 6)]
+        assert all(len(s) == 4 and s[1] == 1 for s in solves)
         assert len(solves) <= 2 + rep.refinement_depth
 
     # the n = 255 magnetic tower conjugated by a random orthogonal Q is
@@ -350,31 +352,32 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
     n = path.n
     per = sf._per_chunk(n)
     chunks = lambda count: -(-count // per)
-    probes = []  # (matrices, solves) of each stacked probe
-    stacked = sf._eigvalsh_stacked
+    probes = []  # (matrices, solves) of each chunked probe
+    chunked = sf._chunked_spectra
 
-    def probe(n_, count, write):
+    def probe(path_, count, groups):
         calls = len(shapes)
-        eigs = stacked(n_, count, write)
+        eigs = chunked(path_, count, groups)
         probes.append((count, len(shapes) - calls))
         return eigs
 
-    monkeypatch.setattr(sf, "_eigvalsh_stacked", probe)
+    monkeypatch.setattr(sf, "_chunked_spectra", probe)
     shapes.clear()
     rep = sf.spectral_flow(path, sf.SpectralFlowConfig(delta_cap=0.4))
     assert (rep.sf, rep.delta_used) == (-3, 0.2)
     assert rep.method == "interpolant"
-    # the crossing records take small eigvalsh of their crossing forms
+    # the crossing records take small eigvalsh of their crossing forms;
+    # every solve of the path's size is a stack of its one block
     big = [s for s in shapes if s[-1] == n]
-    assert big[:2] == [(n, n), (n, n)]
-    assert all(len(s) == 3 and s[0] <= per for s in big[2:])
+    assert big[0] == (2, 1, n, n)
+    assert all(len(s) == 4 and s[0] <= per and s[1] == 1 for s in big[1:])
     # the 15 inner samples, the 16 segment slopes, then one probe per level
     assert [count for count, _ in probes[:2]] == [15, 16]
     assert len(probes) == rep.refinement_depth + 2
     assert all(solves == chunks(count) for count, solves in probes)
     # no other solve of the path's size
-    assert 2 + sum(s for _, s in probes) == len(big)
-    assert 2 + sum(s[0] for s in big[2:]) <= 180
+    assert 1 + sum(s for _, s in probes) == len(big)
+    assert 2 + sum(s[0] for s in big[1:]) <= 180
 
 
 def test_tower_interpolant_keeps_the_true_crossings():
@@ -707,8 +710,6 @@ def test_corpus_records_equal_frozen_corpus():
     # the report of each path, and for each curved one also the report of
     # its sample interpolant, taken when a one-block path still had a
     # dense route of its own: every record must stay bit for bit
-    from swflow import cli
-
     with open(Path(__file__).with_name("data") / "corpus_records.json") as fh:
         frozen = json.load(fh)["paths"]
     assert len(frozen) == 58 and sum(len(entry["crossings"]) for entry in frozen) == 91
@@ -775,6 +776,23 @@ def test_block_route_agrees_with_the_dense_route(kind):
     assert shared > 0
 
 
+def test_the_identity_partition_gathers_a_view():
+    # a one-block partition gathers its one block as a view of the stack,
+    # and a path of one block keeps no copy of its samples
+    rng = np.random.default_rng(62)
+    stack = rng.standard_normal((9, 6, 6))
+    stack = stack + stack.transpose(0, 2, 1)
+    idx = sf._partition(None, 6)[0]
+    for part in (stack, stack[3], stack[1:-1]):
+        block = sf._gather(part, idx)
+        assert block.shape == part.shape[:-2] + (1, 6, 6)
+        assert np.shares_memory(block, part) and np.array_equal(block[..., 0, :, :], part)
+    path = sf.HermitianPath(np.linspace(0.0, 1.0, 9), stack)
+    assert [b.shape for b in path.blocks] == [(1, 6)]
+    assert all(np.shares_memory(b, path.values) for b in path.sample_blocks(slice(1, -1)))
+    assert all(np.shares_memory(b, path.values) for b in path._stored_blocks())
+
+
 def test_partition_of_each_kind_of_path():
     # affine: const and linear; interpolated and a callable without a
     # curvature bound: the samples; a callable with one: one block
@@ -800,22 +818,25 @@ def test_partition_of_each_kind_of_path():
     ]
 
 
-# today's call shapes of the dense route, recorded before the block route
-# existed, on the 5 x 5 paths of ``dense_shape_paths``
-DENSE_CALLS = {
+# the call shapes of the block route on the 5 x 5 one-block paths of
+# ``dense_shape_paths``: each stack holds one block, the whole matrix
+ONE_BLOCK_CALLS = {
     "affine": [
-        ("eigvalsh", (5, 5)), ("eigvalsh", (5, 5)), ("eigvalsh", (5, 5)), ("eigvalsh", (2, 5, 5)),
-        ("eigvalsh", (2, 5, 5)), ("eigvalsh", (5, 5, 5)), ("eigvalsh", (6, 5, 5)), ("eigvalsh", (7, 5, 5)),
-        ("eigvalsh", (6, 5, 5)), ("eigh", (5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 5, 5)),
-        ("eigvalsh", (1, 5, 5)),
+        ("eigvalsh", (2, 1, 5, 5)), ("eigvalsh", (1, 1, 5, 5)), ("eigvalsh", (2, 1, 5, 5)),
+        ("eigvalsh", (2, 1, 5, 5)), ("eigvalsh", (5, 1, 5, 5)), ("eigvalsh", (6, 1, 5, 5)),
+        ("eigvalsh", (7, 1, 5, 5)), ("eigvalsh", (6, 1, 5, 5)), ("eigh", (1, 5, 5)), ("eigvalsh", (1, 1)),
+        ("eigvalsh", (2, 1, 5, 5)), ("eigvalsh", (1, 1, 5, 5)),
     ],
     "interpolated": [
-        ("eigvalsh", (5, 5)), ("eigvalsh", (5, 5)), ("eigvalsh", (8, 5, 5)), ("eigvalsh", (7, 5, 5)),
-        ("eigvalsh", (10, 5, 5)), ("eigvalsh", (8, 5, 5)), ("eigvalsh", (10, 5, 5)), ("eigvalsh", (9, 5, 5)),
-        ("eigh", (5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (8, 5, 5)), ("eigvalsh", (7, 5, 5)),
-        ("eigh", (5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 5, 5)),
+        ("eigvalsh", (2, 1, 5, 5)), ("eigvalsh", (8, 1, 5, 5)), ("eigvalsh", (7, 1, 5, 5)),
+        ("eigvalsh", (10, 1, 5, 5)), ("eigvalsh", (8, 1, 5, 5)), ("eigvalsh", (10, 1, 5, 5)),
+        ("eigvalsh", (9, 1, 5, 5)), ("eigh", (1, 5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (8, 1, 5, 5)),
+        ("eigvalsh", (7, 1, 5, 5)), ("eigh", (1, 5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 1, 5, 5)),
     ],
 }
+# matrices solved on the same paths by the dense route that one-block
+# paths took before the block route served them: the same number
+DENSE_MATRICES = {"affine": 36, "interpolated": 75}
 
 
 def dense_shape_paths():
@@ -846,12 +867,14 @@ def watch_solves(monkeypatch):
 def test_block_paths_solve_only_their_blocks(monkeypatch, case):
     # a tower (1 x 1 blocks) makes no n x n solve at all; a Dirac family
     # (4 x 4 blocks) solves only (., 4, 4) stacks beside its crossing
-    # forms; a dense path makes today's calls
+    # forms; a dense path solves stacks of its one block, as many
+    # matrices as the dense route did
     if case == "dense":
         for kind, make in dense_shape_paths().items():
             calls = watch_solves(monkeypatch)
             sf.spectral_flow(make())
-            assert calls == DENSE_CALLS[kind]
+            assert calls == ONE_BLOCK_CALLS[kind]
+            assert sum(int(np.prod(shape[:-2])) for _, shape in calls) == DENSE_MATRICES[kind]
         return
     if case == "tower":
         path = tm.magnetic_family_path(3, 8)
@@ -1093,6 +1116,22 @@ def test_crossing_operator_examples():
     assert cd.shape == (1, 1)
     assert cd[0, 0] == pytest.approx(1.0, abs=1e-8)
     assert sf.crossing_operator(r, 0.5, tol=1e-8, delta=1.0).shape == (2, 2)
+
+
+def test_crossing_operator_reads_each_kind_of_path():
+    # diag(sin t - sin 0.25, 1) has its kernel e_1 at the sample t = 0.25:
+    # a curved callable reads its derivative there, cos 0.25, and a
+    # callable without a curvature bound reads its sample interpolant, as
+    # spectral_flow does: the slope of the segment [0.25, 0.5]
+    f = lambda t: np.diag([np.sin(t) - np.sin(0.25), 1.0])
+    df = lambda t: np.diag([np.cos(t), 0.0])
+    curved = sf.HermitianPath.from_callable(f, 0.0, 1.0, num_samples=5, derivative=df, curvature=1.0)
+    assert sf.crossing_operator(curved, 0.25, tol=1e-8).tolist() == [[np.cos(0.25)]]
+    bare = sf.HermitianPath.from_callable(f, 0.0, 1.0, num_samples=5)
+    interpolant = sf.HermitianPath(bare.t_samples, bare.values)
+    form = sf.crossing_operator(bare, 0.25, tol=1e-8)
+    assert np.array_equal(form, sf.crossing_operator(interpolant, 0.25, tol=1e-8))
+    assert form[0, 0] == pytest.approx((np.sin(0.5) - np.sin(0.25)) / 0.25, rel=1e-12)
 
 
 # ------------------------------------------------ degenerate tracking

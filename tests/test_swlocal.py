@@ -708,13 +708,44 @@ def test_flat_dirac_blocks_take_no_solve_of_size_2m(monkeypatch, cutoff):
 
 
 def test_a_coupling_one_form_takes_one_dense_solve(monkeypatch):
-    # a 1-form with a nonzero mode in its support couples all modes, and
-    # D_A takes the one (2M, 2M) solve of the dense route
+    # a random 1-form, nonzero on every mode, couples all modes: D_A is
+    # one block, and takes one solve of the whole (2M, 2M) matrix, as a
+    # stack of that one block
     rng = np.random.default_rng(140)
     tr = tm.TorusTruncation(2)
     m = tr.mode_count
     shapes = reducible_spectrum_solves(monkeypatch, random_reducible(tr, rng))
-    assert shapes == [(2 * m, 2 * m)]
+    assert shapes == [(1, 2 * m, 2 * m)]
+
+
+def test_a_one_block_dirac_matrix_is_gathered_as_a_view():
+    # at cutoff 3, D_A of a 1-form that couples all modes is one complex
+    # 686 x 686 block (7.5 MB); its gather copies nothing
+    rng = np.random.default_rng(141)
+    tr = tm.TorusTruncation(3)
+    d = sl._dirac_matrix(random_reducible(tr, rng))
+    assert d.shape == (686, 686) and d.nbytes > 7_500_000
+    (idx,) = sfmod._partition(d != 0, d.shape[0])
+    block = sfmod._gather(d, idx)
+    assert block.shape == (1, 686, 686) and np.shares_memory(block, d)
+
+
+def test_a_one_form_on_one_mode_splits_the_dirac_block(monkeypatch):
+    # a 1-form on the single mode k = (1, 0, 0) couples mode p only with
+    # p +- k: at cutoff 2, D_A splits into the 25 lines of 5 modes along
+    # the first axis, 25 blocks of size 10, taken by one stacked solve
+    rng = np.random.default_rng(170)
+    tr = tm.TorusTruncation(2)
+    m = tr.mode_count
+    a_field = np.zeros((m, 3))
+    a_field[tr.index((1, 0, 0))] = rng.standard_normal(3)
+    c = sl.Configuration(tr, np.zeros((m, 2)), rng.uniform(-1.0, 1.0, size=3), a_field)
+    d = sl._dirac_matrix(c)
+    assert [idx.shape for idx in sfmod._partition(d != 0, 2 * m)] == [(25, 10)]
+    eigs, _ = sl._reducible_spectrum(c)
+    want = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(d), 2), sl._form_basis(tr).lam]))
+    assert np.max(np.abs(np.sort(eigs) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert reducible_spectrum_solves(monkeypatch, c) == [(25, 10, 10)]
 
 
 def test_reducible_kernel_dimensions_at_cutoff_4():
