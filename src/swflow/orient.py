@@ -109,12 +109,13 @@ class TransportReport:
 
 def _block_svds(path, K, times):
     """Full SVDs (u, s, vt) of [T_t K] at each of ``times``, stacked along a
-    leading axis: one svd per chunk of ``specflow._STACK_BYTES``.  [T K]
-    has n rows and at least n columns, so it has n singular values."""
+    leading axis: one svd per chunk of ``specflow._STACK_BYTES``, with T_t
+    the whole matrix of the path's block values (``specflow._dense``).
+    [T K] has n rows and at least n columns, so it has n singular values."""
     n = path.n
 
     def fill(start, out):
-        path.evaluate_into(times[start : start + len(out)], out[:, :, :n])
+        out[:, :, :n] = sfmod._dense(path, path.block_values(times[start : start + len(out)]))
         out[:, :, n:] = K
 
     parts = [np.linalg.svd(stack) for _, stack in sfmod._chunks(len(times), (n, n + K.shape[1]), fill)]

@@ -139,8 +139,10 @@ intervals at once, takes the certificate for the whole level by
 broadcasting, and diagonalizes all new midpoints in one stacked eigvalsh
 per chunk of at most _STACK_BYTES, with the secant probes and the
 window ends.  ``HermitianPath.block_values`` evaluates a chunk in one
-array operation per block size: a broadcast on an affine path, a gather
-and lerp on an interpolated one.  The samples are diagonalized
+array operation per block size: a broadcast of the stored (const,
+linear) on a path made by ``affine``, whatever the dtype it was given, a
+gather and lerp on an interpolated one.  It is the one place where the
+values of such paths are formed.  The samples are diagonalized
 once, from their stored values, and the spectrum of every probed time is
 kept across delta halvings, so no point of the path is diagonalized
 twice.  The stabilizer scan of ``orient`` runs level by level the same
@@ -166,9 +168,11 @@ only the rows of the blocks that hold it, since the slope respects the
 partition.  The window takes g over the eigenvalues of all blocks and
 beta over all blocks, so its derivation holds as it stands.  Probes
 evaluate only the blocks, from the stored blocks of const and linear or
-of the samples, bit for bit as the dense evaluation.  A path of one
-block takes the same route: its block is a view of the whole matrix, and
-the stacked eigvalsh of that block is its sorted spectrum as it stands.
+of the samples.  Where a whole matrix is needed (``evaluate``, and the
+[T_t K] probes of ``orient``), the blocks are scattered into zeros
+(``_dense``).  A path of one block takes the same route: its block is a
+view of the whole matrix, and the stacked eigvalsh of that block is its
+sorted spectrum as it stands.
 """
 
 import copy
@@ -295,16 +299,17 @@ def _check_symmetric(values, tol=1e-12):
 class HermitianPath:
     """A sampled path of symmetric matrices on [a, b].
 
-    Values between samples come from the stored callable when available
-    and from linear interpolation otherwise; complex Hermitian input is
-    converted on ingest to the doubled real symmetric form and flagged,
-    and checked in that form (R - R^T holds the entries of v - v^H).
-    The derivative is the stored closure, the segment slope of a path
-    interpolated between its samples, or else a central finite
-    difference.  ``curvature`` is a bound gamma >= sup ||A''||_2 that a
-    callable with a derivative may declare (``slope_norms``); an
-    interpolated path has curvature 0.  ``blocks`` is a partition of the
-    index set that every value respects (module docstring).
+    Values come from the stored callable when available, else from
+    ``block_values``: the stored (const, linear) of a path made by
+    ``affine``, or linear interpolation between the samples.  Complex
+    Hermitian input is converted on ingest to the doubled real symmetric
+    form and flagged, and checked in that form (R - R^T holds the entries
+    of v - v^H).  The derivative is the stored closure, the slope of an
+    affine or interpolated path, or else a central finite difference.
+    ``curvature`` is a bound gamma >= sup ||A''||_2 that a callable with a
+    derivative may declare (``slope_norms``); an affine or interpolated
+    path has curvature 0.  ``blocks`` is a partition of the index set
+    that every value respects (module docstring).
     """
 
     def __init__(self, t_samples, values, derivative=None, func=None, curvature=None):
@@ -362,20 +367,17 @@ class HermitianPath:
 
     @classmethod
     def affine(cls, const, linear, a=0.0, b=1.0):
-        const = np.asarray(const)
-        linear = np.asarray(linear)
-        path = cls.from_callable(
-            lambda t: const + t * linear,
-            a,
-            b,
-            num_samples=2,
-            derivative=lambda t: linear,
-            curvature=0.0,
-        )
-        if {const.dtype, linear.dtype} <= {np.dtype(float), np.dtype(complex)}:
-            # broadcast by ``block_values`` and ``evaluate_into`` in the
-            # path's realified form
-            path._affine = tuple(realify_matrix(m) if path.realified else m for m in (const, linear))
+        """The path const + t linear on [a, b], sampled at its two ends.
+
+        Both matrices are cast to float64, or to complex128 when either
+        is complex, and stored as (const, linear) in the path's realified
+        form: ``block_values`` broadcasts them, and the ends are sampled
+        with the same arithmetic."""
+        dtype = complex if np.iscomplexobj(const) or np.iscomplexobj(linear) else float
+        const, linear = np.asarray(const, dtype=dtype), np.asarray(linear, dtype=dtype)
+        ends = np.linspace(a, b, 2)
+        path = cls(ends, ends[:, None, None] * linear + const)
+        path._affine = tuple(realify_matrix(m) if path.realified else m for m in (const, linear))
         return path
 
     @property
@@ -391,36 +393,11 @@ class HermitianPath:
         return self.values.shape[1]
 
     def evaluate(self, t):
+        """A(t): the stored callable's value, else the whole matrix of
+        ``block_values([t])`` (``_dense``)."""
         if self._func is not None:
             return np.asarray(self._func(t), dtype=float)
-        return self.evaluate_into([t], np.empty((1, self.n, self.n)))[0]
-
-    def evaluate_into(self, times, out):
-        """Write A(t) for each of ``times`` into the stack ``out``, bit for
-        bit as ``evaluate``: a broadcast on a path made by ``affine``, a
-        gather and lerp (clamped to [a, b]) on an interpolated path, else
-        a loop."""
-        times = np.asarray(times, dtype=float)
-        if self._affine is not None:
-            const, linear = self._affine
-            np.multiply(times[:, None, None], linear, out=out)
-            out += const
-        elif self._func is None:
-            i, w = self._lerp(times)
-            w = w[:, None, None]
-            np.take(self.values, i, axis=0, out=out, mode="clip")
-            out *= 1.0 - w
-            # right ends in blocks of an eighth of a chunk, so the only
-            # temporary is no larger than that, or than one sample
-            step = _per_chunk(self.n) // 8 or 1
-            for s in range(0, len(out), step):
-                right = np.take(self.values, i[s : s + step] + 1, axis=0, mode="clip")
-                right *= w[s : s + step]
-                out[s : s + step] += right
-        else:
-            for j, t in enumerate(times.tolist()):
-                out[j] = self.evaluate(t)
-        return out
+        return _dense(self, self.block_values([t]))[0]
 
     def _lerp(self, times):
         """(i, w): the sample segment of each of ``times``, clamped to
@@ -464,9 +441,12 @@ class HermitianPath:
 
     def block_values(self, times):
         """A(t) for each of ``times``, block by block: per block size a
-        (times, count, size, size) stack, bit for bit the blocks of
-        ``evaluate_into`` (of the sample interpolant on a callable without
-        a curvature bound).  A curved callable is one block."""
+        (times, count, size, size) stack.  This is the one place where the
+        values of an affine or interpolated path are formed: a broadcast
+        of the stored blocks of const and linear, or a gather and lerp of
+        the stored sample blocks (clamped to [a, b]), which also serves a
+        callable without a curvature bound as its sample interpolant.  A
+        curved callable is one block, evaluated time by time."""
         times = np.asarray(times, dtype=float)
         out = []
         if self._affine is not None:
@@ -475,7 +455,8 @@ class HermitianPath:
                 out[-1] += const
         elif self._func is not None and self.curvature is not None:
             out.append(np.empty((times.size, 1, self.n, self.n)))
-            self.evaluate_into(times, out[-1][:, 0])
+            for j, t in enumerate(times.tolist()):
+                out[-1][j, 0] = self.evaluate(t)
         else:
             i, w = self._lerp(times)
             w = w[:, None, None, None]
@@ -493,13 +474,15 @@ class HermitianPath:
         samples on a path of one block."""
         return [_gather(self.values[part], idx) for idx in self.blocks]
 
-    def derivative_at(self, t, h=None):
+    def derivative_at(self, t):
+        """A'(t): the stored derivative of a callable, the slope of an
+        affine or interpolated path (``slope_at`` on every row), else a
+        central difference of the callable over 1e-5 (b - a)."""
         if self._derivative is not None:
             return np.asarray(self._derivative(t), dtype=float)
         if self._func is None:
-            return self.segment_slope(self.segment(t))
-        if h is None:
-            h = 1e-5 * (self.b - self.a)
+            return self.slope_at(t, np.arange(self.n))
+        h = 1e-5 * (self.b - self.a)
         t1 = max(self.a, t - h)
         t2 = min(self.b, t + h)
         return (self.evaluate(t2) - self.evaluate(t1)) / (t2 - t1)
@@ -531,9 +514,10 @@ class HermitianPath:
             for slope in out:
                 slope /= lens
             return out
+        ts = self.t_samples
         out = np.empty((hi - lo, 1, self.n, self.n))
         for i in range(lo, hi):
-            out[i - lo, 0] = self.segment_slope(i)
+            out[i - lo, 0] = self.derivative_at(0.5 * (ts[i] + ts[i + 1]))
         return [out]
 
     def chord_norms(self, l, r):
@@ -554,15 +538,6 @@ class HermitianPath:
         """Index i of the sample segment [t_i, t_{i+1}] that holds t."""
         i = int(np.searchsorted(self.t_samples, t, side="right")) - 1
         return min(max(i, 0), self.t_samples.size - 2)
-
-    def segment_slope(self, i):
-        """dA/dt at the middle of sample segment i: the difference
-        quotient of the segment's samples on a path interpolated between
-        them, else the path's derivative there."""
-        ts, v = self.t_samples, self.values
-        if self._func is not None:
-            return self.derivative_at(0.5 * (ts[i] + ts[i + 1]))
-        return (v[i + 1] - v[i]) / (ts[i + 1] - ts[i])
 
     def slope_at(self, t, rows):
         """A'(t) on rows x rows, with ``rows`` indices of whole blocks: the
@@ -622,6 +597,18 @@ def _partition(support, n):
     order = np.argsort(labels, kind="stable")
     _, first, sizes = np.unique(labels[order], return_index=True, return_counts=True)
     return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
+
+
+def _dense(path, groups):
+    """The whole matrices of a stack given block by block on the path's
+    partition (``HermitianPath.block_values``): a view of the one block
+    of a path of one block, else the blocks scattered into zeros."""
+    if path.blocks[0].shape[1] == path.n:
+        return groups[0][..., 0, :, :]
+    out = np.zeros(groups[0].shape[:-3] + (path.n, path.n))
+    for idx, g in zip(path.blocks, groups):
+        out[..., idx[:, :, None], idx[:, None, :]] = g
+    return out
 
 
 def _gather(stack, idx):

@@ -964,7 +964,12 @@ def _sign(ends, base, cfg):
     return eps
 
 
-def configuration_sign(c, base=None, cfg=None):
+# the shift choice of spectral_flow; the sign layer reads only its
+# kernel_threshold_rel and delta_cap
+_SHIFT_CFG = sfmod.SpectralFlowConfig()
+
+
+def configuration_sign(c, base=None):
     """Orientation transport along the spinor-scaling path to c.
 
     The path t -> extended Hessian of (t psi, A) is affine in t, so the
@@ -981,14 +986,11 @@ def configuration_sign(c, base=None, cfg=None):
     reducible ``base`` (validated before any work) selects the
     alternative affine path from the base, whose end is taken by blocks
     as well; both routes must agree.  Every block is checked for
-    symmetry.  ``cfg`` supplies only kernel_threshold_rel and delta_cap
-    (the shift choice of spectral_flow).
+    symmetry.  The shift is chosen as in spectral_flow (``_SHIFT_CFG``).
     """
     if base is not None and not base.reducible:
         raise ValueError("base configuration must be reducible")
-    if cfg is None:
-        cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
-    return _sign(_scaling_ends(c, cfg), base, cfg)
+    return _sign(_scaling_ends(c, _SHIFT_CFG), base, _SHIFT_CFG)
 
 
 def signed_count(configs):
@@ -1008,11 +1010,10 @@ def signed_count(configs):
             raise ValueError("signed counts are defined for irreducible configurations")
     if not configs:
         return 0
-    cfg = sfmod.SpectralFlowConfig(endpoint_count_only=True)
-    ends = [_scaling_ends(c, cfg) for c in configs]
-    signs = [_sign(pair, None, cfg) for pair in ends]
+    ends = [_scaling_ends(c, _SHIFT_CFG) for c in configs]
+    signs = [_sign(pair, None, _SHIFT_CFG) for pair in ends]
     total = sum(signs)
-    rel = signs[0] * sum(_parity(ends[0][1], end, cfg) for _, end in ends)
+    rel = signs[0] * sum(_parity(ends[0][1], end, _SHIFT_CFG) for _, end in ends)
     if rel != total:
         raise RuntimeError("relative count disagrees with the direct sum")
     return total

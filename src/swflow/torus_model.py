@@ -193,34 +193,30 @@ def codifferential(trunc, degree):
 # ------------------------------------------------------------- families
 
 
-def dirac_family_path(trunc, alpha_start, alpha_end, samples=9):
+def dirac_family_path(trunc, alpha_start, alpha_end):
     """Linear holonomy interpolation as a realified self-adjoint path.
 
-    The derivative in the parameter is the constant Clifford block of
-    half the holonomy increment, identical in every mode.
+    The path is affine in the parameter: the Dirac operator of the
+    holonomy alpha_start plus t times its constant slope, the block
+    diagonal of half the Clifford action of the holonomy increment,
+    identical in every mode.  A scalar holonomy is broadcast to all three
+    components.
     """
-    alpha_start = np.asarray(alpha_start, dtype=float)
-    alpha_end = np.asarray(alpha_end, dtype=float)
-    beta = alpha_end - alpha_start
-    deriv = np.kron(np.eye(trunc.mode_count), 0.5 * cl.clifford_im_matrix(beta))
-
-    def func(t):
-        conn = FlatConnection(alpha_start + t * beta)
-        return fourier_dirac(trunc, conn)
-
-    return sfmod.HermitianPath.from_callable(
-        func, 0.0, 1.0, num_samples=samples, derivative=lambda t: deriv
-    )
+    alpha_start = np.broadcast_to(np.asarray(alpha_start, dtype=float), 3)
+    beta = np.asarray(alpha_end, dtype=float) - alpha_start
+    slope = np.broadcast_to(0.5 * cl.clifford_im_matrix(beta), (trunc.mode_count, 2, 2))
+    return sfmod.HermitianPath.affine(fourier_dirac(trunc, FlatConnection(alpha_start)), _block_diag(slope))
 
 
-def magnetic_family_path(flux, depth, samples=17, gapped_levels=2):
+def magnetic_family_path(flux, depth):
     """Diagonal eigenvalue model for one period of a magnetic flux line.
 
     For flux d != 0 there are |d| identical towers.  Each contributes one
     family of levels -sign(d)(n + r) for integer n in [-depth, depth]
-    sweeping down (up) through zero once per period, plus gapped levels
-    +-sqrt(2|d|m + (n + r)^2) that never vanish.  Zero flux has no zero
-    towers and the family is a constant invertible diagonal.
+    sweeping down (up) through zero once per period, plus the gapped
+    levels +-sqrt(2|d|m + (n + r)^2), m = 1, 2, that never vanish.  Zero
+    flux has no zero towers and the family is a constant invertible
+    diagonal.  The family is sampled at 17 equally spaced times.
     """
     flux = int(flux)
     depth = int(depth)
@@ -229,10 +225,11 @@ def magnetic_family_path(flux, depth, samples=17, gapped_levels=2):
     ns = np.arange(-depth, depth + 1, dtype=float)
     sgn = float(np.sign(flux))
     absd = abs(flux)
+    levels = (1, 2)
 
     if flux == 0:
         base = np.concatenate(
-            [s * np.sqrt(2.0 * m + ns**2) for m in range(1, gapped_levels + 1) for s in (1.0, -1.0)]
+            [s * np.sqrt(2.0 * m + ns**2) for m in levels for s in (1.0, -1.0)]
         )
 
         def values(r):
@@ -247,7 +244,7 @@ def magnetic_family_path(flux, depth, samples=17, gapped_levels=2):
             zero = -sgn * (ns + r)
             gapped = [
                 s * np.sqrt(2.0 * absd * m + (ns + r) ** 2)
-                for m in range(1, gapped_levels + 1)
+                for m in levels
                 for s in (1.0, -1.0)
             ]
             tower = np.concatenate([zero] + gapped)
@@ -257,7 +254,7 @@ def magnetic_family_path(flux, depth, samples=17, gapped_levels=2):
             zero = np.full(ns.shape, -sgn)
             gapped = [
                 s * (ns + r) / np.sqrt(2.0 * absd * m + (ns + r) ** 2)
-                for m in range(1, gapped_levels + 1)
+                for m in levels
                 for s in (1.0, -1.0)
             ]
             tower = np.concatenate([zero] + gapped)
@@ -270,7 +267,7 @@ def magnetic_family_path(flux, depth, samples=17, gapped_levels=2):
             return np.diag(entries_deriv(r))
 
     return sfmod.HermitianPath.from_callable(
-        values, 0.0, 1.0, num_samples=samples, derivative=deriv
+        values, 0.0, 1.0, num_samples=17, derivative=deriv
     )
 
 

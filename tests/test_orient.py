@@ -364,27 +364,30 @@ def test_newton_probe_fails_the_scan_at_its_point(monkeypatch):
     path = sf.HermitianPath.affine(np.diag([-0.3, 2.0]), np.diag([1.0, 0.0]), 0.0, 1.0)
     assert [idx.shape for idx in path.blocks] == [(2, 1)]
     cfg = sf.SpectralFlowConfig()
-    probed, levels = [], []
-    evaluate_into = path.evaluate_into
+    probed, levels, dense = [], [], []
+    block_svds, spectra, whole = orient._block_svds, sf._spectra, sf._dense
 
-    def watched(times, out):
+    def watched(path_, K, times):
         probed.append(np.array(times, dtype=float))
-        return evaluate_into(times, out)
-
-    spectra = sf._spectra
+        return block_svds(path_, K, times)
 
     def counted(path_, times):
         levels.append(len(times))
         return spectra(path_, times)
 
-    path.evaluate_into = watched
+    def scattered(path_, groups):
+        dense.append(groups[0].shape[0])
+        return whole(path_, groups)
+
+    monkeypatch.setattr(orient, "_block_svds", watched)
     monkeypatch.setattr(sf, "_spectra", counted)
+    monkeypatch.setattr(sf, "_dense", scattered)
     calls = count_decompositions(monkeypatch)
     certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((2, 0)), 2.0, cfg)
     assert not certified
     assert np.allclose(np.abs(dirs[:, 0]), [1.0, 0.0])
-    # only the two SVD probes evaluate the whole matrix
-    assert len(probed) == 2
+    # only the two SVD probes evaluate the whole matrix, one time each
+    assert len(probed) == 2 and dense == [1, 1]
     assert probed[-2].tolist() == [0.30078125]
     assert probed[-1].size == 1 and abs(probed[-1][0] - 0.3) < 1e-12
     assert calls == {"svd": 2, "eigvalsh": 0}

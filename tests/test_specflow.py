@@ -471,26 +471,22 @@ def test_a_corner_at_a_sample_takes_one_sided_windows(monkeypatch):
 
 
 def test_stacked_evaluation_is_the_pointwise_evaluation():
-    # evaluate_into writes bit for bit what evaluate returns at each time,
-    # and on interpolated paths what the scalar lerp gives: a broadcast on
-    # affine paths (a complex Hermitian one in its realified form), a
-    # gather and lerp on interpolated paths and a loop on a user callable,
-    # also into a strided stack like orient's [T K]
+    # evaluate is, bit for bit, the scalar evaluation at each time: const
+    # + t linear on affine paths (a complex Hermitian one in its realified
+    # form), the scalar lerp on interpolated paths and the callable on a
+    # curved one; and the whole matrices of the stacked block values
+    # (_dense) are the same, by scatter on a path of many blocks and as a
+    # view on a path of one, also when written into a strided stack like
+    # orient's [T K].  A callable without a curvature bound evaluates as
+    # itself, and its block values are its sample interpolant's
     rng = np.random.default_rng(51)
     n = 5
     a, b, c = (m + m.T for m in rng.standard_normal((3, n, n)))
     za, zb = (m + m.conj().T for m in rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)))
     grid = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, 7)), [1.0]])
-    paths = [
-        sf.HermitianPath.affine(a, b, -1.0, 1.0),
-        sf.HermitianPath.affine(za, zb, -1.0, 1.0),
-        sf.HermitianPath(grid, np.array([a + np.sin(t) * b for t in grid])),
-        sf.HermitianPath(grid, np.array([za + t * t * zb for t in grid])),
-        # n = 120: the right ends are gathered two matrices at a time
-        sf.HermitianPath(grid, np.array([np.kron(np.eye(24), a + t * b) for t in grid])),
-        sf.HermitianPath.from_callable(lambda t: a + t * b + np.sin(1.7 * t) * c, -1.0, 1.0, num_samples=7),
-    ]
-    assert paths[1].realified and paths[1]._affine is not None
+
+    def curve(t):
+        return a + t * b + np.sin(1.7 * t) * c
 
     def lerp(path, t):
         # the scalar interpolation, one time at a time
@@ -499,15 +495,72 @@ def test_stacked_evaluation_is_the_pointwise_evaluation():
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * path.values[i] + w * path.values[i + 1]
 
+    ra, rb = sf.realify_matrix(za), sf.realify_matrix(zb)
+    cases = [
+        (sf.HermitianPath.affine(a, b, -1.0, 1.0), lambda p, t: a + t * b),
+        (sf.HermitianPath.affine(za, zb, -1.0, 1.0), lambda p, t: ra + t * rb),
+        (sf.HermitianPath(grid, np.array([a + np.sin(t) * b for t in grid])), lerp),
+        (sf.HermitianPath(grid, np.array([za + t * t * zb for t in grid])), lerp),
+        # n = 120, 24 blocks of 5: scattered into zeros
+        (sf.HermitianPath(grid, np.array([np.kron(np.eye(24), a + t * b) for t in grid])), lerp),
+        (
+            sf.HermitianPath.from_callable(
+                curve,
+                -1.0,
+                1.0,
+                num_samples=7,
+                derivative=lambda t: b + 1.7 * np.cos(1.7 * t) * c,
+                curvature=1.7**2 * sf._sym_norm2(c),
+            ),
+            lambda p, t: curve(t),
+        ),
+    ]
+    assert cases[1][0].realified and cases[1][0]._affine is not None
+    assert [idx.shape for idx in cases[4][0].blocks] == [(24, 5)]
     times = np.concatenate([grid, rng.uniform(-1.0, 1.0, 40), [-1.25, 1.5]])
-    for path in paths:
-        at = path.evaluate if path._func is not None else lambda t: lerp(path, t)
-        want = np.array([at(t) for t in times.tolist()])
+    for path, at in cases:
+        want = np.array([at(path, t) for t in times.tolist()])
         assert np.array_equal(want, [path.evaluate(t) for t in times.tolist()])
-        out = np.empty((times.size, path.n, path.n + 2))[:, :, : path.n]
-        assert path.evaluate_into(times, out) is out
-        assert np.array_equal(out, want)
-        assert np.array_equal(path.evaluate_into(times, np.empty_like(want)), want)
+        groups = path.block_values(times)
+        whole = sf._dense(path, groups)
+        assert np.array_equal(whole, want)
+        assert np.shares_memory(whole, groups[0]) == (len(path.blocks[0][0]) == path.n)
+        out = np.empty((times.size, path.n, path.n + 2))
+        out[:, :, : path.n] = sf._dense(path, path.block_values(times))
+        assert np.array_equal(out[:, :, : path.n], want)
+    bare = sf.HermitianPath.from_callable(curve, -1.0, 1.0, num_samples=7)
+    assert np.array_equal([bare.evaluate(t) for t in times.tolist()], [curve(t) for t in times.tolist()])
+    assert np.array_equal(sf._dense(bare, bare.block_values(times)), [lerp(bare, t) for t in times.tolist()])
+
+
+def test_affine_paths_take_one_route_whatever_their_dtype():
+    # diag(-3, -1, 2, 5) + t diag(4, 3, -1, 1) on [0, 2] given as int64,
+    # float32, float64 + int64 and (with a Hermitian coupling) complex64:
+    # each path stores (const, linear), takes its partition from their
+    # support, and reports as its float64 (complex128) twin, bit for bit
+    const, lin = np.diag([-3, -1, 2, 5]), np.diag([4, 3, -1, 1])
+    herm = np.zeros((4, 4), dtype=complex)
+    herm[0, 1], herm[1, 0] = 0.5j, -0.5j
+    real_blocks = [[[0], [1], [2], [3]]]
+    cases = [
+        (const, lin, real_blocks),
+        (const.astype(np.float32), lin.astype(np.float32), real_blocks),
+        (const.astype(float), lin, real_blocks),
+        ((const + herm).astype(np.complex64), lin.astype(np.complex64), [[[2], [3], [6], [7]], [[0, 5], [1, 4]]]),
+    ]
+    cfg = sf.SpectralFlowConfig()
+    for c, l, blocks in cases:
+        dtype = complex if np.iscomplexobj(c) else float
+        path = sf.HermitianPath.affine(c, l, 0.0, 2.0)
+        twin = sf.HermitianPath.affine(c.astype(dtype), l.astype(dtype), 0.0, 2.0)
+        assert path._affine is not None and path._func is None
+        assert [idx.tolist() for idx in path.blocks] == [idx.tolist() for idx in twin.blocks] == blocks
+        rep, want = sf.spectral_flow(path, cfg), sf.spectral_flow(twin, cfg)
+        assert (rep.method, frozen_entry(rep)) == (want.method, frozen_entry(want))
+    # the real twin crosses delta = 1/4 at 5/12, 13/16 and 7/4
+    rep = sf.spectral_flow(sf.HermitianPath.affine(const.astype(float), lin.astype(float), 0.0, 2.0), cfg)
+    assert rep.delta_used == 0.25
+    assert np.allclose([r.t for r in rep.crossings], [5 / 12, 13 / 16, 7 / 4], rtol=0.0, atol=cfg.bisection_tol)
 
 
 def test_slope_bounds_cover_the_chords():
@@ -587,7 +640,8 @@ def pencil_crossings(path, delta):
     times = []
     for i in range(ts.size - 1):
         shifted = path.values[i] - delta * np.eye(path.n)
-        mu = np.linalg.eigvals(np.linalg.solve(shifted, path.segment_slope(i)))
+        slope = (path.values[i + 1] - path.values[i]) / (ts[i + 1] - ts[i])
+        mu = np.linalg.eigvals(np.linalg.solve(shifted, slope))
         mu = mu[(np.abs(mu.imag) <= 1e-9 * np.abs(mu)) & (mu != 0.0)].real
         t = ts[i] - 1.0 / mu
         times += t[(t > ts[i]) & (t < ts[i + 1])].tolist()
@@ -1060,13 +1114,18 @@ def test_from_callable_builds_in_one_copy_of_the_samples():
 
 
 def test_complex_ingest_stays_under_twice_the_realified_samples():
-    # 9 complex Dirac samples of size 250 (9 MB) realify to 18 MB; the
-    # complex stack itself is half of that
-    tr = tm.TorusTruncation(2)
-    tm.dirac_family_path(tr, 0, (2, 0, 0))
+    # 9 complex samples of size 250 (9 MB) realify to 18 MB; the complex
+    # stack itself is half of that
+    rng = np.random.default_rng(52)
+    za, zb = (m + m.conj().T for m in rng.standard_normal((2, 250, 250)) + 1j * rng.standard_normal((2, 250, 250)))
+
+    def build():
+        return sf.HermitianPath.from_callable(lambda t: za + t * zb, 0.0, 1.0, num_samples=9)
+
+    build()
     tracemalloc.start()
     try:
-        path = tm.dirac_family_path(tr, 0, (2, 0, 0))
+        path = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -185,7 +185,7 @@ def dirac_crossings(trunc, alpha0, alpha1, delta):
     """Closed-form crossing records (t, kernel_dim, signature) of
     dirac_family_path(trunc, alpha0, alpha1) at shift delta, by t.
 
-    The family is affine in t, and so is its sample interpolant.  Mode k
+    The family is affine in t (``HermitianPath.affine``).  Mode k
     has the eigenvalues +-|v(t)|, v(t) = k + alpha0/2 + t beta/2 with
     beta = alpha1 - alpha0, each twice once realified.  The branch
     +|v| meets delta at the real roots in [0, 1] of
