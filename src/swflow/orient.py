@@ -247,7 +247,7 @@ def _transport_det(path, cfg, start=None):
     """(sign, stabilizer rank) of the kernel-bundle route, with the
     stabilizer grown from ``start`` (orthonormal columns; none when None)."""
     path, _ = sfmod._bounded(path)
-    scale = max(1.0, sfmod._max_abs(path.values))
+    scale = max(1.0, path.top)
     floor = cfg.kernel_threshold_rel * scale
     if np.abs(sfmod._end_spectra(path)).min() < floor:
         raise ValueError("endpoint is singular: kernel-bundle route undefined")

@@ -149,11 +149,17 @@ twice.  The stabilizer scan of ``orient`` runs level by level the same
 way.
 
 Block-diagonal paths.  Every path holds a partition of its index set that
-each of its values respects (``HermitianPath.blocks``), found once as
-the connected components of a union support: of const and linear on a
-path made by ``affine``, of the samples on a path refined as its sample
+each of its values respects (``HermitianPath.blocks``), and stores its
+samples only by it.  A dense stack is partitioned on ingest, by the
+connected components of a union support: of const and linear on a path
+made by ``affine``, of the samples on a path refined as its sample
 interpolant.  A callable with a curvature bound is one block, and a dense
-support is one block after one check.  The spectrum of a direct sum is
+support is one block after one check.  ``HermitianPath.from_blocks``
+takes the blocks themselves and forms no dense sample.  The scale that
+the kernel floor reads is the largest entry over the blocks, which is
+the whole matrices' since entries off the blocks are zero; a path whose
+every sample is zero has no scale, and ``spectral_flow`` raises
+``SpectralFlowError`` on it.  The spectrum of a direct sum is
 the union of its blocks' spectra, so each spectrum is taken with one
 stacked eigvalsh per block size (1 x 1 blocks are read) and merged by
 sorting.  That is the sorted spectrum of the whole matrix (bit for bit
@@ -168,11 +174,11 @@ only the rows of the blocks that hold it, since the slope respects the
 partition.  The window takes g over the eigenvalues of all blocks and
 beta over all blocks, so its derivation holds as it stands.  Probes
 evaluate only the blocks, from the stored blocks of const and linear or
-of the samples.  Where a whole matrix is needed (``evaluate``, and the
-[T_t K] probes of ``orient``), the blocks are scattered into zeros
-(``_dense``).  A path of one block takes the same route: its block is a
-view of the whole matrix, and the stacked eigvalsh of that block is its
-sorted spectrum as it stands.
+of the samples.  Where a whole matrix is needed (``evaluate``,
+``values``, and the [T_t K] probes of ``orient``), the blocks are
+scattered into zeros (``_dense``).  A path of one block takes the same
+route: its block is a view of the whole matrix, and the stacked eigvalsh
+of that block is its sorted spectrum as it stands.
 """
 
 import copy
@@ -262,16 +268,19 @@ def _max_abs(a):
 
 
 def _sym_defect(m, tile=256):
-    """max |m - m^T| of a square matrix, NaN when m holds a NaN.
+    """max |m - m^T| of a square matrix, or over a stack of them
+    (..., n, n), NaN when m holds a NaN.
 
     Up to ``tile`` rows this is one m - m^T.  A larger m is visited by
     tile x tile blocks of its upper triangle, each against its mirror,
     so every pair (i, j) is seen once and no temporary is larger than a
     tile; |m_ij - m_ji| is exact and symmetric in i and j, so the
     maximum is the same bit for bit."""
-    n = m.shape[0]
+    n = m.shape[-1]
     if n <= tile:
-        return _max_abs(m - m.T)
+        return _max_abs(m - np.swapaxes(m, -1, -2))
+    if m.ndim > 2:
+        return float(np.max([_sym_defect(x) for x in m.reshape((-1, n, n))]))
     starts = range(0, n, tile)
     return float(np.max([
         _max_abs(m[i : i + tile, j : j + tile] - m[j : j + tile, i : i + tile].T)
@@ -282,22 +291,65 @@ def _sym_defect(m, tile=256):
 
 
 def _check_symmetric(values, tol=1e-12):
-    """Reject a matrix, or a stack of matrices, that is not finite or not
-    symmetric.
+    """Reject samples that are not finite or not symmetric, and return
+    their largest entry magnitude.
 
-    The defect is taken one matrix at a time by ``_sym_defect``, so the
-    only temporary is the size of one sample at most."""
-    top = _max_abs(values)
+    ``values`` is a matrix, a stack of matrices, or a list of stacks of
+    blocks (..., size, size) as ``HermitianPath`` stores its samples.
+    Entries off the blocks are zero, so over blocks the largest entry and
+    the defect are those of the whole matrices, and the decision is the
+    same bit for bit.  The defect is taken one sample at a time by
+    ``_sym_defect``, so the only temporary is the size of one sample at
+    most; 1 x 1 blocks take none."""
+    stacks = values if isinstance(values, list) else [values[None] if values.ndim == 2 else values]
+    top = float(np.max([_max_abs(s) for s in stacks]))
     if not np.isfinite(top):
         raise ValueError("path samples are not finite")
-    mats = values[None] if values.ndim == 2 else values
-    defect = max(_sym_defect(v) for v in mats)
+    defect = max((_sym_defect(v) for s in stacks if s.shape[-1] > 1 for v in s), default=0.0)
     if defect > tol * max(1.0, top):
         raise ValueError("path samples are not symmetric within tolerance")
+    return top
+
+
+def _times(t_samples):
+    """The sample times as a float array, checked strictly increasing."""
+    t_samples = np.asarray(t_samples, dtype=float)
+    if t_samples.ndim != 1 or t_samples.size < 2:
+        raise ValueError("need at least two samples")
+    if np.any(np.diff(t_samples) <= 0):
+        raise ValueError("t_samples must be strictly increasing")
+    return t_samples
+
+
+def _real_samples(values):
+    """(stack, realified): a stack of square matrices as float64, a
+    complex one in its doubled real form (``realify_matrix``)."""
+    values = np.asarray(values)
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+        raise ValueError("samples must be square matrices")
+    realified = np.iscomplexobj(values)
+    if realified:
+        values = realify_matrix(values)
+    return values.astype(float, copy=False), realified
 
 
 class HermitianPath:
-    """A sampled path of symmetric matrices on [a, b].
+    """A sampled path of symmetric matrices on [a, b], stored by blocks.
+
+    ``blocks`` is a partition of the index set that every value respects:
+    one (count, size) array of indices per block size, ascending in size,
+    each block's indices ascending; ``[arange(n)[None]]`` is one block.
+    The samples are kept only by it, per block size as a (samples, count,
+    size, size) stack (``sample_blocks``).  A dense stack given to the
+    constructor is checked and partitioned on ingest, by the connected
+    components of a union support: of const and linear on a path made by
+    ``affine``, of the samples on a path refined as its sample
+    interpolant; a callable with a curvature bound is one block.  A path
+    of one block stores a view of the given stack.  ``from_blocks`` takes
+    the blocks themselves, and no dense sample is formed.  ``values``,
+    the samples as whole matrices, is derived from the blocks on each
+    request and not kept; ``top`` is the largest entry magnitude over the
+    samples, taken from the blocks on ingest.
 
     Values come from the stored callable when available, else from
     ``block_values``: the stored (const, linear) of a path made by
@@ -308,36 +360,40 @@ class HermitianPath:
     affine or interpolated path, or else a central finite difference.
     ``curvature`` is a bound gamma >= sup ||A''||_2 that a callable with a
     derivative may declare (``slope_norms``); an affine or interpolated
-    path has curvature 0.  ``blocks`` is a partition of the index set
-    that every value respects (module docstring).
+    path has curvature 0.
     """
 
     def __init__(self, t_samples, values, derivative=None, func=None, curvature=None):
         if curvature is not None and not (func is not None and derivative is not None and curvature >= 0.0):
             raise ValueError("a curvature bound is >= 0 and needs a callable with its derivative")
-        t_samples = np.asarray(t_samples, dtype=float)
-        if t_samples.ndim != 1 or t_samples.size < 2:
-            raise ValueError("need at least two samples")
-        if np.any(np.diff(t_samples) <= 0):
-            raise ValueError("t_samples must be strictly increasing")
-        values = np.asarray(values)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise ValueError("samples must be square matrices")
-        realified = np.iscomplexobj(values)
+        t_samples = _times(t_samples)
+        values, realified = _real_samples(values)
         if realified:
-            values = realify_matrix(values)
             if func is not None:
                 raw = func
                 func = lambda t: realify_matrix(raw(t))
             if derivative is not None:
                 rawd = derivative
                 derivative = lambda t: realify_matrix(rawd(t))
-        values = values.astype(float, copy=False)
-        _check_symmetric(values)
-        if values.shape[0] != t_samples.size:
+        top = _check_symmetric(values)
+        support = None
+        if func is None or curvature is None:
+            support = values[0] != 0
+            for v in values[1:]:
+                support |= v != 0
+        blocks = _partition(support, values.shape[1])
+        samples = [_gather(values, idx) for idx in blocks]
+        self._store(t_samples, blocks, samples, top, func, derivative, curvature, realified)
+
+    def _store(self, t_samples, blocks, samples, top, func=None, derivative=None, curvature=None, realified=False):
+        """Keep the checked samples, block by block, and the callables."""
+        if any(s.shape[0] != t_samples.size for s in samples):
             raise ValueError("sample count mismatch")
         self.t_samples = t_samples
-        self.values = values
+        self.blocks = blocks
+        self.n = sum(idx.size for idx in blocks)
+        self.top = top
+        self._samples = samples
         self._derivative = derivative
         self._func = func
         self.realified = realified
@@ -345,11 +401,9 @@ class HermitianPath:
         # bound on ||dA/dt||_2 on each sample segment, filled lazily by
         # ``slope_norms``
         self._slopes = None
-        # (const, linear) of a path made by ``affine``
+        # (const, linear) of a path made by ``affine``, and their blocks
+        # for ``block_values``, gathered on first use
         self._affine = None
-        # the partition of ``blocks`` and, per block size, the stored
-        # blocks of ``block_values``: both found on first use
-        self._blocks = None
         self._block_data = None
 
     @classmethod
@@ -366,18 +420,61 @@ class HermitianPath:
         return cls(grid, _sample(func, grid), derivative=derivative, func=func, curvature=curvature)
 
     @classmethod
+    def from_blocks(cls, t_samples, blocks, samples, func=None, derivative=None):
+        """The path whose samples are given block by block, stored as given.
+
+        ``blocks`` is a partition of range(n) in ``_partition``'s form (the
+        class docstring), and ``samples`` holds per block size a real
+        (samples, count, size, size) stack of symmetric blocks.  The blocks
+        must cover range(n) exactly once.  The stacks are checked for
+        finiteness and symmetry by ``_check_symmetric``, with its tolerance
+        against the largest entry over all blocks: entries off the blocks
+        are zero, so that is the decision the dense check makes.  No dense
+        sample is formed.  ``func`` and ``derivative``, when given, are the
+        whole matrices A(t) and A'(t) that ``evaluate`` and
+        ``derivative_at`` return; the path is refined as its sample
+        interpolant."""
+        t_samples = _times(t_samples)
+        blocks = [np.asarray(idx) for idx in blocks]
+        flat = np.concatenate([idx.ravel() for idx in blocks]) if blocks else np.zeros(0)
+        if (
+            not blocks
+            or any(idx.ndim != 2 or idx.dtype.kind not in "iu" or 0 in idx.shape for idx in blocks)
+            or any(p.shape[1] >= q.shape[1] for p, q in zip(blocks, blocks[1:]))
+            or any(np.any(np.diff(idx, axis=1) <= 0) for idx in blocks)
+            or not np.array_equal(np.sort(flat), np.arange(flat.size))
+        ):
+            raise ValueError("blocks are not a partition of range(n) in ascending order")
+        samples = [np.asarray(s) for s in samples]
+        if len(samples) != len(blocks) or any(
+            np.iscomplexobj(s) or s.shape[1:] != idx.shape + idx.shape[1:] for s, idx in zip(samples, blocks)
+        ):
+            raise ValueError("samples must be real (samples, count, size, size) stacks on the blocks")
+        samples = [s.astype(float, copy=False) for s in samples]
+        path = cls.__new__(cls)
+        path._store(t_samples, blocks, samples, _check_symmetric(samples), func, derivative)
+        return path
+
+    @classmethod
     def affine(cls, const, linear, a=0.0, b=1.0):
         """The path const + t linear on [a, b], sampled at its two ends.
 
         Both matrices are cast to float64, or to complex128 when either
         is complex, and stored as (const, linear) in the path's realified
         form: ``block_values`` broadcasts them, and the ends are sampled
-        with the same arithmetic."""
+        with the same arithmetic.  The partition is that of their union
+        support."""
         dtype = complex if np.iscomplexobj(const) or np.iscomplexobj(linear) else float
         const, linear = np.asarray(const, dtype=dtype), np.asarray(linear, dtype=dtype)
-        ends = np.linspace(a, b, 2)
-        path = cls(ends, ends[:, None, None] * linear + const)
-        path._affine = tuple(realify_matrix(m) if path.realified else m for m in (const, linear))
+        ends = _times(np.linspace(a, b, 2))
+        values, realified = _real_samples(ends[:, None, None] * linear + const)
+        if realified:
+            const, linear = realify_matrix(const), realify_matrix(linear)
+        blocks = _partition((const != 0) | (linear != 0), values.shape[1])
+        path = cls.__new__(cls)
+        samples = [_gather(values, idx) for idx in blocks]
+        path._store(ends, blocks, samples, _check_symmetric(values), realified=realified)
+        path._affine = const, linear
         return path
 
     @property
@@ -389,8 +486,12 @@ class HermitianPath:
         return float(self.t_samples[-1])
 
     @property
-    def n(self):
-        return self.values.shape[1]
+    def values(self):
+        """The samples as whole matrices, (samples, n, n): derived from the
+        stored blocks on each request and not kept, a view of the one
+        block of a path of one block, else the blocks scattered into zeros
+        (``_dense``)."""
+        return _dense(self, self._samples)
 
     def evaluate(self, t):
         """A(t): the stored callable's value, else the whole matrix of
@@ -407,36 +508,14 @@ class HermitianPath:
         i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
         return i, (t - ts[i]) / (ts[i + 1] - ts[i])
 
-    @property
-    def blocks(self):
-        """A partition of the index set that every value respects: one
-        (count, size) array of indices per block size, ascending in size,
-        each block's indices ascending; ``[arange(n)[None]]`` is one block.
-
-        Found once, as the connected components of the union support of
-        ``const`` and ``linear`` on a path made by ``affine``, or of the
-        samples on a path that is refined as its sample interpolant; a
-        callable with a curvature bound is one block."""
-        if self._blocks is None:
-            support = None
-            if self._affine is not None:
-                support = (self._affine[0] != 0) | (self._affine[1] != 0)
-            elif self._func is None or self.curvature is None:
-                support = self.values[0] != 0
-                for v in self.values[1:]:
-                    support |= v != 0
-            self._blocks = _partition(support, self.n)
-        return self._blocks
-
     def _stored_blocks(self):
         """Per block size, the blocks ``block_values`` evaluates from:
-        (const, linear) on a path made by ``affine``, else the samples as
-        one (samples, count, size, size) stack."""
+        (const, linear) on a path made by ``affine``, else the stored
+        sample stacks."""
+        if self._affine is None:
+            return self._samples
         if self._block_data is None:
-            if self._affine is not None:
-                self._block_data = [tuple(_gather(m, idx) for m in self._affine) for idx in self.blocks]
-            else:
-                self._block_data = self.sample_blocks(slice(None))
+            self._block_data = [tuple(_gather(m, idx) for m in self._affine) for idx in self.blocks]
         return self._block_data
 
     def block_values(self, times):
@@ -469,10 +548,9 @@ class HermitianPath:
         return out
 
     def sample_blocks(self, part):
-        """The stored samples ``values[part]`` (a slice), block by block:
-        per block size a (samples, count, size, size) stack, a view of the
-        samples on a path of one block."""
-        return [_gather(self.values[part], idx) for idx in self.blocks]
+        """The stored samples ``part`` (a slice), block by block: per block
+        size a (samples, count, size, size) stack, a view of the store."""
+        return [s[part] for s in self._samples]
 
     def derivative_at(self, t):
         """A'(t): the stored derivative of a callable, the slope of an
@@ -544,13 +622,19 @@ class HermitianPath:
         slope of a path made by ``affine``, the slope of t's sample segment
         on a path refined as its sample interpolant, else
         ``derivative_at(t)`` on a curved callable."""
-        ix = np.ix_(rows, rows)
         if self._affine is not None:
-            return self._affine[1][ix]
+            return self._affine[1][np.ix_(rows, rows)]
         if self._func is None or self.curvature is None:
-            ts, v, i = self.t_samples, self.values, self.segment(t)
-            return (v[i + 1][ix] - v[i][ix]) / (ts[i + 1] - ts[i])
-        return self.derivative_at(t)[ix]
+            ts, i = self.t_samples, self.segment(t)
+            out = np.zeros((len(rows), len(rows)))
+            hosts = np.zeros(self.n, dtype=bool)
+            hosts[rows] = True
+            for idx, s in zip(self.blocks, self._samples):
+                host = hosts[idx[:, 0]]
+                at = np.searchsorted(rows, idx[host])
+                out[at[:, :, None], at[:, None, :]] = (s[i + 1, host] - s[i, host]) / (ts[i + 1] - ts[i])
+            return out
+        return self.derivative_at(t)[np.ix_(rows, rows)]
 
 
 def _sample(func, grid):
@@ -1017,7 +1101,9 @@ def spectral_flow(path, cfg=None):
     """
     if cfg is None:
         cfg = SpectralFlowConfig()
-    scale = max(1.0, _max_abs(path.values))
+    if path.top == 0.0:
+        raise SpectralFlowError("every sample of the path is zero: no shift is admissible")
+    scale = max(1.0, path.top)
     eigs_a, eigs_b = _end_spectra(path)
     spectra = {path.a: eigs_a, path.b: eigs_b}
     if cfg.endpoint_count_only:
@@ -1077,9 +1163,11 @@ def sf_direct_sum(p1, p2, cfg=None):
 
 
 def _joins(p1, p2):
-    """Whether p2 starts where p1 ends, to 1e-12 relative to p1's end."""
-    end = p1.values[-1]
-    return _max_abs(end - p2.values[0]) <= 1e-12 * max(1.0, _max_abs(end))
+    """Whether p2 starts where p1 ends, to 1e-12 relative to p1's end:
+    the two end samples, formed from their blocks."""
+    end = _dense(p1, p1.sample_blocks(slice(-1, None)))[0]
+    start = _dense(p2, p2.sample_blocks(slice(1)))[0]
+    return _max_abs(end - start) <= 1e-12 * max(1.0, _max_abs(end))
 
 
 def sf_concat(p1, p2, cfg=None):
@@ -1134,7 +1222,7 @@ def track_degenerate_eigenvalue(path, cfg=None):
     a, b = path.a, path.b
     if not (a < 0.0 < b):
         raise ValueError("domain must contain 0 in its interior")
-    scale = max(1.0, _max_abs(path.values))
+    scale = max(1.0, path.top)
     if _max_abs(path.evaluate(0.0)) > 1e-12 * scale:
         raise ValueError("path does not vanish at t = 0")
     b0 = path.derivative_at(0.0)

@@ -690,8 +690,8 @@ def extended_hessian(c):
 
 def _checked_spectrum(mat):
     """(eigenvalues, largest entry magnitude) of a symmetric matrix."""
-    sfmod._check_symmetric(mat)
-    return np.linalg.eigvalsh(mat), sfmod._max_abs(mat)
+    top = sfmod._check_symmetric(mat)
+    return np.linalg.eigvalsh(mat), top
 
 
 def _form_matrix(trunc):
@@ -713,7 +713,7 @@ def _eigenbasis(f, groups):
     lists the eigenvalues in that order, and the masks ``neg``, ``ker``
     (|lam| < 1/2) and ``pos`` split it; ``gap`` is the smallest |lam| on
     the range, ``frob`` is ||F||_F and ``top`` F's largest entry."""
-    sfmod._check_symmetric(f)
+    top = sfmod._check_symmetric(f)
     blocks = [sfmod._gather(f, g) for g in groups]
     if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(f):
         raise ValueError("matrix is not block diagonal over the given groups")
@@ -732,7 +732,7 @@ def _eigenbasis(f, groups):
         pos=lam >= 0.5,
         gap=float(np.abs(lam[~ker]).min(initial=np.inf)),
         frob=float(np.sqrt(np.vdot(f, f))),
-        top=sfmod._max_abs(f),
+        top=top,
     )
 
 

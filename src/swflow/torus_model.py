@@ -216,7 +216,12 @@ def magnetic_family_path(flux, depth):
     sweeping down (up) through zero once per period, plus the gapped
     levels +-sqrt(2|d|m + (n + r)^2), m = 1, 2, that never vanish.  Zero
     flux has no zero towers and the family is a constant invertible
-    diagonal.  The family is sampled at 17 equally spaced times.
+    diagonal.  The family is sampled at 17 equally spaced times: the 17
+    diagonals are taken in one broadcast over r and stored as 1 x 1
+    blocks (``HermitianPath.from_blocks``), so no dense sample is formed.
+    The path keeps the diagonal matrix and its derivative as its callable
+    for ``evaluate`` and ``derivative_at``, and is refined as its sample
+    interpolant.
     """
     flux = int(flux)
     depth = int(depth)
@@ -227,47 +232,38 @@ def magnetic_family_path(flux, depth):
     absd = abs(flux)
     levels = (1, 2)
 
+    # the diagonal at each r of an array of times, on a last axis
     if flux == 0:
         base = np.concatenate(
             [s * np.sqrt(2.0 * m + ns**2) for m in levels for s in (1.0, -1.0)]
         )
 
-        def values(r):
-            return np.diag(base)
+        def entries(r):
+            return np.broadcast_to(base, np.shape(r) + base.shape)
 
-        def deriv(r):
-            return np.zeros((base.size, base.size))
+        def entries_deriv(r):
+            return np.zeros(np.shape(r) + base.shape)
 
     else:
 
         def entries(r):
-            zero = -sgn * (ns + r)
-            gapped = [
-                s * np.sqrt(2.0 * absd * m + (ns + r) ** 2)
-                for m in levels
-                for s in (1.0, -1.0)
-            ]
-            tower = np.concatenate([zero] + gapped)
-            return np.tile(tower, absd)
+            x = ns + np.asarray(r)[..., None]
+            gapped = [s * np.sqrt(2.0 * absd * m + x**2) for m in levels for s in (1.0, -1.0)]
+            return np.tile(np.concatenate([-sgn * x] + gapped, axis=-1), absd)
 
         def entries_deriv(r):
-            zero = np.full(ns.shape, -sgn)
-            gapped = [
-                s * (ns + r) / np.sqrt(2.0 * absd * m + (ns + r) ** 2)
-                for m in levels
-                for s in (1.0, -1.0)
-            ]
-            tower = np.concatenate([zero] + gapped)
-            return np.tile(tower, absd)
+            x = ns + np.asarray(r)[..., None]
+            gapped = [s * x / np.sqrt(2.0 * absd * m + x**2) for m in levels for s in (1.0, -1.0)]
+            return np.tile(np.concatenate([np.full(x.shape, -sgn)] + gapped, axis=-1), absd)
 
-        def values(r):
-            return np.diag(entries(r))
-
-        def deriv(r):
-            return np.diag(entries_deriv(r))
-
-    return sfmod.HermitianPath.from_callable(
-        values, 0.0, 1.0, num_samples=17, derivative=deriv
+    grid = np.linspace(0.0, 1.0, 17)
+    diagonals = entries(grid)
+    return sfmod.HermitianPath.from_blocks(
+        grid,
+        [np.arange(diagonals.shape[-1])[:, None]],
+        [diagonals[:, :, None, None]],
+        func=lambda r: np.diag(entries(r)),
+        derivative=lambda r: np.diag(entries_deriv(r)),
     )
 
 

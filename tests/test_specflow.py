@@ -61,11 +61,35 @@ def test_opposite_crossings_cancel():
 
 
 def test_constant_families_have_zero_flow():
-    for mat in [np.zeros((3, 3)), np.diag([1.0, -2.0, 3.0])]:
+    # a constant nonzero family, with or without a zero eigenvalue; the
+    # zero family raises (test_zero_path_raises)
+    for mat in [np.diag([0.0, -2.0, 3.0]), np.diag([1.0, -2.0, 3.0])]:
         path = sf.HermitianPath.affine(mat, np.zeros((3, 3)), 0.0, 1.0)
         rep = sf.spectral_flow(path)
         assert rep.sf == 0
         assert rep.crossings == []
+
+
+@pytest.mark.parametrize("endpoint_count_only", [False, True])
+def test_zero_path_raises(endpoint_count_only):
+    # a path whose every sample is exactly zero has no scale to shift by:
+    # the flow route raises a typed error, as the determinant route does,
+    # and never returns 0
+    cfg = sf.SpectralFlowConfig(endpoint_count_only=endpoint_count_only)
+    paths = [
+        sf.HermitianPath.affine(np.zeros((3, 3)), np.zeros((3, 3))),
+        sf.HermitianPath(np.linspace(-1.0, 1.0, 5), np.zeros((5, 4, 4))),
+        sf.HermitianPath.from_blocks(np.linspace(0.0, 1.0, 3), [np.arange(2)[:, None]], [np.zeros((3, 2, 1, 1))]),
+    ]
+    for path in paths:
+        with pytest.raises(sf.SpectralFlowError, match="zero"):
+            sf.spectral_flow(path, cfg)
+        with pytest.raises(ValueError):
+            orient.orientation_transport_det(path)
+    # one nonzero entry in one sample gives a scale
+    vals = np.zeros((5, 4, 4))
+    vals[2, 1, 1] = 1e-300
+    assert sf.spectral_flow(sf.HermitianPath(np.linspace(-1.0, 1.0, 5), vals), cfg).sf == 0
 
 
 def test_zero_endpoint_convention_quartet():
@@ -677,17 +701,19 @@ def test_records_are_the_pencil_crossings():
 
 
 def test_magnetic_tower_flow_holds_few_matrices():
-    # n = 255 tower with 17 samples: 8.8 MB of values; the refinement
-    # holds one level's endpoint matrices and one bounded chunk
-    path = tm.magnetic_family_path(3, 8)
-    sf.spectral_flow(path)
+    # the n = 255 tower is stored as its 17 diagonals (1 x 1 blocks), so
+    # building it and taking its flow together allocate less than one
+    # dense n x n sample (520,200 B)
+    tm.magnetic_family_path(3, 8)
     tracemalloc.start()
     try:
+        path = tm.magnetic_family_path(3, 8)
         sf.spectral_flow(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * path.values.nbytes
+    assert path.n == 255
+    assert peak < 8 * path.n * path.n
 
 
 def test_flow_independent_of_delta_cap_and_grid():
@@ -832,7 +858,8 @@ def test_block_route_agrees_with_the_dense_route(kind):
 
 def test_the_identity_partition_gathers_a_view():
     # a one-block partition gathers its one block as a view of the stack,
-    # and a path of one block keeps no copy of its samples
+    # and a path of one block keeps no copy of its samples: its store and
+    # its values are views of the stack it was given
     rng = np.random.default_rng(62)
     stack = rng.standard_normal((9, 6, 6))
     stack = stack + stack.transpose(0, 2, 1)
@@ -843,6 +870,7 @@ def test_the_identity_partition_gathers_a_view():
         assert np.shares_memory(block, part) and np.array_equal(block[..., 0, :, :], part)
     path = sf.HermitianPath(np.linspace(0.0, 1.0, 9), stack)
     assert [b.shape for b in path.blocks] == [(1, 6)]
+    assert np.shares_memory(path.values, stack) and np.array_equal(path.values, stack)
     assert all(np.shares_memory(b, path.values) for b in path.sample_blocks(slice(1, -1)))
     assert all(np.shares_memory(b, path.values) for b in path._stored_blocks())
 
@@ -870,6 +898,70 @@ def test_partition_of_each_kind_of_path():
         [[i] for i in sorted(order[-4:].tolist())],
         [sorted(order[:-4].tolist())],
     ]
+
+
+def test_from_blocks_is_the_dense_path_by_its_blocks():
+    # the gathered blocks of a random block-diagonal interpolated path
+    # give that path again: its dense samples exactly, and its report bit
+    # for bit
+    rng = np.random.default_rng(63)
+    cfg = sf.SpectralFlowConfig()
+    for _ in range(12):
+        path, _ = block_path(rng, "interpolated")
+        dense = path.values
+        stacks = [sf._gather(dense, idx) for idx in path.blocks]
+        again = sf.HermitianPath.from_blocks(path.t_samples, path.blocks, stacks)
+        assert np.array_equal(again.values, dense)
+        assert again.top == path.top and again.n == path.n
+        got, want = sf.spectral_flow(again, cfg), sf.spectral_flow(path, cfg)
+        assert (got.method, frozen_entry(got)) == (want.method, frozen_entry(want))
+
+
+def test_from_blocks_rejects_a_bad_partition_and_bad_blocks():
+    grid = np.linspace(0.0, 1.0, 3)
+    blocks = [np.array([[1]]), np.array([[0, 2]])]
+
+    def stacks(scale=1.0):
+        pair = scale * np.array([[2.0, 1.0], [1.0, -1.0]])
+        return [scale * np.ones((3, 1, 1, 1)), np.broadcast_to(pair, (3, 1, 2, 2)).copy()]
+
+    path = sf.HermitianPath.from_blocks(grid, blocks, stacks())
+    assert np.array_equal(path.values[0], [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]])
+    not_partitions = [
+        [np.array([[1]]), np.array([[2, 3]])],  # 0 missing
+        [np.array([[0]]), np.array([[0, 2]])],  # 0 twice
+        [np.array([[1]]), np.array([[2, 0]])],  # a block's indices unsorted
+        [np.array([[0, 2]]), np.array([[1]])],  # block sizes unsorted
+    ]
+    for bad in not_partitions:
+        with pytest.raises(ValueError, match="partition"):
+            sf.HermitianPath.from_blocks(grid, bad, stacks())
+    for bad in (np.nan, np.inf, -np.inf):
+        for j, at in ((0, (2, 0, 0, 0)), (1, (1, 0, 0, 1))):
+            given = stacks()
+            given[j][at] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                sf.HermitianPath.from_blocks(grid, blocks, given)
+    complex_blocks = stacks()
+    complex_blocks[1] = complex_blocks[1] + 0j
+    with pytest.raises(ValueError, match="real"):
+        sf.HermitianPath.from_blocks(grid, blocks, complex_blocks)
+    # an asymmetric block is rejected exactly where the dense check
+    # rejects the whole matrix: 1e-12 against the largest entry over all
+    # blocks, here the 1 x 1 block's 4e6 (the 2 x 2 block's is 2e6)
+    for rel in (0.5, 0.99, 1.01, 2.0):
+        given = stacks(1e6)
+        given[1][2, 0, 0, 1] += rel * 1e-12 * 4e6
+        given[0][:] = 4e6
+        dense = sf._dense(sf.HermitianPath.from_blocks(grid, blocks, stacks()), given)
+        if rel < 1.0:
+            sf.HermitianPath.from_blocks(grid, blocks, given)
+            sf.HermitianPath(grid, dense)
+            continue
+        with pytest.raises(ValueError, match="symmetric"):
+            sf.HermitianPath.from_blocks(grid, blocks, given)
+        with pytest.raises(ValueError, match="symmetric"):
+            sf.HermitianPath(grid, dense)
 
 
 # the call shapes of the block route on the 5 x 5 one-block paths of
@@ -1102,14 +1194,22 @@ def test_sym_defect_propagates_a_nan_after_a_finite_tile():
 
 
 def test_from_callable_builds_in_one_copy_of_the_samples():
-    # n = 255 magnetic tower with 17 samples: 8.8 MB of values
-    tm.magnetic_family_path(3, 8)
+    # a dense symmetric 255 x 255 callable with 17 samples: 8.8 MB of
+    # values, stored as one block that is a view of the sampled stack
+    rng = np.random.default_rng(53)
+    a, b = (m + m.T for m in rng.standard_normal((2, 255, 255)))
+
+    def build():
+        return sf.HermitianPath.from_callable(lambda t: a + t * b, 0.0, 1.0, num_samples=17)
+
+    build()
     tracemalloc.start()
     try:
-        path = tm.magnetic_family_path(3, 8)
+        path = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert [idx.shape for idx in path.blocks] == [(1, 255)]
     assert peak < 1.3 * path.values.nbytes
 
 
