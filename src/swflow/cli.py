@@ -9,6 +9,7 @@ payloads byte-comparable; wall-clock timing goes to stderr.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -466,7 +467,10 @@ def render(report, fmt):
     return buf.getvalue()
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once: ``parse_args`` fills a fresh
+    namespace on every call, so calls share no values."""
     parser = argparse.ArgumentParser(
         prog="swflow",
         description="Randomized identity checks for the truncated monopole toolkit.",
@@ -487,7 +491,11 @@ def main(argv=None):
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default=None)
         p.add_argument("--config", type=str, default=None, help="key = value overrides file")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     started = time.perf_counter()
     try:

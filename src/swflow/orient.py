@@ -55,10 +55,32 @@ to certify raises ``OrientationTransportError``.  The directions V are
 orthonormal, and the scan and the transport take K = scale V, with scale
 the largest entry magnitude of the samples floored at 1: the trigger is
 relative to scale, and sigma_min [T, scale I] >= scale, so the full
-space clears it on every path.  The sign depends neither on K nor on the
-initial kernel frame; the tests show both by
-starting the loop from enlarged stabilizers and the full space, and by
-rotating the first kernel basis handed to ``_transport_frame``.
+space clears it on every path.  ``orientation_transport_det`` starts
+from no directions.  ``transport_report`` runs the flow route first and
+starts from the union of the kernels of A - delta at its recorded
+crossings (``_crossing_kernels``), spanned by the SVD and rank cut with
+which the loop grows V (``_span``).  Near a zero of T the near-cokernel
+that a failed scan would return lies close to such a kernel, so on most
+paths the seed certifies at the first scan; a seed that does not
+certify is grown like any other V, and a path with no record starts
+from no directions.
+
+The sign depends neither on K nor on the initial kernel frame.  Let
+[T_t K] be onto for every t and K' = [K L].  A frame of ker [T_t K'] is
+a frame F_t of ker [T_t K], padded with zeros on the L coordinates,
+followed by lifts (x_t, y_t, I) of the identity on the L coordinates;
+the lifts can be chosen continuously since [T_t K] is onto.  Its
+stabilizer block is block upper triangular with the identity in the
+corner, so its determinant is det A_t.  A frame carried continuously
+differs from a continuous choice by a continuous invertible matrix,
+whose determinant keeps its sign, so K' gives the sign of K.  Two
+certified stabilizers compare through [K K'], up to a column
+permutation that multiplies both end determinants by the same sign.  So
+the seed, and each direction the loop adds, changes the rank of K but
+not the sign.  The tests show both by starting the loop from enlarged
+stabilizers, the full space and a seed orthogonal to every crossing
+kernel, and by rotating the first kernel basis handed to
+``_transport_frame``.
 
 The transported sign from frame overlaps.  Let B_k be the kernel basis of
 [T K] at the k-th certified probe and O_k = B_{k+1}^T B_k.  The frame is
@@ -189,6 +211,13 @@ def _scan_stabilizer(path, K, scale, cfg):
         left, right, ml, mr = (np.concatenate(x) for x in ((left, mid), (mid, right), (ml, mm), (mm, mr)))
 
 
+def _span(columns):
+    """Orthonormal basis of the span of ``columns``: the left singular
+    vectors of the singular values that ``detsign._rank`` counts."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, : int(detsign._rank(s))]
+
+
 def _collect_stabilizer(path, cfg, scale, V):
     """Constant stabilizer covering every near-singular parameter, grown
     from V (orthonormal columns) as in the module docstring; ``scale`` is
@@ -203,8 +232,7 @@ def _collect_stabilizer(path, cfg, scale, V):
             return K, bases
         if V.shape[1] == path.n:
             raise OrientationTransportError("full-rank stabilizer failed to certify")
-        u, s, _ = np.linalg.svd(np.hstack([V, dirs]), full_matrices=False)
-        grown = u[:, : int(detsign._rank(s))]
+        grown = _span(np.hstack([V, dirs]))
         V = grown if grown.shape[1] > V.shape[1] else np.eye(path.n)
 
 
@@ -277,18 +305,42 @@ def orientation_transport_sf(path, cfg=None):
     return 1 if flow % 2 == 0 else -1
 
 
+def _crossing_kernels(path, cfg, rep):
+    """Orthonormal basis of the union of the kernels of A - delta_used at
+    the crossings recorded in ``rep``, or None when it records none."""
+    if not rep.crossings:
+        return None
+    floor = cfg.kernel_threshold_rel * max(1.0, path.top)
+    frames = []
+    for rec in rep.crossings:
+        _, _, w, rows = sfmod._kernel_frame(path, floor, rep.delta_used, t=rec.t)
+        frame = np.zeros((path.n, w.shape[1]))
+        frame[rows] = w
+        frames.append(frame)
+    return _span(np.hstack(frames))
+
+
 def transport_report(path, cfg=None):
-    """Run both routes and package the results (endpoints invertible)."""
+    """Run both routes and package the results (endpoints invertible).
+
+    The flow route runs first, and the determinant route's stabilizer
+    grows from the kernels of A - delta at the flow route's recorded
+    crossings (``_crossing_kernels``).  The determinant route still
+    certifies that seed by its own scan, grows it when it does not
+    certify, and takes the sign from its own frame transport; the sign
+    does not depend on the stabilizer (module docstring).  So
+    ``stabilizer_dim`` is the rank of the seeded stabilizer, which may
+    exceed the rank that ``orientation_transport_det`` grows to."""
     if cfg is None:
         cfg = sfmod.SpectralFlowConfig()
     # one interpolant, and one slope solve, for both routes
     path, _ = sfmod._bounded(path)
-    eps_det, vdim = _transport_det(path, cfg)
-    flow = sfmod.spectral_flow(path, cfg).sf
+    rep = sfmod.spectral_flow(path, cfg)
+    eps_det, vdim = _transport_det(path, cfg, _crossing_kernels(path, cfg, rep))
     return TransportReport(
         eps_det=eps_det,
-        eps_sf=1 if flow % 2 == 0 else -1,
-        sf=flow,
+        eps_sf=1 if rep.sf % 2 == 0 else -1,
+        sf=rep.sf,
         stabilizer_dim=vdim,
     )
 

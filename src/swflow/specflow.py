@@ -784,8 +784,14 @@ def _kernel_frame(path, tol, delta, t=None, j=None):
     the mask of the numerical kernel (|eigenvalue| < tol), and w holds the
     kernel eigenvectors on ``rows``, the indices of the blocks that hold
     them: A and its derivative respect the partition, so the crossing form
-    needs no other row."""
+    needs no other row.  A path of one block hosts its kernel on every
+    row, so its eigenvectors are read, not scattered."""
     groups = path.sample_blocks(slice(j, j + 1)) if t is None else path.block_values([t])
+    if path.blocks[0].shape[1] == path.n:
+        (e,), (v,) = np.linalg.eigh(groups[0][0] - delta * np.eye(path.n))
+        ker = np.abs(e) < tol
+        rows = np.arange(path.n if ker.any() else 0)
+        return e, ker, v[rows[:, None], np.flatnonzero(ker)], rows
     eigs, kers, cols, hosts = [], [], [], []
     for idx, g in zip(path.blocks, groups):
         size = idx.shape[1]

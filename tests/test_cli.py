@@ -210,6 +210,30 @@ def test_commands_start_no_threads(tmp_path, monkeypatch):
     assert run_cli(["swcheck", "--cutoff", "2", "--trials", "2", "--out", out]) == 0
 
 
+def test_consecutive_calls_share_no_argument_values(tmp_path, monkeypatch):
+    # the parser is built once; each call must still see only its own flags
+    seen = []
+    build = cli.build_config
+
+    def spy(args):
+        seen.append(dict(vars(args)))
+        return build(args)
+
+    monkeypatch.setattr(cli, "build_config", spy)
+    first, second = str(tmp_path / "a.json"), str(tmp_path / "b.csv")
+    assert run_cli(["otsf", "--seed", "5", "--trials", "2", "--dim", "3", "--out", first]) == 0
+    assert run_cli(["wallcross", "--flux", "1,-2", "--format", "csv", "--out", second]) == 0
+    assert cli._parser() is cli._parser()
+    common = {"config": None, "cutoff": None}
+    assert seen == [
+        {**common, "command": "otsf", "seed": 5, "trials": 2, "dim": 3, "flux": None, "out": first, "format": None},
+        {**common, "command": "wallcross", "seed": None, "trials": None, "dim": None, "flux": "1,-2", "out": second, "format": "csv"},
+    ]
+    _, payload = read_json(first)
+    assert [rec["values"]["dim"] for rec in payload["results"]] == [3, 3]
+    assert (tmp_path / "b.csv").read_text().count("wallcross") == 2
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [

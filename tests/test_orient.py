@@ -147,9 +147,8 @@ def test_full_rank_stabilizer_that_fails_raises(monkeypatch):
         orient.orientation_transport_det(path)
 
 
-def test_default_route_scans_once_per_stabilizer_direction(monkeypatch):
-    # on the first 40 paths of the 1000-path acceptance stream each failed
-    # scan adds one direction and the last scan certifies
+def count_scans(monkeypatch):
+    """A one-element list that counts ``_scan_stabilizer`` calls."""
     scans = [0]
     scan = orient._scan_stabilizer
 
@@ -158,11 +157,20 @@ def test_default_route_scans_once_per_stabilizer_direction(monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(orient, "_scan_stabilizer", counted)
+    return scans
+
+
+def test_default_route_scans_once_per_stabilizer_direction(monkeypatch):
+    # on the first 40 paths of the 1000-path acceptance stream the
+    # unseeded route adds one direction per failed scan, and the last
+    # scan certifies
+    scans = count_scans(monkeypatch)
+    cfg = sf.SpectralFlowConfig()
     rng = np.random.default_rng(303)
     for i in range(40):
         before = scans[0]
-        rep = orient.transport_report(cli._random_symmetric_path(rng, 4 + i % 7))
-        assert scans[0] - before == rep.stabilizer_dim + 1
+        _, vdim = orient._transport_det(cli._random_symmetric_path(rng, 4 + i % 7), cfg)
+        assert scans[0] - before == vdim + 1
 
 
 def test_realified_paths_transport_positively():
@@ -273,15 +281,21 @@ FROZEN_CORPUS = [
 ]
 
 
-def test_frozen_crossing_corpus():
-    cfg = sf.SpectralFlowConfig()
+def frozen_paths():
     paths = []
     for seed in (303, 505):
         rng = np.random.default_rng(seed)
         paths += [cli._random_symmetric_path(rng, 4 + i % 7) for i in range(20)]
-    for path, (flow, delta, eps_det, eps_sf, vdim, records) in zip(paths, FROZEN_CORPUS):
+    return paths
+
+
+def test_frozen_crossing_corpus():
+    cfg = sf.SpectralFlowConfig()
+    for path, (flow, delta, eps_det, eps_sf, vdim, records) in zip(frozen_paths(), FROZEN_CORPUS):
         rep = orient.transport_report(path, cfg)
-        assert (rep.sf, rep.eps_det, rep.eps_sf, rep.stabilizer_dim) == (flow, eps_det, eps_sf, vdim)
+        assert (rep.sf, rep.eps_det, rep.eps_sf) == (flow, eps_det, eps_sf)
+        # the frozen rank is the unseeded route's
+        assert orient._transport_det(path, cfg) == (eps_det, vdim)
         got = sf.spectral_flow(path, cfg)
         assert got.sf == flow
         assert got.delta_used == pytest.approx(delta, rel=1e-12)
@@ -289,6 +303,66 @@ def test_frozen_crossing_corpus():
         for rec, (t, k, sig, det) in zip(got.crossings, records):
             assert abs(rec.t - t) <= cfg.bisection_tol
             assert (rec.kernel_dim, rec.crossing_signature, rec.crossing_det_sign) == (k, sig, det)
+
+
+def test_seeded_route_scans_once_on_every_path_with_a_crossing(monkeypatch):
+    # transport_report seeds the stabilizer with the kernels at the flow
+    # route's crossings, and on the frozen corpus that seed certifies at
+    # the first scan; a path with no record is unseeded and keeps the
+    # default route's count, one scan per frozen direction plus one
+    scans = count_scans(monkeypatch)
+    cfg = sf.SpectralFlowConfig()
+    for path, (flow, _, eps_det, eps_sf, vdim, records) in zip(frozen_paths(), FROZEN_CORPUS):
+        before = scans[0]
+        rep = orient.transport_report(path, cfg)
+        assert (rep.sf, rep.eps_det, rep.eps_sf) == (flow, eps_det, eps_sf)
+        assert scans[0] - before == (1 if records else vdim + 1)
+        # every frozen crossing has a one-dimensional kernel, and the
+        # kernels span as many directions as there are crossings
+        assert rep.stabilizer_dim == (min(len(records), path.n) if records else vdim)
+
+
+def test_paths_that_cross_delta_but_never_zero_transport_with_the_seed(monkeypatch):
+    # frozen entries whose unseeded stabilizer is empty but whose flow
+    # route records crossings of the line at delta: the seed holds the
+    # kernels there, and the sign stays the unseeded route's
+    scans = count_scans(monkeypatch)
+    cfg = sf.SpectralFlowConfig()
+    paths = frozen_paths()
+    picked = [i for i, entry in enumerate(FROZEN_CORPUS) if entry[4] == 0 and entry[5]]
+    assert picked == [18, 20, 38]
+    for i in picked:
+        flow, _, eps_det, eps_sf, _, records = FROZEN_CORPUS[i]
+        before = scans[0]
+        rep = orient.transport_report(paths[i], cfg)
+        assert scans[0] - before == 1
+        assert (rep.sf, rep.eps_det, rep.eps_sf, rep.stabilizer_dim) == (flow, eps_det, eps_sf, len(records))
+        assert orient._transport_det(paths[i], cfg) == (eps_det, 0)
+
+
+def test_a_seed_that_cannot_help_grows_to_the_flow_sign(monkeypatch):
+    # Q^T diag(t - 0.3, t + 0.2, -t - 0.6, 1, 2) Q on [-1, 1]: three
+    # eigenvalues cross 0 and delta = 0.2, with kernels Q^T e_1, Q^T e_2
+    # and Q^T e_3 at both lines, and sf = 1.  A seed of Q^T e_4 is
+    # orthogonal to every crossing kernel, so [T K] fails at each zero:
+    # the loop grows it by one direction per failed scan, and the sign is
+    # still the flow route's
+    q, _ = np.linalg.qr(np.random.default_rng(65).standard_normal((5, 5)))
+    const, linear = np.diag([-0.3, 0.2, -0.6, 1.0, 2.0]), np.diag([1.0, 1.0, -1.0, 0.0, 0.0])
+    cfg = sf.SpectralFlowConfig()
+    for rot in (np.eye(5), q):
+        path = sf.HermitianPath.affine(rot.T @ const @ rot, rot.T @ linear @ rot, -1.0, 1.0)
+        with monkeypatch.context() as m:
+            scans = count_scans(m)
+            rep = orient.transport_report(path, cfg)
+            assert (scans[0], rep.stabilizer_dim) == (1, 3)
+            assert (rep.sf, rep.eps_det, rep.eps_sf) == (1, -1, -1)
+            seeds = []
+            m.setattr(orient, "_crossing_kernels", lambda *args: seeds.append(args) or rot.T[:, 3:4])
+            rep = orient.transport_report(path, cfg)
+            assert len(seeds) == 1 and len(seeds[0][2].crossings) == 3
+            assert (scans[0], rep.stabilizer_dim) == (1 + 4, 4)
+            assert (rep.sf, rep.eps_det, rep.eps_sf) == (1, -1, -1)
 
 
 # ------------------------------------------------ stabilizer certificate
