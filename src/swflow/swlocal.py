@@ -76,7 +76,7 @@ from .torus_model import (
     TorusTruncation,
     _star_block,
     _wedge_blocks,
-    fourier_dirac,
+    fourier_dirac_blocks,
 )
 
 __all__ = [
@@ -535,24 +535,60 @@ def dastq_residual(c):
 # ------------------------------------------------------------ operators
 
 
-def _dirac_matrix(c):
-    """Dirac operator of c on complex coefficients: the flat operator plus
+def _dirac_blocks(c, whole=False):
+    """D_A of c by the blocks of its mode partition: (parts, stacks).
+
+    Modes t and p are joined when k_t - k_p carries the 1-form, and the
+    parts are the connected components of that graph (specflow._partition
+    on the M x M mode adjacency; every mode alone when the 1-form is
+    zero), or all modes at once when ``whole``.  Mode p contributes the
+    spinor indices 2p and 2p + 1.  For each part size, ``parts`` holds a
+    (count, 2 size) array of ascending spinor indices and ``stacks`` the
+    (count, 2 size, 2 size) blocks of D_A on them: the flat mode blocks
+    sigma . (k + alpha/2) (``fourier_dirac_blocks``) on the diagonal, then
     the Toeplitz blocks (1/2) sigma . b_hat[k_t - k_p] of the 1-form,
-    added over the 1-form's support, one component j at a time (none
-    when the 1-form is zero)."""
+    added over its support one component j at a time.  Every entry off
+    the blocks is zero, so each block is the gather of ``_dirac_matrix``
+    on its indices, entry for entry."""
     tr = c.trunc
-    d = fourier_dirac(tr, FlatConnection(c.alpha))
+    m = tr.mode_count
     half_b = 0.5 * real_to_complex(tr, c.a_field)
     support = _sparse_rows(half_b)
-    if support.size:
-        tab = _tables(tr)
-        # k_t - k_p = k_s at t = shift[s, p]
-        s, p = np.nonzero(tab.shift[support] >= 0)
-        t = tab.shift[support[s], p]
-        d4 = d.reshape(tr.mode_count, 2, tr.mode_count, 2)
+    tab = _tables(tr)
+    # k_t - k_p = k_s at t = shift[s, p]
+    s, p = np.nonzero(tab.shift[support] >= 0)
+    t = tab.shift[support[s], p]
+    if whole:
+        modes = [np.arange(m)[None]]
+    elif support.size:
+        joined = np.zeros((m, m), dtype=bool)
+        joined[t, p] = True
+        modes = sfmod._partition(joined, m)
+    else:
+        modes = [np.arange(m)[:, None]]
+    # each mode's part, and its row and column there
+    part, row, col = (np.empty(m, dtype=int) for _ in range(3))
+    for i, idx in enumerate(modes):
+        part[idx], row[idx], col[idx] = i, np.arange(idx.shape[0])[:, None], np.arange(idx.shape[1])
+    flat = fourier_dirac_blocks(tr, FlatConnection(c.alpha))
+    parts, stacks = [], []
+    for i, idx in enumerate(modes):
+        count, size = idx.shape
+        out = np.zeros((count, size, 2, size, 2), dtype=complex)
+        out[row[idx], col[idx], :, col[idx]] = flat[idx]
+        on = part[p] == i
+        at = (row[t[on]], col[t[on]], slice(None), col[p[on]])
         for j in range(3):
-            d4[t, :, p] += half_b[support, j, None, None][s] * cl.PAULI[j]
-    return d
+            out[at] += half_b[support, j, None, None][s[on]] * cl.PAULI[j]
+        parts.append((2 * idx[:, :, None] + np.arange(2)).reshape(count, 2 * size))
+        stacks.append(out.reshape(count, 2 * size, 2 * size))
+    return parts, stacks
+
+
+def _dirac_matrix(c):
+    """Dirac operator of c on complex coefficients, (2M, 2M): the one-block
+    case of ``_dirac_blocks``."""
+    return _dirac_blocks(c, whole=True)[1][0][0]
 
 
 def _first_order(trunc):
@@ -813,15 +849,19 @@ def _schur_count(r, c, basis, tau):
 
 
 def _dirac_block(c):
-    """(D, top): the complex Dirac matrix of c, checked Hermitian to the
-    tolerance specflow._check_symmetric applies to its realification R,
-    and R's largest entry magnitude.  R's entries are those of Re D and
-    Im D, and R - R^T those of D - D^H."""
-    d = _dirac_matrix(c)
-    top = sfmod._max_abs(d.view(float))
-    if sfmod._max_abs((d - d.conj().T).view(float)) > 1e-12 * max(1.0, top):
+    """(stacks, top): the blocks of D_A on its mode partition
+    (``_dirac_blocks``), checked Hermitian to the tolerance
+    specflow._check_symmetric applies to D_A's realification R, and R's
+    largest entry magnitude.  R's entries are those of Re D_A and Im D_A,
+    and R - R^T those of D_A - D_A^H.  Every entry off the blocks is zero,
+    so over the blocks the largest entry and the defect are those of the
+    whole matrix, and the decision is the same bit for bit."""
+    _, stacks = _dirac_blocks(c)
+    top = max(sfmod._max_abs(b.view(float)) for b in stacks)
+    defect = max(sfmod._max_abs((b - np.conj(np.swapaxes(b, -1, -2))).view(float)) for b in stacks)
+    if defect > 1e-12 * max(1.0, top):
         raise ValueError("Dirac block is not Hermitian within tolerance")
-    return d, top
+    return stacks, top
 
 
 def _reducible_spectrum(c, dirac=None):
@@ -831,19 +871,19 @@ def _reducible_spectrum(c, dirac=None):
     With a zero spinor the coupling blocks vanish, so the Hessian is
     diag(R, F) with R the realified Dirac operator D_A.  Realification
     doubles every eigenvalue, so D_A's complex spectrum is listed twice,
-    and F's cached spectrum (``_form_basis``) is appended.  D_A is taken
-    by the blocks of its support (specflow._partition), one stacked solve
-    per block size (specflow._block_spectra).  A 1-form that is zero off
-    the zero mode leaves one 2 x 2 block sigma . v per mode (two 1 x 1
-    blocks, which take no solve, where v is along e_3 or zero); one on the
-    modes +-k couples mode p only with p +- k, so D_A splits along the
-    lines of direction k; a 1-form that is nonzero on every mode couples
-    all modes, and D_A is one block.  ``dirac`` is the ``_dirac_block`` of
-    c when the caller has it.
+    and F's cached spectrum (``_form_basis``) is appended.  D_A is formed
+    only by the blocks of its mode partition (``_dirac_block``), one
+    stacked solve per block size (specflow._block_spectra).  A 1-form
+    that is zero off the zero mode leaves one 2 x 2 block sigma . v per
+    mode, and all M take one stacked 2 x 2 solve; one on the modes +-k
+    couples mode p only with p +- k, so D_A splits along the lines of
+    direction k; a 1-form that is nonzero on every mode couples all
+    modes, and D_A is one block, taken by one dense solve.  ``dirac`` is
+    the ``_dirac_block`` of c when the caller has it.
     """
-    d, top = _dirac_block(c) if dirac is None else dirac
+    stacks, top = _dirac_block(c) if dirac is None else dirac
     form = _form_basis(c.trunc)
-    eigs = sfmod._block_spectra([sfmod._gather(d, idx) for idx in sfmod._partition(d != 0, d.shape[0])])
+    eigs = sfmod._block_spectra(stacks)
     return np.concatenate([np.repeat(eigs, 2), form.lam]), max(top, form.top)
 
 
@@ -898,8 +938,8 @@ def _check_transposed(block, mirror, scale):
 
 def _irreducible_endpoint(c, d, r_top, cfg):
     """The ``_Endpoint`` of an irreducible c from its blocks; H is not
-    assembled.  d is c's Dirac matrix, already checked by
-    ``_dirac_block``, and r_top its realification's largest entry; each
+    assembled.  d is c's Dirac matrix, whose blocks ``_dirac_block`` has
+    checked, and r_top its realification's largest entry; each
     coupling block is checked against its mirror here.  The count is
     taken at c's own kernel floor by ``_schur_count`` on the realified
     Dirac block."""
@@ -926,13 +966,17 @@ def _irreducible_endpoint(c, d, r_top, cfg):
 
 def _scaling_ends(c, cfg):
     """Both ends of the spinor-scaling path of c, its reducible point
-    (0, A) and c itself, as ``_Endpoint``s that share one Dirac block; it
-    is realified only for the Schur count of an irreducible c."""
+    (0, A) and c itself, as ``_Endpoint``s that share one checked
+    ``_dirac_block``.  Only the Schur count of an irreducible c needs D_A
+    as one matrix: a one-block D_A is its own block, and a split one is
+    formed whole (``_dirac_matrix``) only there."""
     dirac = _dirac_block(c)
     start = _reducible_endpoint(c, dirac)
     if c.reducible:
         return start, start
-    return start, _irreducible_endpoint(c, *dirac, cfg)
+    stacks, top = dirac
+    d = stacks[0][0] if stacks[0].shape[-1] == 2 * c.trunc.mode_count else _dirac_matrix(c)
+    return start, _irreducible_endpoint(c, d, top, cfg)
 
 
 def _parity(start, end, cfg):

@@ -32,6 +32,7 @@ __all__ = [
     "TorusTruncation",
     "FlatConnection",
     "mode_shift_matrix",
+    "fourier_dirac_blocks",
     "fourier_dirac",
     "exterior_d",
     "codifferential",
@@ -123,10 +124,17 @@ def _block_diag(blocks):
     return out.reshape(m * rows, m * cols)
 
 
-def fourier_dirac(trunc, conn):
-    """Flat Dirac operator with holonomy: mode block sigma . (k + alpha/2)."""
+def fourier_dirac_blocks(trunc, conn):
+    """Mode blocks sigma . (k + alpha/2) of the flat Dirac operator with
+    holonomy, shape (M, 2, 2), in the order of the modes."""
     vals = trunc.modes + conn.alpha / 2.0
-    return _block_diag(np.einsum("mj,jab->mab", vals, cl.PAULI))
+    return np.einsum("mj,jab->mab", vals, cl.PAULI)
+
+
+def fourier_dirac(trunc, conn):
+    """Flat Dirac operator with holonomy: the block diagonal of its mode
+    blocks (``fourier_dirac_blocks``)."""
+    return _block_diag(fourier_dirac_blocks(trunc, conn))
 
 
 # ----------------------------------------------------------- de Rham ops

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from swflow import cli
+from swflow import specflow as sfmod
+from swflow import torus_model as tm
 
 
 def run_cli(args):
@@ -90,6 +92,21 @@ def test_torus_suite_passes(tmp_path):
     assert any(i.startswith("gauge-period") for i in ids)
     assert any(i.startswith("weitzenbock") for i in ids)
     assert all(rec["pass"] for rec in payload["results"])
+
+
+def test_torus_gauge_period_is_flowed_crossing_by_crossing(tmp_path):
+    # the gauge-period record reports the crossing-resolved flow of its
+    # path, with its number of crossings, and passes only at sf == 0
+    out = tmp_path / "g.json"
+    assert run_cli(["torus", "--seed", "3", "--cutoff", "2", "--trials", "2", "--out", str(out)]) == 0
+    _, payload = read_json(out)
+    (rec,) = [rec for rec in payload["results"] if rec["id"] == "gauge-period"]
+    alpha = cli._substream(3, 2).uniform(-1.0, 1.0, size=3)
+    path = tm.dirac_family_path(tm.TorusTruncation(2), alpha, alpha + np.array([2.0, 0.0, 0.0]))
+    rep = sfmod.spectral_flow(path)
+    assert rep.method == "crossing"
+    assert rec["values"] == {"crossings": len(rep.crossings), "sf": rep.sf}
+    assert rec["pass"] and rep.sf == 0
 
 
 def test_swcheck_passes(tmp_path):

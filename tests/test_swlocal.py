@@ -7,6 +7,7 @@ closed-form crossing data.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,7 +658,7 @@ def test_reducible_extended_hessian_is_block_diagonal(cutoff):
 def test_reducible_spectrum_is_the_realified_spectrum(cutoff):
     # the complex Dirac block, each eigenvalue listed twice, joined with
     # F's spectrum, is the spectrum of the realified block diag(R, F);
-    # with a zero 1-form D_A is taken by its 1 x 1 and 2 x 2 blocks
+    # with a zero 1-form D_A is taken by its 2 x 2 mode blocks
     rng = np.random.default_rng(110 + cutoff)
     tr = tm.TorusTruncation(cutoff)
     flat = [
@@ -746,6 +747,90 @@ def test_a_one_form_on_one_mode_splits_the_dirac_block(monkeypatch):
     want = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(d), 2), sl._form_basis(tr).lam]))
     assert np.max(np.abs(np.sort(eigs) - want)) <= 1e-12 * np.max(np.abs(want))
     assert reducible_spectrum_solves(monkeypatch, c) == [(25, 10, 10)]
+
+
+def reducible_cases(tr, rng):
+    """Reducible configurations by label: zero 1-forms at three
+    holonomies, a 1-form on the zero mode only, one on the single mode
+    (1, 0, 0), and a random 1-form, which couples all modes."""
+    m = tr.mode_count
+    zero = np.zeros((m, 2))
+    cases = {
+        f"zero-{label}": sl.Configuration(tr, zero, alpha)
+        for label, alpha in (
+            ("alpha-0", np.zeros(3)),
+            ("alpha-e3", np.array([0.0, 0.0, 0.7])),
+            ("alpha-random", rng.uniform(-1.0, 1.0, size=3)),
+        )
+    }
+    for label, k in (("zero-mode", (0, 0, 0)), ("one-mode", (1, 0, 0))):
+        a_field = np.zeros((m, 3))
+        a_field[tr.index(k)] = rng.standard_normal(3)
+        cases[label] = sl.Configuration(tr, zero, rng.uniform(-1.0, 1.0, size=3), a_field)
+    cases["random"] = random_reducible(tr, rng)
+    return cases
+
+
+def dense_reducible_spectrum(c):
+    """The reducible spectrum and top by the dense route: D_A formed whole
+    and split by the support of its entries."""
+    d = sl._dirac_matrix(c)
+    eigs = sfmod._block_spectra([sfmod._gather(d, idx) for idx in sfmod._partition(d != 0, d.shape[0])])
+    form = sl._form_basis(c.trunc)
+    return np.concatenate([np.repeat(eigs, 2), form.lam]), max(sfmod._max_abs(d.view(float)), form.top)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_mode_blocks_give_the_dense_route_bit_for_bit(cutoff):
+    # the blocks of D_A's mode partition give the dense route's spectrum
+    # and top bit for bit; at cutoff 4 only the cases that split are run
+    rng = np.random.default_rng(180 + cutoff)
+    cases = reducible_cases(tm.TorusTruncation(cutoff), rng)
+    if cutoff == 4:
+        del cases["random"]
+    for label, c in cases.items():
+        eigs, top = sl._reducible_spectrum(c)
+        want, want_top = dense_reducible_spectrum(c)
+        assert np.array_equal(eigs, want), label
+        assert top == want_top, label
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_each_mode_block_is_a_gather_of_the_dirac_matrix(cutoff):
+    # every block equals D_A's entries on its spinor indices 2p, 2p + 1,
+    # and the blocks cover every spinor index once
+    rng = np.random.default_rng(190 + cutoff)
+    tr = tm.TorusTruncation(cutoff)
+    for label, c in reducible_cases(tr, rng).items():
+        d = sl._dirac_matrix(c)
+        parts, stacks = sl._dirac_blocks(c)
+        assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in parts])), np.arange(d.shape[0]))
+        for idx, stack in zip(parts, stacks):
+            assert np.array_equal(stack, sfmod._gather(d, idx)), label
+
+
+def test_a_flat_reducible_spectrum_at_cutoff_4_forms_no_dirac_matrix(monkeypatch):
+    # 2M = 1458: one dense D_A is 34 MB; with a zero 1-form the spectrum
+    # is taken from the 729 mode blocks, under 1 MB, and the whole
+    # matrix is never formed
+    tr = tm.TorusTruncation(4)
+    m = tr.mode_count
+    c = sl.Configuration(tr, np.zeros((m, 2)), np.array([0.3, -0.2, 0.45]))
+    want, want_top = dense_reducible_spectrum(c)  # fills the per-cutoff caches
+    assert sl._dirac_matrix(c).nbytes > 34_000_000
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the whole Dirac matrix was formed")
+
+    monkeypatch.setattr(sl, "_dirac_matrix", forbidden)
+    tracemalloc.start()
+    try:
+        eigs, top = sl._reducible_spectrum(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.array_equal(eigs, want) and top == want_top
 
 
 def test_reducible_kernel_dimensions_at_cutoff_4():

@@ -60,6 +60,23 @@ def test_dirac_spectrum_matches_closed_form():
             assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_fourier_dirac_is_the_block_diagonal_of_its_mode_blocks():
+    # block p of the operator is the mode block sigma . (k_p + alpha/2),
+    # and every entry off the 2 x 2 diagonal blocks is zero
+    tr = tm.TorusTruncation(2)
+    conn = tm.FlatConnection(np.random.default_rng(72).uniform(-1, 1, size=3))
+    blocks = tm.fourier_dirac_blocks(tr, conn)
+    m = tr.mode_count
+    assert blocks.shape == (m, 2, 2)
+    op = tm.fourier_dirac(tr, conn).reshape(m, 2, m, 2)
+    p = np.arange(m)
+    assert np.array_equal(op[p, :, p, :], blocks)
+    op[p, :, p, :] = 0.0
+    assert not np.any(op)
+    k = tr.modes[5] + conn.alpha / 2.0
+    assert np.max(np.abs(blocks[5] - np.einsum("j,jab->ab", k, cl.PAULI))) <= 1e-15
+
+
 def test_dirac_kernel_at_trivial_holonomy():
     tr = tm.TorusTruncation(1)
     op = tm.fourier_dirac(tr, tm.FlatConnection(np.zeros(3)))
