@@ -55,12 +55,24 @@ The window.  For a pair of ends, floor = kernel_threshold_rel * scale;
 delta is at least min(floor, delta_cap)/2, and every end eigenvalue above
 the floor in magnitude is at least 2 delta.  So an end's count below
 delta equals its count below every shift of W = [min(floor,
-delta_cap)/2, floor] when it has no eigenvalue in W, and a pair takes
-its counts on W: an irreducible end when W lies inside its certified
-interval, a reducible end (whose spectrum is kept, by blocks) when none
-of its eigenvalues lies in W.  Otherwise the pair falls back to the
-dense route, the rule of specflow._endpoint_flow on whole spectra, and
-an irreducible end is then assembled and diagonalized.
+delta_cap)/2, floor] when it has no eigenvalue in W, whichever delta
+specflow._initial_shift chooses, and a pair takes its counts on W when
+W lies inside both ends' certified intervals.
+
+Signs by parity.  A sign reads SF only modulo 2.  At a reducible end
+H = diag(R, F), and R, the realification of the complex-linear D_A,
+carries every eigenvalue of D_A twice, so the count below any delta is
+2 #(D_A < delta) + #(F < delta), and #(F < delta) is that count modulo
+2.  A reducible end therefore keeps F's count below its gap, the number
+of eigenvalues at or below F's largest kernel eigenvalue, certified on
+the open interval from that eigenvalue to F's smallest positive one (the
+range has |lam| >= 1); D_A is not diagonalized, and an eigenvalue of
+D_A inside W changes the count by an even number and forces nothing.
+A pair falls back to the dense route, the rule of
+specflow._endpoint_flow on whole spectra, only when W leaves an
+irreducible end's certified interval or reaches F's gap; an irreducible
+end is then assembled and diagonalized, and a reducible end's D_A is
+diagonalized by blocks.
 """
 
 from dataclasses import dataclass
@@ -864,7 +876,7 @@ def _dirac_block(c):
     return stacks, top
 
 
-def _reducible_spectrum(c, dirac=None):
+def _reducible_spectrum(c):
     """Spectrum and largest entry magnitude of the extended Hessian at the
     reducible point (0, A) of c, by blocks.
 
@@ -878,10 +890,10 @@ def _reducible_spectrum(c, dirac=None):
     mode, and all M take one stacked 2 x 2 solve; one on the modes +-k
     couples mode p only with p +- k, so D_A splits along the lines of
     direction k; a 1-form that is nonzero on every mode couples all
-    modes, and D_A is one block, taken by one dense solve.  ``dirac`` is
-    the ``_dirac_block`` of c when the caller has it.
+    modes, and D_A is one block, taken by one dense solve.  A sign takes
+    it only on the dense fallback (``_reducible_endpoint``).
     """
-    stacks, top = _dirac_block(c) if dirac is None else dirac
+    stacks, top = _dirac_block(c)
     form = _form_basis(c.trunc)
     eigs = sfmod._block_spectra(stacks)
     return np.concatenate([np.repeat(eigs, 2), form.lam]), max(top, form.top)
@@ -891,11 +903,13 @@ def _reducible_spectrum(c, dirac=None):
 class _Endpoint:
     """One end of an affine path of extended Hessians, as a sign needs it.
 
-    ``top`` is the Hessian's largest entry magnitude.  A reducible end
-    keeps its spectrum ``eigs``.  An irreducible end keeps only ``count``,
-    its number of eigenvalues below every shift of the open interval
-    ``certified``, and ``dense``, which assembles and diagonalizes its
-    Hessian when a pair needs the whole spectrum (the fallback)."""
+    ``top`` is the Hessian's largest entry magnitude.  An end keeps
+    ``count``, its number of eigenvalues below every shift of the open
+    interval ``certified`` (exact at an irreducible end, exact modulo 2
+    at a reducible one, module docstring), and ``dense``, which
+    diagonalizes the whole Hessian when a pair needs its spectrum (the
+    fallback).  ``eigs`` holds that spectrum once taken, or one given in
+    place of a count; it is then read in place of the count."""
 
     top: float
     eigs: np.ndarray = None
@@ -915,8 +929,7 @@ class _Endpoint:
         return None
 
     def spectrum(self):
-        """The whole spectrum, diagonalized densely on first request for an
-        irreducible end."""
+        """The whole spectrum, diagonalized on first request."""
         if self.eigs is None:
             self.eigs = self.dense()
             self.dense = None
@@ -924,9 +937,26 @@ class _Endpoint:
 
 
 def _reducible_endpoint(c, dirac=None):
-    """The ``_Endpoint`` of the reducible point (0, A) of c, by blocks."""
-    eigs, top = _reducible_spectrum(c, dirac)
-    return _Endpoint(top, eigs=eigs)
+    """The ``_Endpoint`` of the reducible point (0, A) of c, with no
+    solve of D_A.
+
+    ``top`` is that of diag(R, F), from the checked ``_dirac_block`` of c
+    (``dirac`` when the caller has it) and F's cached basis.  ``count`` is
+    F's number of eigenvalues at or below its largest kernel eigenvalue,
+    certified up to its smallest positive one: the reducible count below
+    delta is 2 #(D_A < delta) + #(F < delta), so this count is exact
+    modulo 2, which is all ``_parity`` reads (module docstring).
+    ``dense`` takes the whole spectrum by blocks (``_reducible_spectrum``)
+    on the fallback; it holds c, not D_A's blocks."""
+    _, top = _dirac_block(c) if dirac is None else dirac
+    form = _form_basis(c.trunc)
+    kernel_top = float(form.lam[form.ker].max())
+    return _Endpoint(
+        max(top, form.top),
+        count=int(np.count_nonzero(form.lam <= kernel_top)),
+        certified=(kernel_top, float(form.lam[form.pos].min(initial=np.inf))),
+        dense=lambda: _reducible_spectrum(c)[0],
+    )
 
 
 def _check_transposed(block, mirror, scale):
@@ -967,7 +997,8 @@ def _irreducible_endpoint(c, d, r_top, cfg):
 def _scaling_ends(c, cfg):
     """Both ends of the spinor-scaling path of c, its reducible point
     (0, A) and c itself, as ``_Endpoint``s that share one checked
-    ``_dirac_block``.  Only the Schur count of an irreducible c needs D_A
+    ``_dirac_block``: the reducible end reads only its top, and no end
+    diagonalizes D_A.  Only the Schur count of an irreducible c needs D_A
     as one matrix: a one-block D_A is its own block, and a split one is
     formed whole (``_dirac_matrix``) only there."""
     dirac = _dirac_block(c)
@@ -985,7 +1016,10 @@ def _parity(start, end, cfg):
     SF is the endpoint count below delta of specflow._endpoint_flow.  It
     equals the count below any shift of the window W = [min(floor,
     delta_cap)/2, floor] when neither end has an eigenvalue in W, so the
-    ends' counts on W serve; otherwise both spectra are taken whole."""
+    ends' counts on W serve when W lies inside both certified intervals;
+    a reducible end's count is exact only modulo 2, and only SF modulo 2
+    is read.  Otherwise both spectra are taken whole (module
+    docstring)."""
     scale = max(1.0, start.top, end.top)
     floor = cfg.kernel_threshold_rel * scale
     window = (0.5 * min(floor, cfg.delta_cap), floor)
@@ -1019,18 +1053,21 @@ def configuration_sign(c, base=None):
     The path t -> extended Hessian of (t psi, A) is affine in t, so the
     transport is the parity of the endpoint-count spectral flow, which
     needs only how many eigenvalues of each end lie below the counting
-    line.  The reducible end (0, A) is taken by blocks: there the
-    coupling blocks vanish, so its spectrum is that of the Dirac operator
-    D_A joined with the cached spectrum of the configuration-free form
-    block.  The Hessian of an irreducible c is not assembled: its count
-    comes from one eigvalsh of a Schur complement of size 4M + 4 over the
-    form block, with a certified interval of shifts on which the count
-    holds; a pair whose counting window that interval does not cover
-    diagonalizes the assembled Hessian instead (module docstring).  A
-    reducible ``base`` (validated before any work) selects the
-    alternative affine path from the base, whose end is taken by blocks
-    as well; both routes must agree.  Every block is checked for
-    symmetry.  The shift is chosen as in spectral_flow (``_SHIFT_CFG``).
+    line, and only modulo 2.  At the reducible end (0, A) the coupling
+    blocks vanish, and the complex-linear Dirac operator D_A adds each of
+    its eigenvalues twice, so the parity of that end's count is the
+    configuration-free form block's, read from its cached spectrum with
+    no solve.  The Hessian of an irreducible c is not assembled: its
+    count comes from one eigvalsh of a Schur complement of size 4M + 4
+    over the form block, with a certified interval of shifts on which
+    the count holds.  A pair whose counting window that interval does not
+    cover, or that reaches the form block's gap, diagonalizes the
+    assembled Hessian and D_A by blocks instead (module docstring).  A
+    reducible ``base`` (validated before any work, its D_A checked
+    Hermitian) selects the alternative affine path from the base, whose
+    end is taken the same way; both routes must agree.  Every block is
+    checked for symmetry.  The shift is chosen as in spectral_flow
+    (``_SHIFT_CFG``).
     """
     if base is not None and not base.reducible:
         raise ValueError("base configuration must be reducible")
@@ -1041,12 +1078,13 @@ def signed_count(configs):
     """Sum of configuration signs, cross-checked by the relative form.
 
     Each configuration's ends are taken once, as in configuration_sign
-    (one Schur-complement solve per configuration, reducible ends by
-    blocks), and serve both expressions.  The direct sum adds the
-    configuration signs.  The relative form anchors at the first entry
-    and multiplies its sign into the parities of the affine paths from
-    it, each taken from the two ends' counts on its own counting window;
-    the two expressions must produce the same integer.
+    (one Schur-complement solve per configuration, and none for a
+    reducible end, whose count modulo 2 is the form block's), and serve
+    both expressions.  The direct sum adds the configuration signs.  The
+    relative form anchors at the first entry and multiplies its sign into
+    the parities of the affine paths from it, each taken from the two
+    ends' counts on its own counting window; the two expressions must
+    produce the same integer.
     """
     configs = list(configs)
     for c in configs:

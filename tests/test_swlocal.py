@@ -951,9 +951,10 @@ def test_signs_match_dense_route_with_both_signs():
 def test_sign_route_makes_one_schur_solve_per_configuration(monkeypatch):
     # An irreducible Hessian (size 8M) is neither assembled nor
     # diagonalized: its count is one solve of the Schur complement over
-    # the form block (size 4M + 4).  The reducible ends are taken by
-    # blocks, the Dirac block as complex (no real solve of size 4M), and
-    # the dense fallback is not taken.
+    # the form block (size 4M + 4).  A reducible end makes no solve: its
+    # count modulo 2 is the form block's, so D_A (complex, size 2M) is
+    # not diagonalized, and the dense fallback is not taken.  Every
+    # eigvalsh call is a Schur solve, and a reducible c makes none.
     rng = np.random.default_rng(103)
     tr = tm.TorusTruncation(1)
     n_s = 4 * tr.mode_count
@@ -984,9 +985,7 @@ def test_sign_route_makes_one_schur_solve_per_configuration(monkeypatch):
         sizes.clear()
         assembled.clear()
         call()
-        assert sizes.count(n_s + 4) == solves
-        assert 2 * n_s not in sizes
-        assert n_s not in sizes
+        assert sizes == [n_s + 4] * solves
         assert assembled == []
 
 
@@ -1014,19 +1013,25 @@ def test_inertia_count_equals_dense_count(cutoff):
     configs = [sl.random_configuration(tr, rng) for _ in range(4)]
     if cutoff == 2:
         configs += scaled_configs(7)[0]
-    ends = []
-    for c in configs:
-        start, end, eigs = ends_against_dense(c, cfg)
-        sf, _ = sfmod._endpoint_flow(start.eigs, eigs, max(1.0, start.top, end.top), cfg)
-        assert sl._parity(start, end, cfg) == (-1) ** (sf % 2)
-        ends.append((end, eigs))
-    # the relative parities of signed_count, between irreducible ends
-    for end, eigs in ends[1:]:
-        first, first_eigs = ends[0]
+    ends = [ends_against_dense(c, cfg) for c in configs]
+    # the scaling parities, and the relative parities of signed_count
+    # between irreducible ends, all taken with no end diagonalized
+    first = ends[0][1]
+    parities = [sl._parity(start, end, cfg) for start, end, _ in ends]
+    relative = [sl._parity(first, end, cfg) for _, end, _ in ends[1:]]
+    assert all(start.eigs is None and end.eigs is None for start, end, _ in ends)
+    # against the dense flow on whole spectra; a reducible end's count is
+    # its count below its certified interval modulo 2
+    for (start, end, eigs), parity in zip(ends, parities):
+        red = start.spectrum()
+        lo, hi = start.certified
+        assert (start.count - np.count_nonzero(red < hi)) % 2 == 0
+        sf, _ = sfmod._endpoint_flow(red, eigs, max(1.0, start.top, end.top), cfg)
+        assert parity == (-1) ** (sf % 2)
+    first_eigs = ends[0][2]
+    for (_, end, eigs), parity in zip(ends[1:], relative):
         sf, _ = sfmod._endpoint_flow(first_eigs, eigs, max(1.0, first.top, end.top), cfg)
-        assert sl._parity(first, end, cfg) == (-1) ** (sf % 2)
-    # every pair took its counts on the window: no end went dense
-    assert all(end.eigs is None for end, _ in ends)
+        assert parity == (-1) ** (sf % 2)
 
 
 def planted_hessian(seed, lam):
@@ -1084,6 +1089,95 @@ def test_eigenvalue_in_the_window_takes_the_dense_route():
     assert np.count_nonzero(eigs < delta) != count
     assert sl._parity(other, end, cfg) == (-1) ** (sf % 2)
     assert dense == [h.shape]
+
+
+def test_a_dirac_eigenvalue_in_the_window_forces_no_dense_route(monkeypatch):
+    # a base with a zero 1-form and alpha along e_3 has D_alpha's
+    # zero-mode eigenvalues +-|alpha|/2; at |alpha|/2 = 0.75 floor one lies
+    # inside W = [floor/2, floor] at the pair's scale.  It counts twice,
+    # so the pair keeps its counts on W: no Hessian is assembled (the
+    # route that kept D_A's spectrum fell back to the dense one here)
+    cfg = sl._SHIFT_CFG
+    rng = np.random.default_rng(109)
+    tr = tm.TorusTruncation(1)
+    m = tr.mode_count
+    c = sl.random_configuration(tr, rng)
+    _, end = sl._scaling_ends(c, cfg)
+
+    def flat(a3):
+        return sl.Configuration(tr, np.zeros((m, 2)), np.array([0.0, 0.0, a3]))
+
+    scale = max(1.0, sl._reducible_endpoint(flat(0.0)).top, end.top)
+    floor = cfg.kernel_threshold_rel * scale
+    base = flat(1.5 * floor)
+    assert max(1.0, sl._reducible_endpoint(base).top, end.top) == scale
+    eigs, _ = sl._reducible_spectrum(base)
+    inside = eigs[(eigs >= 0.5 * min(floor, cfg.delta_cap)) & (eigs <= floor)]
+    assert np.allclose(inside, [0.75 * floor] * 2, rtol=1e-12, atol=0.0)
+    want = dense_sign(c, base)
+    assert want == dense_sign(c, reducible_point(c))
+    assembled = []
+    hessian = sl.extended_hessian
+
+    def counting_hessian(x):
+        assembled.append(x.reducible)
+        return hessian(x)
+
+    monkeypatch.setattr(sl, "extended_hessian", counting_hessian)
+    assert sl.configuration_sign(c, base=base) == want
+    assert sl.configuration_sign(c) == want
+    assert assembled == []
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_a_reducible_count_is_certified_up_to_the_form_gap(cutoff):
+    # the count is F's below its gap: the negative range and the kernel,
+    # held from the largest kernel eigenvalue to the smallest positive one
+    # (|k| = 1); a window that reaches the gap is not certified
+    rng = np.random.default_rng(113 + cutoff)
+    tr = tm.TorusTruncation(cutoff)
+    form = sl._form_basis(tr)
+    end = sl._reducible_endpoint(random_reducible(tr, rng))
+    assert end.count == np.count_nonzero(form.lam < 0.5)
+    lo, hi = end.certified
+    assert lo == form.lam[form.ker].max() == 0.0
+    assert hi == form.lam[form.pos].min() and abs(hi - 1.0) < 1e-12
+    assert end.count_on(1e-8, 0.99) == end.count
+    assert end.count_on(1e-8, 1.0) is None
+    assert end.count_on(-1e-300, 0.5) is None
+    assert end.eigs is None
+
+
+@pytest.mark.parametrize("case", ["cutoff-1", "cutoff-2-negative"])
+def test_an_uncertified_count_falls_back_to_whole_spectra(monkeypatch, case):
+    # with the Schur count left uncertified (lo == hi) the pair takes both
+    # spectra whole: one assembled Hessian for the irreducible end and
+    # one reducible spectrum of c, by blocks, for the reducible end
+    if case == "cutoff-1":
+        c = sl.random_configuration(tm.TorusTruncation(1), np.random.default_rng(112))
+    else:
+        c = scaled_configs(2)[0][1]
+    want = dense_sign(c, reducible_point(c))
+    assert want == (1 if case == "cutoff-1" else -1)
+    calls = []
+    schur, hessian, spectrum = sl._schur_count, sl.extended_hessian, sl._reducible_spectrum
+
+    def uncertified(r, coupling, basis, tau):
+        count, _, _ = schur(r, coupling, basis, tau)
+        return count, tau, tau
+
+    def counting(name, fn):
+        def wrapped(x):
+            calls.append((name, x is c))
+            return fn(x)
+
+        return wrapped
+
+    monkeypatch.setattr(sl, "_schur_count", uncertified)
+    monkeypatch.setattr(sl, "extended_hessian", counting("hessian", hessian))
+    monkeypatch.setattr(sl, "_reducible_spectrum", counting("reducible", spectrum))
+    assert sl.configuration_sign(c) == want
+    assert sorted(calls) == [("hessian", True), ("reducible", True)]
 
 
 @pytest.mark.parametrize("which", [2, 3])
