@@ -198,6 +198,12 @@ def _scan_stabilizer(path, K, scale, cfg):
         return False, dirs, None
     left, right, ml, mr = ts[:-1], ts[1:], margins[:-1], margins[1:]
     for depth in range(cfg.refine_max_depth + 1):
+        # The margin (ml + mr) / 4 matters for the sign, not only for
+        # surjectivity: move < ml + mr would still keep sigma_min > 0,
+        # but the probes then lie so far apart that the kernel can turn
+        # past what the overlap check of ``_transport_frame`` sees.  That
+        # rule fails test_full_space_stabilizer_matches (+1 where -1 is
+        # right) and four other orient and acceptance tests.
         split = ~(path.chord_norms(left, right) < 0.5 * (ml + mr))
         if not split.any():
             return True, None, dict(sorted(bases.items()))

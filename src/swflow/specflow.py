@@ -49,13 +49,64 @@ spectral flow and the Maslov index, 1995), so sf is the callable's.  The
 crossing records are the interpolant's, and the report's method reads
 "interpolant".
 
-A subinterval [l, r] needs no refinement once
+A subinterval [l, r] whose end counts agree needs no refinement once
 
-    beta_seg (r - l) < 1/2 * min_i (|lam_i(l) - delta| + |lam_i(r) - delta|),
+    beta_seg (r - l) + allowance < min_i (|lam_i(l) - delta| + |lam_i(r) - delta|),
 
-with i running over the eigenvalues sorted in ascending order: branch i
-can meet delta inside [l, r] only if it moves by |lam_i(l) - delta| +
-|lam_i(r) - delta|.  The factor 1/2 is a safety margin.
+with i running over the eigenvalues sorted in ascending order.  The
+left side is the chord bound (``HermitianPath.chord_norms``), the right
+side the interval's reach.  In exact arithmetic the bound needs no
+allowance: if lam_i(t) = delta for some t in [l, r], Weyl's inequality
+gives |lam_i(l) - delta| <= beta_seg (t - l) and |lam_i(r) - delta| <=
+beta_seg (r - t), so the reach is at most the chord.  Where the chord
+is below the reach, no branch meets delta on the closed interval, and
+the count is constant there.
+
+The allowance covers the rounding of the numbers that are compared.  It
+is taken once per call as 64 n eps M, with eps = 2^-52 the machine
+epsilon (twice the unit roundoff, so every bound below is generous) and
+
+    M = n top + max(|a|, |b|) max_seg beta_seg,
+
+top the largest entry over the samples.  M bounds ||A(t)||_2 at every
+probe: ||A||_2 <= n top at a sample, and inside a segment A moves from
+its nearer sample by at most beta_seg len / 2 <= max(|a|, |b|) beta_seg.
+The sources of error are these:
+
+* eigvalsh is backward stable.  Each computed eigenvalue at each end
+  lies within p(n) eps ||A||_2 <= p(n) eps M of the exact one.  p(n) is
+  a modest multiple of n (LAPACK Users' Guide, 4.7); this takes
+  p(n) <= 8n, so both ends give at most 16 n eps M.
+* ``block_values`` forms each probe with a few roundings per entry, and
+  Weyl's inequality moves each eigenvalue by at most the 2-norm of the
+  error.  A lerp between samples errs by at most 4 eps top per entry.
+  An affine probe t linear + const errs by at most 2 eps (|t| |linear|
+  + top) per entry, with |linear| <= ||linear||_2 = beta_seg.  In the
+  2-norm both are at most 4 n eps M per end, so 8 n eps M for two ends.
+  A curved callable's values are the path.
+* beta_seg is the largest |eigenvalue| of the segment slope B: the
+  stored linear, A' at the middle, or a difference quotient of two
+  samples.  The quotient errs by at most 3 eps |B_ij| per entry, so by
+  3 sqrt(n) eps beta_seg in the 2-norm.  With eigvalsh's p(n) eps
+  beta_seg and the roundings of r - l and of the product, the chord
+  bound errs by at most (p(n) + 3 sqrt(n) + 2) eps times the chord, and
+  the chord is at most beta_seg (b - a) <= 2 M: at most 26 n eps M.
+* The reach is a sum of two differences, with |lam_i| <= M and delta
+  <= M, and the chord is added to the allowance: these roundings come
+  to at most 12 eps M.
+
+The sum is at most 62 n eps M for every n >= 1, below the allowance.
+The allowance reads no floor at 1.  It scales with the path, and it
+does not move when t is rescaled, since max(|a|, |b|) beta_seg does
+not.
+
+An interval whose reach equals its chord still splits.  That happens
+where a branch sits on the line at one end and leaves it at the full
+speed beta_seg, as at a sample where a crossing lands (below).  The
+comparison is strict and the allowance is positive, so the certificate
+fails there, and it must: A - delta is singular at that end, and the
+count there (lam < delta) is decided by rounding.  Only the crossing's
+window ends such an interval, or bisection down to bisection_tol.
 
 Secant localization.  An interval [l, r] whose end counts nl and nr
 differ holds a zero of f = lam_i - delta for the sorted eigenvalue
@@ -909,7 +960,7 @@ def _sample_window(path, tstar, rec, delta, kernel_floor, tol):
 def _below(eigs, delta):
     """Number of eigenvalues below the counting line at delta; an array
     of counts, one per row, for a stack of spectra."""
-    counts = np.count_nonzero(eigs < delta, axis=-1)
+    counts = (eigs < delta).sum(axis=-1)
     return counts if counts.ndim else int(counts)
 
 
@@ -977,6 +1028,9 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
     tol = cfg.bisection_tol
     ts = path.t_samples
     left, right = ts[:-1], ts[1:]
+    # the rounding allowance of the certificate (module docstring)
+    bound = path.n * path.top + max(abs(path.a), abs(path.b)) * float(path.slope_norms().max())
+    allowance = 64.0 * path.n * np.finfo(float).eps * bound
     # crossing windows need segments where the path is affine, and a
     # window at a sample needs a path interpolated between its samples
     affine = path.curvature == 0.0
@@ -1029,10 +1083,10 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
         # |el_i - delta| + |er_i - delta|.  So a branch near delta at one
         # end does not block the certificate when it is far from delta at
         # the other.  Only an interval whose end counts agree can be
-        # certified.
+        # certified, and the allowance covers the rounding.
         reach = np.min(np.abs(el - delta) + np.abs(er - delta), axis=1)
         cross = nl != nr
-        split = cross | ~(path.chord_norms(left, right) < 0.5 * reach)
+        split = cross | ~(path.chord_norms(left, right) + allowance < reach)
         if not split.any() and not used:
             break
         if depth >= cfg.refine_max_depth:
