@@ -28,8 +28,8 @@ for singular values gives
 so move < (ml + mr) / 2 certifies a margin of at least (ml + mr) / 4.
 ``move`` is the flow route's chord bound (``HermitianPath.chord_norms``,
 see ``specflow``): exact where the path is affine, and certified on a
-curved path through its curvature bound.  A callable that declares no
-curvature bound is transported as its sample interpolant, which has the
+curved path through its curvature bound.  A callable sampled without a
+curvature bound is its sample interpolant (``specflow``), which has the
 endpoints and so the transported sign of the callable.
 
 The scan is level-synchronous, like the flow route's refinement: each
@@ -280,7 +280,6 @@ def _transport_frame(path, K, bases, cfg):
 def _transport_det(path, cfg, start=None):
     """(sign, stabilizer rank) of the kernel-bundle route, with the
     stabilizer grown from ``start`` (orthonormal columns; none when None)."""
-    path, _ = sfmod._bounded(path)
     scale = max(1.0, path.top)
     floor = cfg.kernel_threshold_rel * scale
     if np.abs(sfmod._end_spectra(path)).min() < floor:
@@ -339,8 +338,6 @@ def transport_report(path, cfg=None):
     exceed the rank that ``orientation_transport_det`` grows to."""
     if cfg is None:
         cfg = sfmod.SpectralFlowConfig()
-    # one interpolant, and one slope solve, for both routes
-    path, _ = sfmod._bounded(path)
     rep = sfmod.spectral_flow(path, cfg)
     eps_det, vdim = _transport_det(path, cfg, _crossing_kernels(path, cfg, rep))
     return TransportReport(
@@ -370,15 +367,13 @@ def ot_axioms(p1, p2, homotopy=None, cfg=None):
     report["homotopy"] = None
     if homotopy is not None:
         a, b = p1.a, p1.b
-        for t in (a, b):
-            lo = np.asarray(homotopy(0.0, t), dtype=float)
-            hi = np.asarray(homotopy(1.0, t), dtype=float)
-            if sfmod._max_abs(lo - hi) > 1e-12 * max(1.0, sfmod._max_abs(lo)):
-                raise ValueError("homotopy does not fix the endpoints")
         edges = [
             sfmod.HermitianPath.from_callable(lambda t, s=s: homotopy(s, t), a, b)
             for s in (0.0, 1.0)
         ]
+        lo, hi = (e.values[[0, -1]] for e in edges)
+        if sfmod._max_abs(lo - hi) > 1e-12 * max(e.top for e in edges):
+            raise ValueError("homotopy does not fix the endpoints")
         eps_edges = [orientation_transport_sf(e, cfg) for e in edges]
         report["homotopy"] = {
             "ok": eps_edges[0] == eps_edges[1],

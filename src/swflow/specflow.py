@@ -40,14 +40,12 @@ most the 2-norm of the change of the matrix (Kato, Perturbation Theory
 for Linear Operators, II.5); the determinant route of ``orient`` uses
 the same bound.
 
-A callable that declares no curvature bound is refined as its sample
-interpolant: the path linear between its samples, whose derivative on a
-segment is the segment slope.  The straight-line homotopy from the
-callable to its interpolant fixes the endpoints, and spectral flow is
-invariant under homotopy with fixed endpoints (Robbin and Salamon, The
-spectral flow and the Maslov index, 1995), so sf is the callable's.  The
-crossing records are the interpolant's, and the report's method reads
-"interpolant".
+A callable sampled without a derivative and a curvature bound is its
+sample interpolant (``HermitianPath.from_callable``), linear between its
+samples.  The straight-line homotopy from the callable to it fixes the
+endpoints, and spectral flow is invariant under homotopy with fixed
+endpoints (Robbin and Salamon, The spectral flow and the Maslov index,
+1995), so sf is the callable's.
 
 A subinterval [l, r] whose end counts agree needs no refinement once
 
@@ -181,9 +179,9 @@ signature when both forms are nonsingular and have that signature (and
 so the same inertia), and the window is taken only then, with the
 cluster at t_j of the record's kernel dimension; otherwise (a corner at
 t_j whose one-sided forms differ) the crossing takes the one-sided
-window.  A callable with curvature 0 (a concatenation of affine paths)
-may meet its join only to the join tolerance, so it takes the
-one-sided window.
+window.  The window reads the segment slopes of a path interpolated
+between its samples, so a curved callable, even of curvature 0, takes
+the one-sided window.
 
 Refinement runs breadth-first.  Each level classifies all of its open
 intervals at once, takes the certificate for the whole level by
@@ -203,8 +201,8 @@ Block-diagonal paths.  Every path holds a partition of its index set that
 each of its values respects (``HermitianPath.blocks``), and stores its
 samples only by it.  A dense stack is partitioned on ingest, by the
 connected components of a union support: of const and linear on a path
-made by ``affine``, of the samples on a path refined as its sample
-interpolant.  A callable with a curvature bound is one block, and a dense
+made by ``affine``, of the samples on an interpolated path.  A curved
+callable is one block, and a dense
 support is one block after one check.  ``HermitianPath.from_blocks``
 takes the blocks themselves and forms no dense sample.  The scale that
 the kernel floor reads is the largest entry over the blocks, which is
@@ -232,7 +230,6 @@ route: its block is a view of the whole matrix, and the stacked eigvalsh
 of that block is its sorted spectrum as it stands.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,29 +391,28 @@ class HermitianPath:
     size, size) stack (``sample_blocks``).  A dense stack given to the
     constructor is checked and partitioned on ingest, by the connected
     components of a union support: of const and linear on a path made by
-    ``affine``, of the samples on a path refined as its sample
-    interpolant; a callable with a curvature bound is one block.  A path
-    of one block stores a view of the given stack.  ``from_blocks`` takes
-    the blocks themselves, and no dense sample is formed.  ``values``,
-    the samples as whole matrices, is derived from the blocks on each
-    request and not kept; ``top`` is the largest entry magnitude over the
-    samples, taken from the blocks on ingest.
+    ``affine``, of the samples on an interpolated path; a curved path is
+    one block.  A path of one block stores a view of the given stack.
+    ``from_blocks`` takes the blocks themselves, and no dense sample is
+    formed.  ``values``, the samples as whole matrices, is derived from
+    the blocks on each request and not kept; ``top`` is the largest entry
+    magnitude over the samples, taken from the blocks on ingest.
 
-    Values come from the stored callable when available, else from
-    ``block_values``: the stored (const, linear) of a path made by
-    ``affine``, or linear interpolation between the samples.  Complex
+    A path is affine (made by ``affine``: const + t linear), interpolated
+    (linear between its samples), or curved: a callable A(t) given with
+    its derivative A'(t) and a bound gamma >= sup ||A''||_2 on its
+    curvature (``slope_norms``), all three or none.  Values and
+    derivatives are the callable's, or else come from the stored (const,
+    linear) or the samples (``block_values``, ``slope_at``).  Complex
     Hermitian input is converted on ingest to the doubled real symmetric
     form and flagged, and checked in that form (R - R^T holds the entries
-    of v - v^H).  The derivative is the stored closure, the slope of an
-    affine or interpolated path, or else a central finite difference.
-    ``curvature`` is a bound gamma >= sup ||A''||_2 that a callable with a
-    derivative may declare (``slope_norms``); an affine or interpolated
-    path has curvature 0.
+    of v - v^H).
     """
 
     def __init__(self, t_samples, values, derivative=None, func=None, curvature=None):
-        if curvature is not None and not (func is not None and derivative is not None and curvature >= 0.0):
-            raise ValueError("a curvature bound is >= 0 and needs a callable with its derivative")
+        given = {func is None, derivative is None, curvature is None}
+        if len(given) > 1 or not (curvature is None or curvature >= 0.0):
+            raise ValueError("a curved path needs its callable, its derivative and a curvature bound >= 0")
         t_samples = _times(t_samples)
         values, realified = _real_samples(values)
         if realified:
@@ -428,7 +424,7 @@ class HermitianPath:
                 derivative = lambda t: realify_matrix(rawd(t))
         top = _check_symmetric(values)
         support = None
-        if func is None or curvature is None:
+        if func is None:
             support = values[0] != 0
             for v in values[1:]:
                 support |= v != 0
@@ -462,16 +458,19 @@ class HermitianPath:
         """func sampled at num_samples equally spaced times of [a, b].
 
         A callable that declares its ``derivative`` and a ``curvature``
-        bound gamma >= sup ||A''||_2 is refined with certified slope
-        bounds (``slope_norms``); one without gamma is refined as its
-        sample interpolant (module docstring)."""
+        bound gamma >= sup ||A''||_2 is a curved path, refined with
+        certified slope bounds (``slope_norms``); one that declares
+        neither is its sample interpolant, and the callable is not kept
+        (module docstring)."""
         grid = np.linspace(a, b, num_samples)
         if grid.size < 2:
             raise ValueError("need at least two samples")
+        if derivative is None and curvature is None:
+            return cls(grid, _sample(func, grid))
         return cls(grid, _sample(func, grid), derivative=derivative, func=func, curvature=curvature)
 
     @classmethod
-    def from_blocks(cls, t_samples, blocks, samples, func=None, derivative=None):
+    def from_blocks(cls, t_samples, blocks, samples):
         """The path whose samples are given block by block, stored as given.
 
         ``blocks`` is a partition of range(n) in ``_partition``'s form (the
@@ -481,10 +480,7 @@ class HermitianPath:
         finiteness and symmetry by ``_check_symmetric``, with its tolerance
         against the largest entry over all blocks: entries off the blocks
         are zero, so that is the decision the dense check makes.  No dense
-        sample is formed.  ``func`` and ``derivative``, when given, are the
-        whole matrices A(t) and A'(t) that ``evaluate`` and
-        ``derivative_at`` return; the path is refined as its sample
-        interpolant."""
+        sample is formed.  The path is interpolated between its samples."""
         t_samples = _times(t_samples)
         blocks = [np.asarray(idx) for idx in blocks]
         flat = np.concatenate([idx.ravel() for idx in blocks]) if blocks else np.zeros(0)
@@ -503,7 +499,7 @@ class HermitianPath:
             raise ValueError("samples must be real (samples, count, size, size) stacks on the blocks")
         samples = [s.astype(float, copy=False) for s in samples]
         path = cls.__new__(cls)
-        path._store(t_samples, blocks, samples, _check_symmetric(samples), func, derivative)
+        path._store(t_samples, blocks, samples, _check_symmetric(samples))
         return path
 
     @classmethod
@@ -545,8 +541,8 @@ class HermitianPath:
         return _dense(self, self._samples)
 
     def evaluate(self, t):
-        """A(t): the stored callable's value, else the whole matrix of
-        ``block_values([t])`` (``_dense``)."""
+        """A(t): the callable's value on a curved path, else the whole
+        matrix of ``block_values([t])`` (``_dense``)."""
         if self._func is not None:
             return np.asarray(self._func(t), dtype=float)
         return _dense(self, self.block_values([t]))[0]
@@ -574,16 +570,15 @@ class HermitianPath:
         (times, count, size, size) stack.  This is the one place where the
         values of an affine or interpolated path are formed: a broadcast
         of the stored blocks of const and linear, or a gather and lerp of
-        the stored sample blocks (clamped to [a, b]), which also serves a
-        callable without a curvature bound as its sample interpolant.  A
-        curved callable is one block, evaluated time by time."""
+        the stored sample blocks (clamped to [a, b]).  A curved path is one
+        block, evaluated time by time."""
         times = np.asarray(times, dtype=float)
         out = []
         if self._affine is not None:
             for const, lin in self._stored_blocks():
                 out.append(times[:, None, None, None] * lin)
                 out[-1] += const
-        elif self._func is not None and self.curvature is not None:
+        elif self._func is not None:
             out.append(np.empty((times.size, 1, self.n, self.n)))
             for j, t in enumerate(times.tolist()):
                 out[-1][j, 0] = self.evaluate(t)
@@ -604,27 +599,20 @@ class HermitianPath:
         return [s[part] for s in self._samples]
 
     def derivative_at(self, t):
-        """A'(t): the stored derivative of a callable, the slope of an
-        affine or interpolated path (``slope_at`` on every row), else a
-        central difference of the callable over 1e-5 (b - a)."""
+        """A'(t): the derivative of a curved path, else the slope of an
+        affine or interpolated path (``slope_at`` on every row)."""
         if self._derivative is not None:
             return np.asarray(self._derivative(t), dtype=float)
-        if self._func is None:
-            return self.slope_at(t, np.arange(self.n))
-        h = 1e-5 * (self.b - self.a)
-        t1 = max(self.a, t - h)
-        t2 = min(self.b, t + h)
-        return (self.evaluate(t2) - self.evaluate(t1)) / (t2 - t1)
+        return self.slope_at(t, np.arange(self.n))
 
     def slope_norms(self):
-        """A bound beta_seg >= sup ||dA/dt||_2 on each sample segment, or
-        None for a callable that declares no curvature bound.
+        """A bound beta_seg >= sup ||dA/dt||_2 on each sample segment.
 
         beta_seg = ||A'(m)||_2 + gamma * len / 2 at the segment's middle m
         (module docstring), exact (||B||_2) where the path is affine:
         taken once, from the spectra of the segment slopes by blocks
         (``_chunked_spectra``)."""
-        if self._slopes is None and self.curvature is not None:
+        if self._slopes is None:
             lens = np.diff(self.t_samples)
             eigs = _chunked_spectra(self, lens.size, self._slope_blocks)
             self._slopes = np.abs(eigs).max(axis=1, initial=0.0) + 0.5 * self.curvature * lens
@@ -650,18 +638,14 @@ class HermitianPath:
         return [out]
 
     def chord_norms(self, l, r):
-        """A bound on ||A(l) - A(r)||_2, exact where the path is affine,
-        or None for a callable that declares no curvature bound.
+        """A bound on ||A(l) - A(r)||_2, exact where the path is affine.
 
         ``l`` and ``r`` are interval ends (scalars or arrays), each
         interval inside one sample segment: the segment's slope bound
         (``slope_norms``) times (r - l)."""
-        slopes = self.slope_norms()
-        if slopes is None:
-            return None
         l, r = np.asarray(l), np.asarray(r)
         seg = np.searchsorted(self.t_samples, 0.5 * (l + r)) - 1
-        return slopes[seg] * (r - l)
+        return self.slope_norms()[seg] * (r - l)
 
     def segment(self, t):
         """Index i of the sample segment [t_i, t_{i+1}] that holds t."""
@@ -671,11 +655,11 @@ class HermitianPath:
     def slope_at(self, t, rows):
         """A'(t) on rows x rows, with ``rows`` indices of whole blocks: the
         slope of a path made by ``affine``, the slope of t's sample segment
-        on a path refined as its sample interpolant, else
-        ``derivative_at(t)`` on a curved callable."""
+        on an interpolated path, else ``derivative_at(t)`` on a curved
+        path."""
         if self._affine is not None:
             return self._affine[1][np.ix_(rows, rows)]
-        if self._func is None or self.curvature is None:
+        if self._func is None:
             ts, i = self.t_samples, self.segment(t)
             out = np.zeros((len(rows), len(rows)))
             hosts = np.zeros(self.n, dtype=bool)
@@ -873,9 +857,7 @@ def crossing_operator(path, t, tol, delta=0.0):
 
     The kernel collects eigenvectors of A(t) - delta with |eigenvalue| <
     tol; the result is the k x k symmetric matrix of the compressed
-    derivative (empty when A(t) - delta is invertible).  A callable that
-    declares no curvature bound is read as its sample interpolant, as in
-    ``spectral_flow``."""
+    derivative (empty when A(t) - delta is invertible)."""
     _, _, w, rows = _kernel_frame(path, tol, delta, t=t)
     return _compressed(w, path.slope_at(t, rows))
 
@@ -1135,18 +1117,6 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
     )
 
 
-def _bounded(path):
-    """(path, method) for the refinement: the path itself when it carries
-    slope bounds, else its sample interpolant (module docstring)."""
-    if path.slope_norms() is not None:
-        return path, "crossing"
-    # the callable's samples, checked on ingest, and so its partition
-    interpolant = copy.copy(path)
-    interpolant._func = interpolant._derivative = None
-    interpolant.curvature = 0.0
-    return interpolant, "interpolant"
-
-
 def spectral_flow(path, cfg=None):
     """Spectral flow of a symmetric-matrix path, with crossing records.
 
@@ -1155,9 +1125,8 @@ def spectral_flow(path, cfg=None):
     cfg.max_halvings times, whenever a located crossing of the shifted
     path is numerically degenerate.  The report's sf always equals the
     sum of recorded crossing signatures; in endpoint-count mode only the
-    endpoint eigenvalue counts are used and no crossings are recorded.
-    A callable that declares no curvature bound is refined as its sample
-    interpolant, and the report's method says so.
+    endpoint eigenvalue counts are used and no crossings are recorded,
+    and the report's method reads "endpoint-count".
     """
     if cfg is None:
         cfg = SpectralFlowConfig()
@@ -1171,7 +1140,6 @@ def spectral_flow(path, cfg=None):
         return SpectralFlowReport(
             sf=sf, delta_used=delta, crossings=[], refinement_depth=0, method="endpoint-count"
         )
-    path, method = _bounded(path)
     eigs = _chunked_spectra(path, path.t_samples.size - 2, lambda lo, hi: path.sample_blocks(slice(lo + 1, hi + 1)))
     spectra.update(zip(path.t_samples[1:-1].tolist(), eigs))
     delta0 = _initial_shift(eigs_a, eigs_b, scale, cfg)
@@ -1183,51 +1151,47 @@ def spectral_flow(path, cfg=None):
         except _DegenerateCrossing as exc:
             err = exc
             continue
-        report.method = method
         return report
     raise SpectralFlowError(
         "no admissible shift after %d halvings: %s" % (cfg.max_halvings, err)
     )
 
 
-def _joined_curvature(p1, p2):
-    """The larger of two paths' curvature bounds, or None when one has
-    none: the bound of their direct sum and of their concatenation."""
-    if p1.curvature is None or p2.curvature is None:
-        return None
-    return max(p1.curvature, p2.curvature)
-
-
 def sf_direct_sum(p1, p2, cfg=None):
     """Spectral flow of the block-diagonal join of two paths, sampled on
-    the union of their grids."""
-    if abs(p1.a - p2.a) > 1e-12 or abs(p1.b - p2.b) > 1e-12:
+    the union of their grids, whose ends agree to 1e-12 of p1's length."""
+    if max(abs(p1.a - p2.a), abs(p1.b - p2.b)) > 1e-12 * (p1.b - p1.a):
         raise ValueError("direct sum requires a common parameter domain")
     n1, n2 = p1.n, p2.n
 
-    def f(t):
+    def f(t, at):
         out = np.zeros((n1 + n2, n1 + n2))
-        out[:n1, :n1] = p1.evaluate(t)
-        out[n1:, n1:] = p2.evaluate(t)
-        return out
-
-    def df(t):
-        out = np.zeros((n1 + n2, n1 + n2))
-        out[:n1, :n1] = p1.derivative_at(t)
-        out[n1:, n1:] = p2.derivative_at(t)
+        out[:n1, :n1], out[n1:, n1:] = at(p1, t), at(p2, t)
         return out
 
     grid = np.union1d(p1.t_samples, p2.t_samples[1:-1])
-    joined = HermitianPath(grid, _sample(f, grid), derivative=df, func=f, curvature=_joined_curvature(p1, p2))
-    return spectral_flow(joined, cfg).sf
+    return spectral_flow(_joined(grid, f, p1, p2), cfg).sf
+
+
+def _joined(grid, f, p1, p2):
+    """The join A(t) = f(t, HermitianPath.evaluate) of p1 and p2 on
+    ``grid``, which holds all their samples: exactly its interpolant
+    unless a part is curved, else curved with A'(t) = f(t,
+    HermitianPath.derivative_at)."""
+    func = lambda t: f(t, HermitianPath.evaluate)
+    gamma = max(p1.curvature, p2.curvature)
+    if gamma == 0.0:
+        return HermitianPath(grid, _sample(func, grid))
+    derivative = lambda t: f(t, HermitianPath.derivative_at)
+    return HermitianPath(grid, _sample(func, grid), derivative=derivative, func=func, curvature=gamma)
 
 
 def _joins(p1, p2):
-    """Whether p2 starts where p1 ends, to 1e-12 relative to p1's end:
-    the two end samples, formed from their blocks."""
+    """Whether p2 starts where p1 ends, to 1e-12 relative to p1's end or
+    its largest sample: the two end samples, formed from their blocks."""
     end = _dense(p1, p1.sample_blocks(slice(-1, None)))[0]
     start = _dense(p2, p2.sample_blocks(slice(1)))[0]
-    return _max_abs(end - start) <= 1e-12 * max(1.0, _max_abs(end))
+    return _max_abs(end - start) <= 1e-12 * max(_max_abs(end), p1.top)
 
 
 def sf_concat(p1, p2, cfg=None):
@@ -1238,15 +1202,11 @@ def sf_concat(p1, p2, cfg=None):
     offset = p1.b - p2.a
     junction = p1.b
 
-    def f(t):
-        return p1.evaluate(t) if t <= junction else p2.evaluate(t - offset)
-
-    def df(t):
-        return p1.derivative_at(t) if t <= junction else p2.derivative_at(t - offset)
+    def f(t, at):
+        return at(p1, t) if t <= junction else at(p2, t - offset)
 
     grid = np.unique(np.concatenate([p1.t_samples, p2.t_samples + offset]))
-    joined = HermitianPath(grid, _sample(f, grid), derivative=df, func=f, curvature=_joined_curvature(p1, p2))
-    return spectral_flow(joined, cfg).sf
+    return spectral_flow(_joined(grid, f, p1, p2), cfg).sf
 
 
 def _match_to_reference(ref_vecs, eigs, vecs):
@@ -1268,39 +1228,59 @@ def _match_to_reference(ref_vecs, eigs, vecs):
     return out_eigs, out_vecs * signs
 
 
-def track_degenerate_eigenvalue(path, cfg=None):
+def track_degenerate_eigenvalue(func, t_samples, derivative=None, cfg=None):
     """Branch data of a path vanishing at t = 0 with simple slope matrix.
 
-    Requires A(0) = 0 and pairwise-distinct eigenvalues of A'(0).  The
-    scaled family B(t) = A(t)/t (with B(0) = A'(0)) has continuous simple
+    ``func`` is the path A(t) on [a, b], the first and last of the
+    increasing ``t_samples``, and ``derivative`` is A'(t), by default the
+    central difference of func over 1e-5 (b - a), clipped to [a, b].
+    Complex Hermitian values are read in their realified form.  Requires
+    A(0) = 0 and pairwise-distinct eigenvalues of A'(0).  The scaled
+    family B(t) = A(t)/t (with B(0) = A'(0)) has continuous simple
     branches near 0; branch j (ordered by ascending slope) carries
-    eigenvalue t * mu_j(t) and the B-eigenvector.  The curvature of each
-    branch at 0 is the central difference of t -> <A'(t) v_j(t), v_j(t)>.
+    eigenvalue t * mu_j(t) and the B-eigenvector, tracked on the times of
+    ``t_samples``, 101 equally spaced times of [a, b] and 0.  The
+    curvature of each branch at 0 is the central difference of
+    t -> <A'(t) v_j(t), v_j(t)>.
     """
     if cfg is None:
         cfg = SpectralFlowConfig()
-    a, b = path.a, path.b
+    t_samples = _times(t_samples)
+    a, b = float(t_samples[0]), float(t_samples[-1])
     if not (a < 0.0 < b):
         raise ValueError("domain must contain 0 in its interior")
-    scale = max(1.0, path.top)
-    if _max_abs(path.evaluate(0.0)) > 1e-12 * scale:
+    values, realified = _real_samples(_sample(func, t_samples))
+    scale = max(1.0, _check_symmetric(values))
+
+    def at(f, t):
+        m = f(t)
+        return np.asarray(realify_matrix(m) if realified else m, dtype=float)
+
+    def slope(t):
+        if derivative is not None:
+            return at(derivative, t)
+        h = 1e-5 * (b - a)
+        t1, t2 = max(a, t - h), min(b, t + h)
+        return (at(func, t2) - at(func, t1)) / (t2 - t1)
+
+    if _max_abs(at(func, 0.0)) > 1e-12 * scale:
         raise ValueError("path does not vanish at t = 0")
-    b0 = path.derivative_at(0.0)
+    b0 = slope(0.0)
     b0 = 0.5 * (b0 + b0.T)
     slopes, v0 = np.linalg.eigh(b0)
     if np.min(np.diff(slopes)) <= cfg.gap_min:
         raise ValueError("derivative at 0 has a degenerate spectrum")
 
-    grid = np.unique(np.concatenate([path.t_samples, np.linspace(a, b, 101), [0.0]]))
+    grid = np.unique(np.concatenate([t_samples, np.linspace(a, b, 101), [0.0]]))
     tiny = 1e-13 * (b - a)
 
     def scaled(t):
         if abs(t) < tiny:
             return b0
-        m = path.evaluate(t) / t
+        m = at(func, t) / t
         return 0.5 * (m + m.T)
 
-    n = path.n
+    n = values.shape[1]
     i0 = int(np.argmin(np.abs(grid)))
     mus = np.zeros((grid.size, n))
     vecs = np.zeros((grid.size, n, n))
@@ -1320,7 +1300,7 @@ def track_degenerate_eigenvalue(path, cfg=None):
         t = sgn * h
         e, v = np.linalg.eigh(scaled(t))
         _, v = _match_to_reference(v0, e, v)
-        d = path.derivative_at(t)
+        d = slope(t)
         g = np.einsum("ij,ik,jk->k", d, v, v)
         if sgn > 0:
             gplus = g

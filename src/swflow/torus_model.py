@@ -227,9 +227,8 @@ def magnetic_family_path(flux, depth):
     diagonal.  The family is sampled at 17 equally spaced times: the 17
     diagonals are taken in one broadcast over r and stored as 1 x 1
     blocks (``HermitianPath.from_blocks``), so no dense sample is formed.
-    The path keeps the diagonal matrix and its derivative as its callable
-    for ``evaluate`` and ``derivative_at``, and is refined as its sample
-    interpolant.
+    The path is interpolated between them; its zero-tower branches are
+    linear in r, so they cross zero where the family does.
     """
     flux = int(flux)
     depth = int(depth)
@@ -239,41 +238,23 @@ def magnetic_family_path(flux, depth):
     sgn = float(np.sign(flux))
     absd = abs(flux)
     levels = (1, 2)
+    grid = np.linspace(0.0, 1.0, 17)
 
-    # the diagonal at each r of an array of times, on a last axis
+    # the diagonal at each sample time, on a last axis
     if flux == 0:
         base = np.concatenate(
             [s * np.sqrt(2.0 * m + ns**2) for m in levels for s in (1.0, -1.0)]
         )
-
-        def entries(r):
-            return np.broadcast_to(base, np.shape(r) + base.shape)
-
-        def entries_deriv(r):
-            return np.zeros(np.shape(r) + base.shape)
-
+        diagonals = np.broadcast_to(base, grid.shape + base.shape)
     else:
-
-        def entries(r):
-            x = ns + np.asarray(r)[..., None]
-            gapped = [s * np.sqrt(2.0 * absd * m + x**2) for m in levels for s in (1.0, -1.0)]
-            return np.tile(np.concatenate([-sgn * x] + gapped, axis=-1), absd)
-
-        def entries_deriv(r):
-            x = ns + np.asarray(r)[..., None]
-            gapped = [s * x / np.sqrt(2.0 * absd * m + x**2) for m in levels for s in (1.0, -1.0)]
-            return np.tile(np.concatenate([np.full(x.shape, -sgn)] + gapped, axis=-1), absd)
-
-    grid = np.linspace(0.0, 1.0, 17)
-    diagonals = entries(grid)
+        x = ns + grid[:, None]
+        gapped = [s * np.sqrt(2.0 * absd * m + x**2) for m in levels for s in (1.0, -1.0)]
+        diagonals = np.tile(np.concatenate([-sgn * x] + gapped, axis=-1), absd)
     return sfmod.HermitianPath.from_blocks(
         grid,
         [np.arange(diagonals.shape[-1])[:, None]],
         [diagonals[:, :, None, None]],
-        func=lambda r: np.diag(entries(r)),
-        derivative=lambda r: np.diag(entries_deriv(r)),
     )
-
 
 # -------------------------------------------------- curvature identity
 

@@ -96,7 +96,6 @@ def test_initial_frame_randomization_invariance():
     for _ in range(15):
         path = random_invertible_endpoint_path(rng, 5)
         base = orient.orientation_transport_det(path)
-        path, _ = sf._bounded(path)
         scale = max(1.0, np.abs(path.values).max())
         K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
         v = K.shape[1]
@@ -228,6 +227,54 @@ def test_axioms_homotopy_edges():
         p2 = sf.HermitianPath.from_callable(lambda t: homotopy(1.0, t), 0.0, 1.0)
         report = orient.ot_axioms(p1, p2, homotopy=homotopy)
         assert report["homotopy"]["ok"]
+
+
+def test_axioms_direct_sum_of_callables_solves_each_part_alone(monkeypatch):
+    # two callables without a curvature bound are their interpolants, so
+    # their direct sum is an interpolated path of two blocks, and no
+    # matrix larger than one part is diagonalized
+    rng = np.random.default_rng(67)
+    p1 = random_invertible_endpoint_path(rng, 4, "callable")
+    p2 = random_invertible_endpoint_path(rng, 5, "callable")
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+
+        def watched(a, *args, _solve=solve, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, watched)
+    report = orient.ot_axioms(p1, p2)
+    assert report["direct_sum"]["ok"] and report["concat"] is None
+    assert max(sizes) == 5
+
+
+def test_axioms_homotopy_accepts_rounding_at_a_zero_endpoint():
+    # the endpoint check is relative to the edges' largest sample, so a
+    # rounding-level mismatch at a zero end matrix passes
+    a = np.diag([1.0, -2.0])
+
+    def homotopy(u, t):
+        return (1.0 - t) * a + u * t * 1e-17 * np.eye(2)
+
+    p = sf.HermitianPath.from_callable(lambda t: homotopy(0.0, t), 0.0, 1.0)
+    report = orient.ot_axioms(p, p, homotopy=homotopy)
+    assert report["homotopy"]["ok"]
+
+
+def test_axioms_homotopy_endpoint_check_does_not_depend_on_scale():
+    # a homotopy that moves the endpoints by 0.8 of the path's scale is
+    # rejected at unit scale and at 1e-12 alike
+    a, b = np.diag([1.0, -1.0]), np.diag([0.5, 0.3])
+    for s in (1.0, 1e-12):
+        p = sf.HermitianPath.affine(s * a, s * b, 0.0, 1.0)
+
+        def homotopy(u, t, s=s):
+            return s * (a + t * b + 0.8 * u * np.eye(2))
+
+        with pytest.raises(ValueError, match="fix the endpoints"):
+            orient.ot_axioms(p, p, homotopy=homotopy)
 
 
 # ------------------------------------------------------ frozen corpus
@@ -515,7 +562,6 @@ def test_overlap_signs_give_the_polar_transport(monkeypatch):
     checked = substeps = 0
     while checked < 12:
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)), ["affine", "smooth"][checked % 2])
-        path, _ = sf._bounded(path)
         scale = max(1.0, np.abs(path.values).max())
         K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
         if K.shape[1] == 0:

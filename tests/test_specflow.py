@@ -7,6 +7,7 @@ arriving at zero from above counts -1; branches that stay on one side
 contribute nothing.
 """
 
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -282,6 +283,8 @@ def test_exact_chord_matches_the_diagonalized_chord():
         sf.HermitianPath.affine(a, b, -1.0, 1.0),
         sf.HermitianPath(grid, np.array([a.real + np.sin(2.0 * t) * c.real for t in grid])),
         sf.HermitianPath(grid, np.array([a + t * b + np.cos(3.0 * t) * d for t in grid])),
+        # a callable without a curvature bound is its sample interpolant
+        sf.HermitianPath.from_callable(lambda t: a.real + np.sin(t) * b.real, -1.0, 1.0),
     ]
     assert paths[1].realified and paths[3].realified
     for path in paths:
@@ -290,8 +293,6 @@ def test_exact_chord_matches_the_diagonalized_chord():
             l, r = np.sort(rng.uniform(ts[i], ts[i + 1], 2))
             want = sf._sym_norm2(path.evaluate(l) - path.evaluate(r))
             assert path.chord_norms(l, r) == pytest.approx(want, rel=1e-12)
-    curved = sf.HermitianPath.from_callable(lambda t: a.real + np.sin(t) * b.real, -1.0, 1.0)
-    assert curved.chord_norms(-1.0, 1.0) is None
 
 
 def test_affine_refinement_takes_no_two_norm(monkeypatch):
@@ -344,15 +345,15 @@ def random_orthogonal(rng, n):
 
 
 def conjugated(path, rng):
-    """Q^T A(t) Q for a random orthogonal Q mixing every index, as a
-    callable without a curvature bound sampled where ``path`` is."""
+    """Q^T A(t) Q for a random orthogonal Q mixing every index, sampled
+    where ``path`` is and interpolated between the samples."""
     q = random_orthogonal(rng, path.n)
 
     def value(t):
         m = q.T @ path.evaluate(t) @ q
         return 0.5 * (m + m.T)
 
-    return sf.HermitianPath(path.t_samples, np.array([value(t) for t in path.t_samples]), func=value)
+    return sf.HermitianPath(path.t_samples, np.array([value(t) for t in path.t_samples]))
 
 
 def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
@@ -379,8 +380,8 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
         assert len(solves) <= 2 + rep.refinement_depth
 
     # the n = 255 magnetic tower conjugated by a random orthogonal Q is
-    # one dense block and declares no curvature bound, so it is refined
-    # as its interpolant: one stacked solve per chunk of its samples, of
+    # an interpolated path of one dense block: one stacked solve per
+    # chunk of its samples, of
     # its segment slopes, and of each level's new probes.  A depth-first
     # refinement takes 180 separate solves of this path.  A delta_cap of
     # 0.4 puts delta = 0.2 and the triple crossing between samples: Q
@@ -403,7 +404,7 @@ def test_refinement_takes_one_stacked_solve_per_level_and_chunk(monkeypatch):
     shapes.clear()
     rep = sf.spectral_flow(path, sf.SpectralFlowConfig(delta_cap=0.4))
     assert (rep.sf, rep.delta_used) == (-3, 0.2)
-    assert rep.method == "interpolant"
+    assert rep.method == "crossing"
     # the crossing records take small eigvalsh of their crossing forms;
     # every solve of the path's size is a stack of its one block
     big = [s for s in shapes if s[-1] == n]
@@ -425,7 +426,7 @@ def test_tower_interpolant_keeps_the_true_crossings():
     cfg = sf.SpectralFlowConfig()
     for flux in (-2, 3):
         rep = sf.spectral_flow(tm.magnetic_family_path(flux, 8), cfg)
-        assert rep.method == "interpolant"
+        assert rep.method == "crossing"
         assert rep.sf == -flux
         [rec] = rep.crossings
         want = rep.delta_used if flux < 0 else 1.0 - rep.delta_used
@@ -515,8 +516,8 @@ def test_stacked_evaluation_is_the_pointwise_evaluation():
     # curved one; and the whole matrices of the stacked block values
     # (_dense) are the same, by scatter on a path of many blocks and as a
     # view on a path of one, also when written into a strided stack like
-    # orient's [T K].  A callable without a curvature bound evaluates as
-    # itself, and its block values are its sample interpolant's
+    # orient's [T K].  A callable without a curvature bound is its sample
+    # interpolant: it evaluates as the lerp of its samples
     rng = np.random.default_rng(51)
     n = 5
     a, b, c = (m + m.T for m in rng.standard_normal((3, n, n)))
@@ -567,7 +568,7 @@ def test_stacked_evaluation_is_the_pointwise_evaluation():
         out[:, :, : path.n] = sf._dense(path, path.block_values(times))
         assert np.array_equal(out[:, :, : path.n], want)
     bare = sf.HermitianPath.from_callable(curve, -1.0, 1.0, num_samples=7)
-    assert np.array_equal([bare.evaluate(t) for t in times.tolist()], [curve(t) for t in times.tolist()])
+    assert np.array_equal([bare.evaluate(t) for t in times.tolist()], [lerp(bare, t) for t in times.tolist()])
     assert np.array_equal(sf._dense(bare, bare.block_values(times)), [lerp(bare, t) for t in times.tolist()])
 
 
@@ -618,8 +619,12 @@ def test_slope_bounds_cover_the_chords():
     left, right = np.sort(rng.uniform(ts[seg], ts[seg + 1], (2, seg.size)), axis=0)
     chords = np.array([sf._sym_norm2(path.evaluate(l) - path.evaluate(r)) for l, r in zip(left, right)])
     assert np.all(chords <= path.chord_norms(left, right) * (1.0 + 1e-12))
+    # without a curvature bound the callable is its sample interpolant,
+    # whose chord bounds are its own chords
     bare = sf.HermitianPath.from_callable(lambda t: a + np.sin(3.0 * t) * b, 0.0, 1.0)
-    assert bare.curvature is None and bare.chord_norms(left, right) is None
+    assert bare.curvature == 0.0 and bare._func is None
+    chords = np.array([sf._sym_norm2(bare.evaluate(l) - bare.evaluate(r)) for l, r in zip(left, right)])
+    assert np.all(chords <= bare.chord_norms(left, right) * (1.0 + 1e-12))
     with pytest.raises(ValueError):
         sf.HermitianPath.from_callable(lambda t: a + np.sin(3.0 * t) * b, 0.0, 1.0, curvature=1.0)
 
@@ -660,13 +665,45 @@ def test_callable_without_curvature_is_refined_as_its_interpolant():
         a, b, c = (m + m.T for m in rng.standard_normal((3, 5, 5)))
         path = sf.HermitianPath.from_callable(lambda t: a + t * b + np.sin(2.0 * t) * c, -1.0, 1.0, 9)
         rep = sf.spectral_flow(path, cfg)
-        assert rep.method == "interpolant"
+        assert rep.method == "crossing"
         assert rep.sf == sf.spectral_flow(path, count).sf
-        interpolant = sf.HermitianPath(path.t_samples, path.values)
+        # every record is a crossing of the path's own values
         floor = cfg.kernel_threshold_rel * max(1.0, np.abs(path.values).max())
         for rec in rep.crossings:
-            eigs = np.linalg.eigvalsh(interpolant.evaluate(rec.t))
+            eigs = np.linalg.eigvalsh(path.evaluate(rec.t))
             assert np.abs(eigs - rep.delta_used).min() < floor
+
+
+def test_a_path_holds_a_callable_only_with_its_derivative_and_bound():
+    # a curved path takes all of (func, derivative, curvature); any part
+    # of them raises, and a callable sampled without them is its sample
+    # interpolant: off the samples its values are the lerp of the samples
+    # and its derivative the segment slope, not the callable's
+    a, b = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 2.0]])
+    f = lambda t: a + np.sin(t) * b
+    df = lambda t: np.cos(t) * b
+    grid = np.linspace(0.0, 1.0, 5)
+    samples = np.array([f(t) for t in grid])
+    parts = {"func": f, "derivative": df, "curvature": 1.0}
+    for r in (1, 2):
+        for keys in itertools.combinations(parts, r):
+            with pytest.raises(ValueError, match="curved path"):
+                sf.HermitianPath(grid, samples, **{k: parts[k] for k in keys})
+    for key in ("derivative", "curvature"):
+        with pytest.raises(ValueError, match="curved path"):
+            sf.HermitianPath.from_callable(f, 0.0, 1.0, 5, **{key: parts[key]})
+    with pytest.raises(ValueError, match="curvature bound >= 0"):
+        sf.HermitianPath(grid, samples, **{**parts, "curvature": -1.0})
+    curved = sf.HermitianPath(grid, samples, **parts)
+    assert np.array_equal(curved.evaluate(0.1), f(0.1)) and np.array_equal(curved.derivative_at(0.1), df(0.1))
+    bare = sf.HermitianPath.from_callable(f, 0.0, 1.0, 5)
+    assert bare._func is None and bare._derivative is None and bare.curvature == 0.0
+    assert np.array_equal(bare.values, samples)
+    for i, t in enumerate(0.5 * (grid[:-1] + grid[1:])):
+        assert np.array_equal(bare.evaluate(t), 0.5 * samples[i] + 0.5 * samples[i + 1])
+        assert not np.array_equal(bare.evaluate(t), f(t))
+        slope = (samples[i + 1] - samples[i]) / (grid[i + 1] - grid[i])
+        assert np.array_equal(bare.derivative_at(t), slope)
 
 
 def pencil_crossings(path, delta):
@@ -1008,7 +1045,9 @@ def test_from_blocks_rejects_a_bad_partition_and_bad_blocks():
 
 
 # the call shapes of the block route on the 5 x 5 one-block paths of
-# ``dense_shape_paths``: each stack holds one block, the whole matrix
+# ``dense_shape_paths``: each stack holds one block, the whole matrix.
+# The end samples come first, then the inner samples, then the segment
+# slopes (taken by the first refinement pass)
 ONE_BLOCK_CALLS = {
     "affine": [
         ("eigvalsh", (2, 1, 5, 5)), ("eigvalsh", (1, 1, 5, 5)), ("eigvalsh", (2, 1, 5, 5)),
@@ -1017,7 +1056,7 @@ ONE_BLOCK_CALLS = {
         ("eigvalsh", (2, 1, 5, 5)),
     ],
     "interpolated": [
-        ("eigvalsh", (2, 1, 5, 5)), ("eigvalsh", (8, 1, 5, 5)), ("eigvalsh", (7, 1, 5, 5)),
+        ("eigvalsh", (2, 1, 5, 5)), ("eigvalsh", (7, 1, 5, 5)), ("eigvalsh", (8, 1, 5, 5)),
         ("eigvalsh", (6, 1, 5, 5)), ("eigvalsh", (4, 1, 5, 5)), ("eigvalsh", (6, 1, 5, 5)),
         ("eigvalsh", (8, 1, 5, 5)), ("eigh", (1, 5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (5, 1, 5, 5)),
         ("eigvalsh", (4, 1, 5, 5)), ("eigh", (1, 5, 5)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 1, 5, 5)),
@@ -1136,6 +1175,38 @@ def test_concatenation_additive_and_reversal_cancels():
         p.t_samples[-1],
     )
     assert sf.sf_concat(p, back) == 0
+
+
+def test_domain_and_join_checks_do_not_depend_on_scale():
+    # the direct sum compares domain ends relative to p1's length, and
+    # the concatenation compares the junction relative to p1's end, with
+    # no floor at 1: a mismatch that raises at unit scale raises at 1e-13
+    count = sf.SpectralFlowConfig(endpoint_count_only=True)
+    for s in (1.0, 1e-13):
+        p1 = sf.HermitianPath.affine(np.eye(1), np.zeros((1, 1)), 0.0, s)
+        p2 = sf.HermitianPath.affine(-np.eye(1), np.eye(1) / s, 0.0, 2.0 * s)
+        assert (sf.spectral_flow(p1, count).sf, sf.spectral_flow(p2, count).sf) == (0, 1)
+        with pytest.raises(ValueError, match="common parameter domain"):
+            sf.sf_direct_sum(p1, p2, count)
+        same = sf.HermitianPath.affine(-np.eye(1), 2.0 * np.eye(1) / s, 0.0, s)
+        assert sf.sf_direct_sum(p1, same, count) == 1
+    a, b = np.diag([1.0, -2.0]), np.diag([-1.4, 3.0])
+    for s in (1.0, 1e-12):
+        p1 = sf.HermitianPath.affine(s * a, s * b, 0.0, 1.0)
+        end = s * (a + b)
+        assert sf._max_abs(end) == pytest.approx(s)
+        # the first entry jumps from -0.4 s to +0.4 s
+        jump = sf.HermitianPath.affine(end * [[-1.0], [1.0]], s * np.eye(2), 0.0, 1.0)
+        with pytest.raises(ValueError, match="do not match"):
+            sf.sf_concat(p1, jump)
+        cont = sf.HermitianPath.affine(end, s * np.eye(2), 0.0, 1.0)
+        assert sf.sf_concat(p1, cont) == sf.spectral_flow(p1).sf + sf.spectral_flow(cont).sf
+    # at a zero junction the tolerance is relative to p1's largest
+    # sample: a rounding-level mismatch there joins
+    p1 = sf.HermitianPath.affine(a, -a, 0.0, 1.0)
+    p2 = sf.HermitianPath.affine(1e-17 * np.eye(2), b, 0.0, 1.0)
+    assert sf._joins(p1, p2)
+    assert sf.sf_concat(p1, p2) == sf.spectral_flow(p1).sf + sf.spectral_flow(p2).sf
 
 
 def test_concat_rejects_endpoint_mismatch():
@@ -1322,8 +1393,8 @@ def test_crossing_operator_examples():
 def test_crossing_operator_reads_each_kind_of_path():
     # diag(sin t - sin 0.25, 1) has its kernel e_1 at the sample t = 0.25:
     # a curved callable reads its derivative there, cos 0.25, and a
-    # callable without a curvature bound reads its sample interpolant, as
-    # spectral_flow does: the slope of the segment [0.25, 0.5]
+    # callable without a curvature bound is its sample interpolant: it
+    # reads the slope of the segment [0.25, 0.5]
     f = lambda t: np.diag([np.sin(t) - np.sin(0.25), 1.0])
     df = lambda t: np.diag([np.cos(t), 0.0])
     curved = sf.HermitianPath.from_callable(f, 0.0, 1.0, num_samples=5, derivative=df, curvature=1.0)
@@ -1340,7 +1411,7 @@ def test_crossing_operator_reads_each_kind_of_path():
 
 def test_track_linear_branches():
     path = sf.HermitianPath.affine(np.zeros((2, 2)), np.diag([1.0, 2.0]), -0.5, 0.5)
-    out = sf.track_degenerate_eigenvalue(path)
+    out = sf.track_degenerate_eigenvalue(path.evaluate, path.t_samples, path.derivative_at)
     i = np.argmin(np.abs(out.t_samples))
     assert np.allclose(out.eigenvalues[i], [0.0, 0.0], atol=1e-12)
     for j, slope in enumerate([1.0, 2.0]):
@@ -1357,8 +1428,7 @@ def test_track_rotating_family_follows_branches_through_zero():
         r = np.array([[c, -s], [s, c]])
         return t * (r.T @ np.diag([1.0, -1.0]) @ r)
 
-    path = sf.HermitianPath.from_callable(f, -0.4, 0.4, num_samples=81)
-    out = sf.track_degenerate_eigenvalue(path)
+    out = sf.track_degenerate_eigenvalue(f, np.linspace(-0.4, 0.4, 81))
     order = np.argsort(out.eigenvalue_slopes)
     assert np.allclose(out.eigenvalue_slopes[order], [-1.0, 1.0], atol=1e-8)
     for j, slope in zip(order, [-1.0, 1.0]):
@@ -1373,19 +1443,13 @@ def test_track_second_derivative_analytic_oracle():
     b = np.diag([1.0, -0.5, 2.0])
     c = rng.standard_normal((3, 3))
     c = c + c.T
-    path = sf.HermitianPath.from_callable(
-        lambda t: t * b + t * t * c, -0.3, 0.3, num_samples=121
-    )
-    out = sf.track_degenerate_eigenvalue(path)
+    out = sf.track_degenerate_eigenvalue(lambda t: t * b + t * t * c, np.linspace(-0.3, 0.3, 121))
     want = 2.0 * np.diag(c)[np.argsort(np.diag(b))]
     assert np.allclose(out.second_derivatives, want, atol=1e-4)
 
 
 def test_track_flat_branch_curvature():
-    path = sf.HermitianPath.from_callable(
-        lambda t: np.diag([t**2, t]), -0.5, 0.5, num_samples=101
-    )
-    out = sf.track_degenerate_eigenvalue(path)
+    out = sf.track_degenerate_eigenvalue(lambda t: np.diag([t**2, t]), np.linspace(-0.5, 0.5, 101))
     # branch ordering follows the slopes of the derivative at zero
     slopes = out.eigenvalue_slopes
     flat = int(np.argmin(np.abs(slopes)))
@@ -1394,9 +1458,8 @@ def test_track_flat_branch_curvature():
 
 
 def test_track_requires_zero_start_and_simple_derivative():
-    bad = sf.HermitianPath.affine(np.eye(2), np.eye(2), -0.5, 0.5)
-    with pytest.raises(ValueError):
-        sf.track_degenerate_eigenvalue(bad)
-    degenerate = sf.HermitianPath.affine(np.zeros((2, 2)), np.eye(2), -0.5, 0.5)
-    with pytest.raises(ValueError):
-        sf.track_degenerate_eigenvalue(degenerate)
+    grid = np.linspace(-0.5, 0.5, 33)
+    with pytest.raises(ValueError, match="vanish"):
+        sf.track_degenerate_eigenvalue(lambda t: (1.0 + t) * np.eye(2), grid)
+    with pytest.raises(ValueError, match="degenerate"):
+        sf.track_degenerate_eigenvalue(lambda t: t * np.eye(2), grid)

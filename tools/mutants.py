@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Mutation check: every listed one-line source edit must make a test fail.
+
+Each mutant names a file under ``src``, an exact source string that must
+occur there exactly once, its replacement, and the test files (or pytest
+node ids) to run.  For each mutant the script copies ``src``, ``tests``
+and ``pyproject.toml`` into a temporary directory, applies the edit
+there, and runs ``python -m pytest -x -q`` on the mutant's tests.  The
+mutant is killed when that run fails.  First the tests of all the
+mutants run once on an unedited copy, and they must pass there, so a
+failure that does not come from an edit (a renamed test, a broken
+environment) is not taken for a kill.  The working tree is never edited.
+
+The script exits with status 1 when a mutant survives, and also when a
+mutant's source string no longer occurs exactly once, so a mutant goes
+stale loudly when the code it edits moves.  A mutant that no test can
+kill is an equivalent edit: say why where it is removed from the list.
+
+    python3 tools/mutants.py
+
+Standard library only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = [
+    Mutant(
+        "slope-bound-drops-curvature",
+        "src/swflow/specflow.py",
+        "self._slopes = np.abs(eigs).max(axis=1, initial=0.0) + 0.5 * self.curvature * lens",
+        "self._slopes = np.abs(eigs).max(axis=1, initial=0.0)",
+        ("tests/test_specflow.py::test_slope_bounds_cover_the_chords",
+         "tests/test_specflow.py::test_a_dip_inside_one_segment_is_found_through_the_curvature"),
+    ),
+    Mutant(
+        "partial-callable-accepted",
+        "src/swflow/specflow.py",
+        "if len(given) > 1 or not (curvature is None or curvature >= 0.0):",
+        "if not (curvature is None or curvature >= 0.0):",
+        ("tests/test_specflow.py::test_a_path_holds_a_callable_only_with_its_derivative_and_bound",),
+    ),
+    Mutant(
+        "record-signature-flipped",
+        "src/swflow/specflow.py",
+        "crossing_signature=int(net),",
+        "crossing_signature=-int(net),",
+        ("tests/test_specflow.py",),
+    ),
+    Mutant(
+        "record-time-shifted",
+        "src/swflow/specflow.py",
+        "t=float(tstar),",
+        "t=float(tstar) + 1e-9,",
+        ("tests/test_specflow.py::test_tower_records_equal_frozen_corpus",
+         "tests/test_specflow.py::test_records_are_the_pencil_crossings"),
+    ),
+    Mutant(
+        "direct-sum-domain-absolute",
+        "src/swflow/specflow.py",
+        "if max(abs(p1.a - p2.a), abs(p1.b - p2.b)) > 1e-12 * (p1.b - p1.a):",
+        "if max(abs(p1.a - p2.a), abs(p1.b - p2.b)) > 1e-12:",
+        ("tests/test_specflow.py::test_domain_and_join_checks_do_not_depend_on_scale",),
+    ),
+    Mutant(
+        "join-floored-at-one",
+        "src/swflow/specflow.py",
+        "return _max_abs(end - start) <= 1e-12 * max(_max_abs(end), p1.top)",
+        "return _max_abs(end - start) <= 1e-12 * max(1.0, _max_abs(end), p1.top)",
+        ("tests/test_specflow.py::test_domain_and_join_checks_do_not_depend_on_scale",),
+    ),
+    Mutant(
+        "homotopy-ends-floored-at-one",
+        "src/swflow/orient.py",
+        "if sfmod._max_abs(lo - hi) > 1e-12 * max(e.top for e in edges):",
+        "if sfmod._max_abs(lo - hi) > 1e-12 * max(1.0, *(e.top for e in edges)):",
+        ("tests/test_orient.py::test_axioms_homotopy_endpoint_check_does_not_depend_on_scale",),
+    ),
+    Mutant(
+        "frame-overlap-signs-dropped",
+        "src/swflow/orient.py",
+        "sign *= np.prod(np.sign(np.linalg.det(overlap[fine])))",
+        "sign *= 1.0",
+        ("tests/test_orient.py",),
+    ),
+    Mutant(
+        "block-symmetry-check-dropped",
+        "src/swflow/specflow.py",
+        "if defect > tol * max(1.0, top):",
+        "if False:",
+        ("tests/test_specflow.py::test_from_blocks_rejects_a_bad_partition_and_bad_blocks",),
+    ),
+]
+
+
+def check_sources(mutants):
+    """The mutants whose source string does not occur exactly once, each
+    with its count."""
+    stale = []
+    for m in mutants:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1:
+            stale.append((m, count))
+    return stale
+
+
+def run(tests, mutant=None):
+    """(passed, seconds, pytest output) of ``tests`` on a copy of the tree,
+    with the edit of ``mutant`` applied when one is given."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+        if mutant is not None:
+            target = tmp / mutant.file
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        start = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+        return proc.returncode == 0, time.perf_counter() - start, proc.stdout + proc.stderr
+
+
+def main():
+    stale = check_sources(MUTANTS)
+    for m, count in stale:
+        print(f"STALE {m.name}: its source string occurs {count} times in {m.file}")
+    if stale:
+        return 1
+    tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    passed, seconds, out = run(tests)
+    print(f"{'passed' if passed else 'FAILED'} unedited control ({seconds:.1f} s)")
+    if not passed:
+        print(out)
+        return 1
+    survivors = []
+    for m in MUTANTS:
+        survived, seconds, out = run(m.tests, m)
+        print(f"{'SURVIVED' if survived else 'killed'} {m.name} ({seconds:.1f} s)")
+        if survived:
+            survivors.append(m)
+            print(out)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
