@@ -230,7 +230,7 @@ route: its block is a view of the whole matrix, and the stacked eigvalsh
 of that block is its sorted spectrum as it stands.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,13 +240,11 @@ __all__ = [
     "HermitianPath",
     "CrossingRecord",
     "SpectralFlowReport",
-    "TrackedBranches",
     "realify_matrix",
     "crossing_operator",
     "spectral_flow",
     "sf_direct_sum",
     "sf_concat",
-    "track_degenerate_eigenvalue",
 ]
 
 
@@ -264,7 +262,6 @@ class SpectralFlowConfig:
     max_halvings: int = 20
     kernel_threshold_rel: float = 1e-8
     bisection_tol: float = 1e-10
-    gap_min: float = 1e-8
     refine_max_depth: int = 80
     endpoint_count_only: bool = False
 
@@ -284,15 +281,6 @@ class SpectralFlowReport:
     crossings: list
     refinement_depth: int
     method: str = "crossing"
-
-
-@dataclass
-class TrackedBranches:
-    t_samples: np.ndarray
-    eigenvalues: np.ndarray  # (samples, n), branch j in column j
-    eigenvectors: np.ndarray  # (samples, n, n), branch j in [..., j]
-    eigenvalue_slopes: np.ndarray  # (n,) ascending
-    second_derivatives: np.ndarray  # (n,) curvature of each branch at 0
 
 
 def realify_matrix(m, out=None):
@@ -1207,110 +1195,3 @@ def sf_concat(p1, p2, cfg=None):
 
     grid = np.unique(np.concatenate([p1.t_samples, p2.t_samples + offset]))
     return spectral_flow(_joined(grid, f, p1, p2), cfg).sf
-
-
-def _match_to_reference(ref_vecs, eigs, vecs):
-    """Permute and sign-fix eigenvector columns to follow ref_vecs."""
-    n = ref_vecs.shape[1]
-    overlap = np.abs(ref_vecs.T @ vecs)
-    perm = np.full(n, -1)
-    used = set()
-    for _ in range(n):
-        i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
-        perm[i] = j
-        used.add(j)
-        overlap[i, :] = -1.0
-        overlap[:, j] = -1.0
-    out_vecs = vecs[:, perm]
-    out_eigs = eigs[perm]
-    signs = np.sign(np.sum(ref_vecs * out_vecs, axis=0))
-    signs[signs == 0] = 1.0
-    return out_eigs, out_vecs * signs
-
-
-def track_degenerate_eigenvalue(func, t_samples, derivative=None, cfg=None):
-    """Branch data of a path vanishing at t = 0 with simple slope matrix.
-
-    ``func`` is the path A(t) on [a, b], the first and last of the
-    increasing ``t_samples``, and ``derivative`` is A'(t), by default the
-    central difference of func over 1e-5 (b - a), clipped to [a, b].
-    Complex Hermitian values are read in their realified form.  Requires
-    A(0) = 0 and pairwise-distinct eigenvalues of A'(0).  The scaled
-    family B(t) = A(t)/t (with B(0) = A'(0)) has continuous simple
-    branches near 0; branch j (ordered by ascending slope) carries
-    eigenvalue t * mu_j(t) and the B-eigenvector, tracked on the times of
-    ``t_samples``, 101 equally spaced times of [a, b] and 0.  The
-    curvature of each branch at 0 is the central difference of
-    t -> <A'(t) v_j(t), v_j(t)>.
-    """
-    if cfg is None:
-        cfg = SpectralFlowConfig()
-    t_samples = _times(t_samples)
-    a, b = float(t_samples[0]), float(t_samples[-1])
-    if not (a < 0.0 < b):
-        raise ValueError("domain must contain 0 in its interior")
-    values, realified = _real_samples(_sample(func, t_samples))
-    scale = max(1.0, _check_symmetric(values))
-
-    def at(f, t):
-        m = f(t)
-        return np.asarray(realify_matrix(m) if realified else m, dtype=float)
-
-    def slope(t):
-        if derivative is not None:
-            return at(derivative, t)
-        h = 1e-5 * (b - a)
-        t1, t2 = max(a, t - h), min(b, t + h)
-        return (at(func, t2) - at(func, t1)) / (t2 - t1)
-
-    if _max_abs(at(func, 0.0)) > 1e-12 * scale:
-        raise ValueError("path does not vanish at t = 0")
-    b0 = slope(0.0)
-    b0 = 0.5 * (b0 + b0.T)
-    slopes, v0 = np.linalg.eigh(b0)
-    if np.min(np.diff(slopes)) <= cfg.gap_min:
-        raise ValueError("derivative at 0 has a degenerate spectrum")
-
-    grid = np.unique(np.concatenate([t_samples, np.linspace(a, b, 101), [0.0]]))
-    tiny = 1e-13 * (b - a)
-
-    def scaled(t):
-        if abs(t) < tiny:
-            return b0
-        m = at(func, t) / t
-        return 0.5 * (m + m.T)
-
-    n = values.shape[1]
-    i0 = int(np.argmin(np.abs(grid)))
-    mus = np.zeros((grid.size, n))
-    vecs = np.zeros((grid.size, n, n))
-    mus[i0], vecs[i0] = slopes, v0
-    for direction in (1, -1):
-        ref = v0
-        i = i0 + direction
-        while 0 <= i < grid.size:
-            e, v = np.linalg.eigh(scaled(grid[i]))
-            mus[i], vecs[i] = _match_to_reference(ref, e, v)
-            ref = vecs[i]
-            i += direction
-
-    lam = grid[:, None] * mus
-    h = 1e-3 * (b - a)
-    for sgn in (1.0, -1.0):
-        t = sgn * h
-        e, v = np.linalg.eigh(scaled(t))
-        _, v = _match_to_reference(v0, e, v)
-        d = slope(t)
-        g = np.einsum("ij,ik,jk->k", d, v, v)
-        if sgn > 0:
-            gplus = g
-        else:
-            gminus = g
-    second = (gplus - gminus) / (2.0 * h)
-    return TrackedBranches(
-        t_samples=grid,
-        eigenvalues=lam,
-        eigenvectors=vecs,
-        eigenvalue_slopes=slopes,
-        second_derivatives=second,
-    )

@@ -1380,6 +1380,11 @@ def test_crossing_operator_examples():
     cq = sf.crossing_operator(q, 0.0, tol=1e-8)
     assert sorted(np.linalg.eigvalsh(cq).round(8)) == [-1.0, 1.0]
 
+    # a kernel of dimension 3 with distinct slopes
+    s = sf.HermitianPath.affine(np.zeros((3, 3)), np.diag([1.0, -0.5, 2.0]), -0.5, 0.5)
+    cs = sf.crossing_operator(s, 0.0, tol=1e-8)
+    assert np.allclose(np.linalg.eigvalsh(cs), [-0.5, 1.0, 2.0], atol=1e-8)
+
     r = sf.HermitianPath.affine(np.eye(2), np.zeros((2, 2)), -1.0, 1.0)
     assert sf.crossing_operator(r, 0.5, tol=1e-8).shape == (0, 0)
 
@@ -1404,62 +1409,3 @@ def test_crossing_operator_reads_each_kind_of_path():
     form = sf.crossing_operator(bare, 0.25, tol=1e-8)
     assert np.array_equal(form, sf.crossing_operator(interpolant, 0.25, tol=1e-8))
     assert form[0, 0] == pytest.approx((np.sin(0.5) - np.sin(0.25)) / 0.25, rel=1e-12)
-
-
-# ------------------------------------------------ degenerate tracking
-
-
-def test_track_linear_branches():
-    path = sf.HermitianPath.affine(np.zeros((2, 2)), np.diag([1.0, 2.0]), -0.5, 0.5)
-    out = sf.track_degenerate_eigenvalue(path.evaluate, path.t_samples, path.derivative_at)
-    i = np.argmin(np.abs(out.t_samples))
-    assert np.allclose(out.eigenvalues[i], [0.0, 0.0], atol=1e-12)
-    for j, slope in enumerate([1.0, 2.0]):
-        assert np.allclose(out.eigenvalues[:, j], slope * out.t_samples, atol=1e-10)
-    assert np.allclose(out.second_derivatives, [0.0, 0.0], atol=1e-6)
-
-
-def test_track_rotating_family_follows_branches_through_zero():
-    # conjugation by a rotation keeps the eigenvalues at exactly +-t, so
-    # the tracked branches must stay linear through the crossing and the
-    # curvatures must vanish
-    def f(t):
-        c, s = np.cos(3.0 * t), np.sin(3.0 * t)
-        r = np.array([[c, -s], [s, c]])
-        return t * (r.T @ np.diag([1.0, -1.0]) @ r)
-
-    out = sf.track_degenerate_eigenvalue(f, np.linspace(-0.4, 0.4, 81))
-    order = np.argsort(out.eigenvalue_slopes)
-    assert np.allclose(out.eigenvalue_slopes[order], [-1.0, 1.0], atol=1e-8)
-    for j, slope in zip(order, [-1.0, 1.0]):
-        assert np.allclose(out.eigenvalues[:, j], slope * out.t_samples, atol=1e-8)
-    assert np.max(np.abs(out.second_derivatives)) < 1e-4
-
-
-def test_track_second_derivative_analytic_oracle():
-    # for A(t) = t B + t^2 C with B = diag(b) simple, perturbation theory
-    # gives the exact curvature 2 C_jj of branch j
-    rng = np.random.default_rng(48)
-    b = np.diag([1.0, -0.5, 2.0])
-    c = rng.standard_normal((3, 3))
-    c = c + c.T
-    out = sf.track_degenerate_eigenvalue(lambda t: t * b + t * t * c, np.linspace(-0.3, 0.3, 121))
-    want = 2.0 * np.diag(c)[np.argsort(np.diag(b))]
-    assert np.allclose(out.second_derivatives, want, atol=1e-4)
-
-
-def test_track_flat_branch_curvature():
-    out = sf.track_degenerate_eigenvalue(lambda t: np.diag([t**2, t]), np.linspace(-0.5, 0.5, 101))
-    # branch ordering follows the slopes of the derivative at zero
-    slopes = out.eigenvalue_slopes
-    flat = int(np.argmin(np.abs(slopes)))
-    assert abs(out.second_derivatives[flat] - 2.0) < 1e-4
-    assert abs(out.second_derivatives[1 - flat]) < 1e-4
-
-
-def test_track_requires_zero_start_and_simple_derivative():
-    grid = np.linspace(-0.5, 0.5, 33)
-    with pytest.raises(ValueError, match="vanish"):
-        sf.track_degenerate_eigenvalue(lambda t: (1.0 + t) * np.eye(2), grid)
-    with pytest.raises(ValueError, match="degenerate"):
-        sf.track_degenerate_eigenvalue(lambda t: t * np.eye(2), grid)

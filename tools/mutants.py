@@ -108,6 +108,76 @@ MUTANTS = [
         "if False:",
         ("tests/test_specflow.py::test_from_blocks_rejects_a_bad_partition_and_bad_blocks",),
     ),
+    Mutant(
+        "pair-at-partner-negated",
+        "src/swflow/swlocal.py",
+        "second[a].reshape(w) * xb + first[a].reshape(w) * xa,",
+        "-second[a].reshape(w) * xb + first[a].reshape(w) * xa,",
+        ("tests/test_swlocal.py::test_operators_match_dense_reference[1]",),
+    ),
+    Mutant(
+        "allowance-zero",
+        "src/swflow/specflow.py",
+        "allowance = 64.0 * path.n * np.finfo(float).eps * bound",
+        "allowance = 0.0",
+        ("tests/test_specflow.py::test_a_crossing_on_a_sample_takes_its_window_on_both_sides[True-True]",),
+    ),
+    Mutant(
+        "half-reach-restored",
+        "src/swflow/specflow.py",
+        "+ allowance < reach)",
+        "+ allowance < 0.5 * reach)",
+        ("tests/test_specflow.py::test_the_certificate_takes_the_whole_reach",),
+    ),
+    Mutant(
+        "scan-margin-doubled",
+        "src/swflow/orient.py",
+        "< 0.5 * (ml + mr))",
+        "< (ml + mr))",
+        ("tests/test_orient.py::test_full_space_stabilizer_matches",),
+    ),
+    Mutant(
+        "transport-seed-dropped",
+        "src/swflow/orient.py",
+        "_transport_det(path, cfg, _crossing_kernels(path, cfg, rep))",
+        "_transport_det(path, cfg, None)",
+        ("tests/test_orient.py::test_seeded_route_scans_once_on_every_path_with_a_crossing",),
+    ),
+    Mutant(
+        "crossing-kernel-scatter-dropped",
+        "src/swflow/orient.py",
+        "frame[rows] = w",
+        "frame[: w.shape[0]] = w",
+        ("tests/test_orient.py::test_a_seed_that_cannot_help_grows_to_the_flow_sign",),
+    ),
+    Mutant(
+        "reducible-count-off-by-one",
+        "src/swflow/swlocal.py",
+        "count=int(np.count_nonzero(form.lam <= kernel_top)),",
+        "count=int(np.count_nonzero(form.lam <= kernel_top)) + 1,",
+        ("tests/test_swlocal.py::test_signs_match_dense_route_at_cutoff_one",),
+    ),
+    Mutant(
+        "form-gap-unbounded",
+        "src/swflow/swlocal.py",
+        "certified=(kernel_top, float(form.lam[form.pos].min(initial=np.inf))),",
+        "certified=(kernel_top, np.inf),",
+        ("tests/test_swlocal.py::test_a_reducible_count_is_certified_up_to_the_form_gap[1]",),
+    ),
+    Mutant(
+        "modes-alone-under-a-one-form",
+        "src/swflow/swlocal.py",
+        "elif support.size:",
+        "elif False:",
+        ("tests/test_swlocal.py::test_reducible_spectrum_is_the_realified_spectrum[2]",),
+    ),
+    Mutant(
+        "flat-block-rows-swapped",
+        "src/swflow/swlocal.py",
+        "= flat[idx]",
+        "= flat[idx][..., ::-1, :]",
+        ("tests/test_swlocal.py::test_operators_match_dense_reference[1]",),
+    ),
 ]
 
 
