@@ -17,18 +17,15 @@ The two routes agree on every continuously differentiable path with
 invertible endpoints; the flow route also covers singular endpoints
 through the shifted counting line.
 
-Surjectivity is certified interval by interval.  With ml and mr the
-smallest singular values of [T K] at the ends of [l, r] and
-move = beta (r - l), beta a bound on ||T'||_2 over [l, r], so that
-||T(t) - T(l)||_2 + ||T(r) - T(t)||_2 <= move inside, Weyl's inequality
-for singular values gives
-
-    sigma_min [T_t K] >= (ml + mr - move) / 2    for every t in [l, r],
-
-so move < (ml + mr) / 2 certifies a margin of at least (ml + mr) / 4.
-``move`` is the flow route's chord bound (``HermitianPath.chord_norms``,
-see ``specflow``): exact where the path is affine, and certified on a
-curved path through its curvature bound.  A callable sampled without a
+Surjectivity is certified interval by interval.  Let ml and mr be the
+least singular values of [T K] at the ends of [l, r], and move the flow
+route's chord bound (``HermitianPath.chord_norms``, see ``specflow``),
+so that x + y <= move for x >= ||T(t) - T(l)||_2 and
+y >= ||T(r) - T(t)||_2 inside.  Weyl's inequality for singular values
+gives sigma(t) = sigma_min [T_t K] >= (ml + mr - move) / 2, so
+surjectivity would need only move < ml + mr.  The rule is
+move < (ml + mr) / 2: it certifies a margin of (ml + mr) / 4, and it
+keeps every kernel N(t) on [l, r] acute to N(l), as the sign needs.  A callable sampled without a
 curvature bound is its sample interpolant (``specflow``), which has the
 endpoints and so the transported sign of the callable.
 
@@ -36,34 +33,34 @@ The scan is level-synchronous, like the flow route's refinement: each
 level certifies all of its open intervals with one broadcast chord
 bound, then probes all of their midpoints with one stacked SVD of
 [T_t K] per chunk of ``specflow._STACK_BYTES``.  When K is empty, [T] is
-symmetric and sigma_min is its least |eigenvalue|, so the level takes the
-flow route's spectra by blocks (``specflow._spectra``) and an SVD only at
-the probes below the collection level.  A probe whose margin lies between the trigger and the collection
-level takes one Newton step on sigma_min, whose slope is u^T T'(t) v[:n]
-with u and v the singular vectors of sigma_min from that probe's SVD;
-the level's Newton points take one more stacked SVD.  When a probe of a
-level, or else one of its Newton points, triggers, the scan fails with
-the near-cokernel of the triggering probe of least margin.  A scan that
-certifies probes the same times in any order, since each interval's
-fate depends only on its own ends.
+symmetric and sigma_min is its least |eigenvalue|, so the level takes
+the flow route's spectra by blocks (``specflow._spectra``) and an SVD
+only at the probes below the collection level.  A probe whose margin
+lies between the trigger and the collection level takes one Newton step
+on sigma_min, whose slope is u^T T'(t) v[:n] with u and v the singular
+vectors of sigma_min from that probe's SVD; the level's Newton points
+take one more stacked SVD.  When a probe of a level, or else one of its
+Newton points, triggers, the scan fails with the near-cokernel of the
+triggering probe of least margin.  A scan that certifies probes the
+same times in any order, since each interval's fate depends only on its
+own ends.
 
 The stabilizer grows in one loop (``_collect_stabilizer``), from no
 directions unless ``_transport_det`` is handed a ``start``: each failed
 scan adds the near-cokernel directions it returns, the loop takes the
 full space when they add no rank, and a full-rank stabilizer that fails
 to certify raises ``OrientationTransportError``.  The directions V are
-orthonormal, and the scan and the transport take K = scale V, with scale
-the largest entry magnitude of the samples floored at 1: the trigger is
-relative to scale, and sigma_min [T, scale I] >= scale, so the full
-space clears it on every path.  ``orientation_transport_det`` starts
-from no directions.  ``transport_report`` runs the flow route first and
-starts from the union of the kernels of A - delta at its recorded
-crossings (``_crossing_kernels``), spanned by the SVD and rank cut with
-which the loop grows V (``_span``).  Near a zero of T the near-cokernel
-that a failed scan would return lies close to such a kernel, so on most
-paths the seed certifies at the first scan; a seed that does not
-certify is grown like any other V, and a path with no record starts
-from no directions.
+orthonormal, and the scan and the transport take K = scale V, with
+scale = ``path.top``, not floored at 1: the trigger is relative to
+scale, and sigma_min [T, scale I] >= scale, so the full space clears it
+on every path.  ``orientation_transport_det`` starts from no directions.
+``transport_report`` runs the flow route first and starts from the
+union of the kernels of A - delta at its recorded crossings
+(``_crossing_kernels``), spanned by the SVD and rank cut with which the
+loop grows V (``_span``).  Near a zero of T the near-cokernel that a
+failed scan would return lies close to such a kernel, so on most paths
+the seed certifies at the first scan; a seed that does not certify is
+grown like any other V, and a path with no record starts from none.
 
 The sign depends neither on K nor on the initial kernel frame.  Let
 [T_t K] be onto for every t and K' = [K L].  A frame of ker [T_t K'] is
@@ -77,27 +74,42 @@ whose determinant keeps its sign, so K' gives the sign of K.  Two
 certified stabilizers compare through [K K'], up to a column
 permutation that multiplies both end determinants by the same sign.  So
 the seed, and each direction the loop adds, changes the rank of K but
-not the sign.  The tests show both by starting the loop from enlarged
-stabilizers, the full space and a seed orthogonal to every crossing
-kernel, and by rotating the first kernel basis handed to
-``_transport_frame``.
+not the sign.
 
-The transported sign from frame overlaps.  Let B_k be the kernel basis of
-[T K] at the k-th certified probe and O_k = B_{k+1}^T B_k.  The frame is
-carried from probe to probe by projection and symmetric
-re-orthonormalization: frame_{k+1} = polar(B_{k+1} B_{k+1}^T frame_k).
-Writing frame_k = B_k R_k with R_k orthogonal, the projection is
-B_{k+1} O_k R_k, so R_{k+1} = polar(O_k) R_k, and the step is valid when
-the singular values of O_k are at least 1/2 (a step that fails this is
-cut at its midpoint, down to refine_max_depth).  Since
-sgn det polar(O) = sgn det O, the end block is
+The transported sign from frame overlaps.  Let B_k be the kernel basis
+of [T K] at the k-th certified probe and O_k = B_{k+1}^T B_k.  If every
+N(t) on [l, r] = [t_k, t_{k+1}] is acute to N(l), P_{N(t)} B_l is a
+continuous frame, equal to B_l at l and to B_r O_k at r, so the frame
+carried from B_0 has det(frame_N[n:]) = det(B_N[n:]) prod_k sgn det O_k.
+A rotation q of B_0 multiplies both end determinants by det q.  So no
+frame is carried: one stacked product for the O_k, one stacked SVD for
+the rounding check and one stacked det.
 
-    det(frame_N[n:]) = det(B_N[n:]) * prod_k sgn det O_k
+Acuteness follows from a projector bound (Wedin 1973; Stewart 1977).
+For M and M' of full row rank n with row-space projections P and P',
+(I - P) M'^T = (I - P)(M' - M)^T and P' = M'^T (M'^+)^T, so, the ranks
+being equal, ||P - P'||_2 = ||(I - P) P'||_2 <= ||M - M'||_2 ||M'^+||_2,
+and the same with M and M' swapped.  The kernels are the complements,
+and ||M^+||_2 = 1 / sigma_min(M), so for M = [T_l K], M' = [T_t K]
 
-for the initial frame B_0 (R_0 = I); a rotation q of B_0 multiplies both
-end determinants by det q and leaves the sign alone.  So no frame is
-carried: one stacked product for the O_k, one stacked SVD of their
-singular values for the check and one stacked det give the sign.
+    sin Theta(N(t), N(l)) <= ||T(t) - T(l)||_2 / max(ml, sigma(t))
+                          <= x / max(ml, sigma(t)).
+
+If x < ml, this is below 1.  If x >= ml, the rule gives
+ml + y <= x + y < (ml + mr) / 2, so mr > ml + 2 y > x + y, and
+x < mr - y <= sigma(t) by Weyl.  Under move < ml + mr the case x >= ml
+is left open: the kernel may turn past pi / 2, and O_k cannot tell a
+turn by theta from one by pi - theta.  So no step is ever cut.
+
+Rounding.  Each probe the scan keeps has a margin of at least its
+trigger, 1e-6 scale.  The SVD is backward stable: a computed basis spans
+the kernel of [T K] + E, ||E||_2 <= p eps ||[T K]||_2 <= p eps (M +
+scale), M ``specflow``'s bound (``_norm_bound``), p = 64 (n + v) as
+``specflow`` takes 64 n.  The projector bound puts it within
+e = p eps (M + scale) / trigger of an exact kernel basis, so each O_k is
+within about 2 e of an exact overlap.  Above 2 e, sigma_min(O_k) gives
+the exact sign by Weyl; at or below it the transport raises
+``OrientationTransportError``.
 """
 
 from dataclasses import dataclass
@@ -118,7 +130,7 @@ __all__ = [
 
 
 class OrientationTransportError(RuntimeError):
-    """Certification or frame transport failed after refinement."""
+    """Stabilizer certification or frame transport failed."""
 
 
 @dataclass
@@ -198,12 +210,7 @@ def _scan_stabilizer(path, K, scale, cfg):
         return False, dirs, None
     left, right, ml, mr = ts[:-1], ts[1:], margins[:-1], margins[1:]
     for depth in range(cfg.refine_max_depth + 1):
-        # The margin (ml + mr) / 4 matters for the sign, not only for
-        # surjectivity: move < ml + mr would still keep sigma_min > 0,
-        # but the probes then lie so far apart that the kernel can turn
-        # past what the overlap check of ``_transport_frame`` sees.  That
-        # rule fails test_full_space_stabilizer_matches (+1 where -1 is
-        # right) and four other orient and acceptance tests.
+        # the half keeps each kernel acute to its left end's (module docstring)
         split = ~(path.chord_norms(left, right) < 0.5 * (ml + mr))
         if not split.any():
             return True, None, dict(sorted(bases.items()))
@@ -227,7 +234,7 @@ def _span(columns):
 def _collect_stabilizer(path, cfg, scale, V):
     """Constant stabilizer covering every near-singular parameter, grown
     from V (orthonormal columns) as in the module docstring; ``scale`` is
-    the largest entry magnitude of the samples, floored at 1.  The scan
+    the largest entry magnitude of the samples.  The scan
     takes K = scale V, sized like T, since its trigger is relative to
     scale: sigma_min [T K] >= scale on the full space.  Returns (K,
     bases) with ``bases`` as from a certifying ``_scan_stabilizer``."""
@@ -242,51 +249,39 @@ def _collect_stabilizer(path, cfg, scale, V):
         V = grown if grown.shape[1] > V.shape[1] else np.eye(path.n)
 
 
-def _transport_frame(path, K, bases, cfg):
+def _transport_frame(path, K, bases, scale):
     """Both endpoint stabilizer-block determinants of the kernel frame
     carried along the probes of ``bases`` (time to kernel basis of [T K],
-    in increasing order), from the signs of the frame overlaps (module
-    docstring).  Sub-steps take one stacked SVD per level."""
+    in increasing order, as a certifying ``_scan_stabilizer`` returns
+    them at ``scale``), from the signs of the frame overlaps (module
+    docstring)."""
     n, v = path.n, K.shape[1]
-    stack = list(bases.values())
-    if stack[0].shape[1] != v:
+    if any(b.shape[1] != v for b in bases.values()):
         raise OrientationTransportError("kernel dimension is not the stabilizer rank")
-    if any(b.shape[1] != v for b in stack):
-        raise OrientationTransportError("kernel dimension changed along the path")
     if v == 0:
         return 1.0, 1.0
-    times = np.array(list(bases))
-    left, right, lb, rb = times[:-1], times[1:], np.array(stack[:-1]), np.array(stack[1:])
-    sign = 1.0
-    for depth in range(cfg.refine_max_depth + 1):
-        overlap = np.matmul(rb.transpose(0, 2, 1), lb)
-        fine = np.linalg.svd(overlap, compute_uv=False).min(axis=1) >= 0.5
-        sign *= np.prod(np.sign(np.linalg.det(overlap[fine])))
-        if fine.all():
-            break
-        if depth == cfg.refine_max_depth:
-            raise OrientationTransportError("projection between samples is rank-deficient: grid too coarse")
-        left, right, lb, rb = (x[~fine] for x in (left, right, lb, rb))
-        mid = 0.5 * (left + right)
-        _, s, vt = _block_svds(path, K, mid)
-        if np.any(detsign._rank(s) != n):
-            raise OrientationTransportError("kernel dimension changed along the path")
-        mb = vt[:, n:].transpose(0, 2, 1)
-        left, right, lb, rb = (np.concatenate(x) for x in ((left, mid), (mid, right), (lb, mb), (mb, rb)))
-    det_a, det_b = np.linalg.det(np.array([stack[0][n:], stack[-1][n:]]))
+    stack = np.array(list(bases.values()))
+    overlap = np.matmul(stack[1:].transpose(0, 2, 1), stack[:-1])
+    # 2 e of the module docstring, with the scan's trigger 1e-6 scale
+    allowance = 128.0 * (n + v) * np.finfo(float).eps * (sfmod._norm_bound(path) + scale) / (1e-6 * scale)
+    if not np.linalg.svd(overlap, compute_uv=False).min() > allowance:
+        raise OrientationTransportError("a frame overlap is singular to rounding")
+    sign = np.prod(np.sign(np.linalg.det(overlap)))
+    det_a, det_b = np.linalg.det(stack[[0, -1], n:])
     return float(det_a), float(det_b * sign)
 
 
 def _transport_det(path, cfg, start=None):
     """(sign, stabilizer rank) of the kernel-bundle route, with the
     stabilizer grown from ``start`` (orthonormal columns; none when None)."""
-    scale = max(1.0, path.top)
+    scale = path.top
     floor = cfg.kernel_threshold_rel * scale
-    if np.abs(sfmod._end_spectra(path)).min() < floor:
+    # not above the floor: a zero path, whose floor is 0, is singular too
+    if not np.abs(sfmod._end_spectra(path)).min() > floor:
         raise ValueError("endpoint is singular: kernel-bundle route undefined")
     V = np.zeros((path.n, 0)) if start is None else start
     K, bases = _collect_stabilizer(path, cfg, scale, V)
-    det_a, det_b = _transport_frame(path, K, bases, cfg)
+    det_a, det_b = _transport_frame(path, K, bases, scale)
     if abs(det_a) < 1e-12 or abs(det_b) < 1e-12:
         raise OrientationTransportError("stabilizer block is numerically singular")
     return (1 if det_a * det_b > 0 else -1), K.shape[1]

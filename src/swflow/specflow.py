@@ -794,6 +794,11 @@ def _spectra(path, times):
     return _chunked_spectra(path, len(times), lambda lo, hi: path.block_values(times[lo:hi]))
 
 
+def _norm_bound(path):
+    """M of the module docstring, a bound on ||A(t)||_2 at every probe."""
+    return path.n * path.top + max(abs(path.a), abs(path.b)) * float(path.slope_norms().max())
+
+
 def _end_spectra(path):
     """Sorted spectra of the path's first and last samples, by blocks."""
     return _block_spectra(path.sample_blocks(slice(None, None, path.t_samples.size - 1)))
@@ -999,8 +1004,7 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
     ts = path.t_samples
     left, right = ts[:-1], ts[1:]
     # the rounding allowance of the certificate (module docstring)
-    bound = path.n * path.top + max(abs(path.a), abs(path.b)) * float(path.slope_norms().max())
-    allowance = 64.0 * path.n * np.finfo(float).eps * bound
+    allowance = 64.0 * path.n * np.finfo(float).eps * _norm_bound(path)
     # crossing windows need segments where the path is affine, and a
     # window at a sample needs a path interpolated between its samples
     affine = path.curvature == 0.0

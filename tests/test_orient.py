@@ -96,14 +96,13 @@ def test_initial_frame_randomization_invariance():
     for _ in range(15):
         path = random_invertible_endpoint_path(rng, 5)
         base = orient.orientation_transport_det(path)
-        scale = max(1.0, np.abs(path.values).max())
-        K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
+        K, bases = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
         v = K.shape[1]
         if v:
             q, _ = np.linalg.qr(rng.standard_normal((v, v)))
             first = next(iter(bases))
             bases[first] = bases[first] @ q
-        det_a, det_b = orient._transport_frame(path, K, bases, cfg)
+        det_a, det_b = orient._transport_frame(path, K, bases, path.top)
         assert (1 if det_a * det_b > 0 else -1) == base
 
 
@@ -128,6 +127,28 @@ def test_large_paths_transport_with_the_flow_sign(c):
     assert (rep.sf, rep.eps_det, rep.eps_sf) == (2, 1, 1)
     full, _ = orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3))
     assert full == 1
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-4, 1e-2, 1.0, 1e9])
+def test_the_determinant_route_does_not_depend_on_the_path_scale(s):
+    # scale = path.top with no floor at 1: the endpoint floor, the trigger
+    # and the stabilizer K = scale V all shrink with the path.  A floor at
+    # 1 would put the endpoints of s = 1e-9 below an absolute floor 1e-8,
+    # and at s = 1e-6 and 1e-4 K = V would swamp T, leaving a stabilizer
+    # block below 1e-12.  Two eigenvalues cross 0.
+    path = sf.HermitianPath.affine(s * np.diag([-1.0, -0.5, 2.0]), 2.0 * s * np.eye(3), 0.0, 1.0)
+    assert orient.orientation_transport_det(path) == 1
+    assert orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3)) == (1, 3)
+    # a generic 6 x 6 affine path, whose flow is odd at every scale
+    a, b = (m + m.T for m in np.random.default_rng(0).standard_normal((2, 6, 6)))
+    assert orient.orientation_transport_det(sf.HermitianPath.affine(s * a, s * b, -1.0, 1.0)) == -1
+
+
+def test_a_zero_path_has_singular_endpoints():
+    # its endpoint floor is 0, and its least |eigenvalue| is not above it
+    path = sf.HermitianPath.affine(np.zeros((3, 3)), np.zeros((3, 3)), 0.0, 1.0)
+    with pytest.raises(ValueError, match="singular"):
+        orient.orientation_transport_det(path)
 
 
 def test_full_rank_stabilizer_that_fails_raises(monkeypatch):
@@ -427,8 +448,7 @@ def test_scan_certifies_a_quarter_of_the_end_margins_on_affine_paths():
     cfg = sf.SpectralFlowConfig()
     for _ in range(30):
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)))
-        scale = max(1.0, np.abs(path.values).max())
-        K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
+        K, bases = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
         grid = list(bases)
         margins = [smallest_singular_value(path, K, t) for t in grid]
         for l, r, ml, mr in zip(grid, grid[1:], margins, margins[1:]):
@@ -467,8 +487,7 @@ def test_failing_scan_reaches_its_trigger_in_few_svds(monkeypatch):
             paths.append(path)
     calls = count_decompositions(monkeypatch)
     for path in paths:
-        scale = max(1.0, np.abs(path.values).max())
-        certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((6, 0)), scale, cfg)
+        certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((6, 0)), path.top, cfg)
         assert not certified and dirs.shape[1] >= 1
     assert calls["svd"] <= 160
     assert calls["svd"] + calls["eigvalsh"] <= 64
@@ -545,35 +564,66 @@ def polar_transport(path, K, bases, cfg):
     return det_a, np.linalg.det(frame[n:])
 
 
-def test_overlap_signs_give_the_polar_transport(monkeypatch):
+def test_overlap_signs_give_the_polar_transport():
     # the product of sgn det O_k gives the end determinant of the frame
-    # carried by polar steps, on the certified probes and on coarser grids
-    # whose steps need sub-steps
+    # carried by polar steps, on the scan's own probes, with the
+    # unseeded stabilizer and with the full space
     cfg = sf.SpectralFlowConfig()
     rng = np.random.default_rng(71)
-    calls = [0]
-    svds = orient._block_svds
-
-    def counted(*args):
-        calls[0] += 1
-        return svds(*args)
-
-    monkeypatch.setattr(orient, "_block_svds", counted)
-    checked = substeps = 0
+    checked = 0
     while checked < 12:
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)), ["affine", "smooth"][checked % 2])
-        scale = max(1.0, np.abs(path.values).max())
-        K, bases = orient._collect_stabilizer(path, cfg, scale, np.zeros((path.n, 0)))
+        unseeded = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
+        if unseeded[0].shape[1] == 0:
+            continue
+        checked += 1
+        for K, bases in (unseeded, orient._collect_stabilizer(path, cfg, path.top, np.eye(path.n))):
+            want = polar_transport(path, K, bases, cfg)
+            got = orient._transport_frame(path, K, bases, path.top)
+            assert np.sign(got[0] * got[1]) == np.sign(want[0] * want[1])
+            assert np.allclose(np.abs(got), np.abs(want), rtol=1e-8)
+
+
+def test_an_overlap_singular_to_rounding_raises():
+    # neighbouring kernel bases that are orthogonal give O_k = 0, below
+    # the rounding allowance: the sign is undecided, and the transport
+    # raises the typed error
+    path = sf.HermitianPath.affine(np.diag([-0.3, 2.0]), np.diag([1.0, 0.0]), 0.0, 1.0)
+    K = path.top * np.eye(2)[:, :1]
+    bases = {0.0: np.eye(3)[:, :1], 1.0: np.eye(3)[:, 1:2]}
+    with pytest.raises(orient.OrientationTransportError, match="rounding"):
+        orient._transport_frame(path, K, bases, path.top)
+
+
+def kernel_projector(path, K, t):
+    """(projection onto ker [T_t K], sigma_min [T_t K])."""
+    _, s, vt = np.linalg.svd(np.hstack([path.evaluate(t), K]))
+    basis = vt[path.n :].T
+    return basis @ basis.T, s[-1]
+
+
+def test_kernels_stay_acute_inside_every_certified_interval():
+    # at interior times t of each certified interval [l, r] the projector
+    # bound sin Theta(N(t), N(l)) <= ||T(t) - T(l)||_2 / max(ml, sigma(t))
+    # holds, and the scan's rule keeps it below 1 (module docstring)
+    cfg = sf.SpectralFlowConfig()
+    rng = np.random.default_rng(73)
+    checked = worst = 0
+    while checked < 8:
+        path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)), ["affine", "smooth"][checked % 2])
+        K, bases = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
         if K.shape[1] == 0:
             continue
         checked += 1
         grid = list(bases)
-        for every in (1, 4, 16, len(grid)):
-            coarse = {t: bases[t] for t in grid[::every] + grid[-1:]}
-            want = polar_transport(path, K, coarse, cfg)
-            before = calls[0]
-            got = orient._transport_frame(path, K, coarse, cfg)
-            substeps += calls[0] - before
-            assert np.sign(got[0] * got[1]) == np.sign(want[0] * want[1])
-            assert np.allclose(np.abs(got), np.abs(want), rtol=1e-8)
-    assert substeps > 0
+        for l, r in zip(grid, grid[1:]):
+            at_l, ml = kernel_projector(path, K, l)
+            for t in np.linspace(l, r, 7)[1:-1]:
+                at_t, sigma = kernel_projector(path, K, t)
+                sin = np.linalg.norm(at_t - at_l, 2)
+                bound = np.linalg.norm(path.evaluate(t) - path.evaluate(l), 2) / max(ml, sigma)
+                assert sin <= bound + 1e-9
+                assert bound < 1
+                worst = max(worst, bound)
+    # the bound is not empty: some interior kernel turns a fair way
+    assert worst > 0.5

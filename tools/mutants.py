@@ -97,8 +97,8 @@ MUTANTS = [
     Mutant(
         "frame-overlap-signs-dropped",
         "src/swflow/orient.py",
-        "sign *= np.prod(np.sign(np.linalg.det(overlap[fine])))",
-        "sign *= 1.0",
+        "sign = np.prod(np.sign(np.linalg.det(overlap)))",
+        "sign = 1.0",
         ("tests/test_orient.py",),
     ),
     Mutant(
@@ -118,7 +118,7 @@ MUTANTS = [
     Mutant(
         "allowance-zero",
         "src/swflow/specflow.py",
-        "allowance = 64.0 * path.n * np.finfo(float).eps * bound",
+        "allowance = 64.0 * path.n * np.finfo(float).eps * _norm_bound(path)",
         "allowance = 0.0",
         ("tests/test_specflow.py::test_a_crossing_on_a_sample_takes_its_window_on_both_sides[True-True]",),
     ),
@@ -134,7 +134,15 @@ MUTANTS = [
         "src/swflow/orient.py",
         "< 0.5 * (ml + mr))",
         "< (ml + mr))",
-        ("tests/test_orient.py::test_full_space_stabilizer_matches",),
+        ("tests/test_orient.py::test_full_space_stabilizer_matches",
+         "tests/test_orient.py::test_kernels_stay_acute_inside_every_certified_interval"),
+    ),
+    Mutant(
+        "orient-scale-floored-at-one",
+        "src/swflow/orient.py",
+        "scale = path.top\n",
+        "scale = max(1.0, path.top)\n",
+        ("tests/test_orient.py::test_the_determinant_route_does_not_depend_on_the_path_scale",),
     ),
     Mutant(
         "transport-seed-dropped",
