@@ -310,7 +310,7 @@ def _crossing_kernels(path, cfg, rep):
     the crossings recorded in ``rep``, or None when it records none."""
     if not rep.crossings:
         return None
-    floor = cfg.kernel_threshold_rel * max(1.0, path.top)
+    floor = cfg.kernel_threshold_rel * path.top
     frames = []
     for rec in rep.crossings:
         _, _, w, rows = sfmod._kernel_frame(path, floor, rep.delta_used, t=rec.t)

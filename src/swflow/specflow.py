@@ -952,9 +952,9 @@ def _endpoint_flow(eigs_a, eigs_b, scale, cfg):
 
     Returns (sf, delta): the shift of ``_initial_shift`` and
     sf = N(a) - N(b), N counting eigenvalues below it.  ``scale`` is the
-    largest entry magnitude over both endpoints, floored at 1, and the
-    spectra need not be sorted.  Only cfg.kernel_threshold_rel and
-    cfg.delta_cap are read."""
+    caller's largest entry magnitude (``spectral_flow`` reads the path's,
+    unfloored), and the spectra need not be sorted.  Only
+    cfg.kernel_threshold_rel and cfg.delta_cap are read."""
     delta = _initial_shift(eigs_a, eigs_b, scale, cfg)
     return _below(eigs_a, delta) - _below(eigs_b, delta), delta
 
@@ -1124,7 +1124,7 @@ def spectral_flow(path, cfg=None):
         cfg = SpectralFlowConfig()
     if path.top == 0.0:
         raise SpectralFlowError("every sample of the path is zero: no shift is admissible")
-    scale = max(1.0, path.top)
+    scale = path.top
     eigs_a, eigs_b = _end_spectra(path)
     spectra = {path.a: eigs_a, path.b: eigs_b}
     if cfg.endpoint_count_only:

@@ -733,6 +733,46 @@ def extended_hessian(c):
     return _assemble_hessian(c, extended=True)
 
 
+def _pair_defect(block, mirror, tile=256):
+    """max |block - mirror^H| over the real and imaginary parts, NaN when
+    either holds a NaN.  Taken ``tile`` rows of block at a time, so no
+    temporary is the size of the block."""
+    return float(np.max(
+        [
+            sfmod._max_abs((block[i : i + tile] - mirror[:, i : i + tile].T.conj()).view(float))
+            for i in range(0, block.shape[0], tile)
+        ],
+        initial=0.0,
+    ))
+
+
+def _hessian_by_blocks(c, vec):
+    """(defect, product) of ``sw_hessian(c)``, from the blocks that
+    ``_assemble_hessian`` writes into it: D_A, block_a and block_q of
+    ``_coupling_blocks``, and -*d.  The Hessian is not assembled.
+
+    Each pair (i, j) of the Hessian is a pair of D_A - D_A^H (the
+    realification holds its real and imaginary parts), of block_a -
+    block_q^T, or of -*d - (-*d)^T, so the defect is specflow._sym_defect
+    of the Hessian bit for bit.  For vec = (x, y, v_a) the product is
+    ([Re z, Im z] + block_a v_a, block_q (x, y) + (-*d) v_a), z = D_A (x + i y).
+    """
+    tr = c.trunc
+    m = tr.mode_count
+    d = _dirac_matrix(c)
+    out = (np.zeros((4 * m, 3 * m)), None, np.zeros((3 * m, 4 * m)), None)
+    block_a, _, block_q, _ = _coupling_blocks(tr, c.psi, out=out)
+    minus_star_d = _first_order(tr).minus_star_d
+    defect = float(np.max([
+        _pair_defect(d, d), _pair_defect(block_a, block_q), _pair_defect(minus_star_d, minus_star_d)
+    ]))
+    spinor, v_a = vec[: 4 * m], vec[4 * m :]
+    z = d @ (spinor[: 2 * m] + 1j * spinor[2 * m :])
+    product = np.concatenate([z.real, z.imag, block_q @ spinor + minus_star_d @ v_a])
+    product[: 4 * m] += block_a @ v_a
+    return defect, product
+
+
 # ------------------------------------------------------- sign and count
 
 
@@ -962,7 +1002,7 @@ def _reducible_endpoint(c, dirac=None):
 def _check_transposed(block, mirror, scale):
     """Reject a coupling block that is not the transpose of its mirror to
     the tolerance of specflow._check_symmetric at ``scale``."""
-    if sfmod._max_abs(block - mirror.T) > 1e-12 * max(1.0, scale):
+    if _pair_defect(block, mirror) > 1e-12 * max(1.0, scale):
         raise ValueError("extended Hessian is not symmetric within tolerance")
 
 

@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,13 @@ def test_torus_gauge_period_is_flowed_crossing_by_crossing(tmp_path):
     assert rec["pass"] and rep.sf == 0
 
 
-def test_swcheck_passes(tmp_path):
+def test_swcheck_passes(tmp_path, monkeypatch):
+    # the Hessian and kernel records read the operators' blocks
+    def forbidden(c):
+        raise AssertionError("a dense Hessian was assembled")
+
+    monkeypatch.setattr(cli.sl, "sw_hessian", forbidden)
+    monkeypatch.setattr(cli.sl, "extended_hessian", forbidden)
     out = tmp_path / "s.json"
     code = run_cli(["swcheck", "--seed", "7", "--cutoff", "2", "--trials", "3", "--out", str(out)])
     assert code == 0
@@ -122,21 +129,41 @@ def test_swcheck_passes(tmp_path):
 
 def test_swcheck_kernel_record_fails_on_a_coupled_hessian(tmp_path, monkeypatch):
     # the kernel record takes its spectrum by blocks only after checking
-    # that the assembled reducible Hessian has zero coupling blocks
-    hessian = cli.sl.extended_hessian
+    # that the coupling blocks the reducible Hessian is assembled from are
+    # zero; a fault in the function block reaches the assembled Hessian
+    blocks = cli.sl._coupling_blocks
 
-    def coupled(c):
-        h = hessian(c)
-        h[0, -1] = h[-1, 0] = 1e-300
-        return h
+    def coupled(trunc, psi, out=None):
+        got = blocks(trunc, psi, out)
+        if got[1] is not None:
+            got[1][0, -1] = 1e-300
+        return got
 
-    monkeypatch.setattr(cli.sl, "extended_hessian", coupled)
+    monkeypatch.setattr(cli.sl, "_coupling_blocks", coupled)
+    tr = tm.TorusTruncation(2)
+    h = cli.sl.extended_hessian(cli.sl.Configuration(tr, np.zeros((tr.mode_count, 2)), np.zeros(3)))
+    assert h[0, -1] != 0.0
     out = tmp_path / "k.json"
     code = run_cli(["swcheck", "--seed", "7", "--cutoff", "2", "--trials", "1", "--out", str(out)])
     assert code == 1
     _, payload = read_json(out)
     failed = [rec["id"] for rec in payload["results"] if not rec["pass"]]
     assert failed == ["kernel"]
+
+
+def test_swcheck_at_cutoff_3_stays_below_one_dense_hessian(tmp_path):
+    # one dense sw_hessian at cutoff 3 is 2401^2 doubles, 44 MiB; the
+    # Hessian records read its blocks and the kernel record the zero
+    # coupling blocks, so the traced peak of a warm call stays below it
+    args = ["swcheck", "--seed", "7", "--cutoff", "3", "--trials", "2", "--out", str(tmp_path / "s.json")]
+    assert run_cli(args) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2401**2 * 8
 
 
 def test_swcheck_small_cutoff_is_margin_error(tmp_path, capsys):

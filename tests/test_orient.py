@@ -144,6 +144,23 @@ def test_the_determinant_route_does_not_depend_on_the_path_scale(s):
     assert orient.orientation_transport_det(sf.HermitianPath.affine(s * a, s * b, -1.0, 1.0)) == -1
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-4, 1e-2, 1.0, 1e9])
+def test_the_flow_route_does_not_depend_on_the_path_scale(s):
+    # The kernel floor is kernel_threshold_rel * path.top, with no floor at
+    # 1.  A floor at 1 would put every endpoint eigenvalue of s = 1e-9
+    # below 1e-8, and the shift would fall back to delta_cap / 2, above
+    # the whole spectrum: sf 0.  The crossing kernels that seed the
+    # determinant route read the same floor; at 1e-8 the kernel at the
+    # crossing would be the whole space.
+    path = sf.HermitianPath.affine(s * np.diag([-1.0, -0.5, 2.0]), 2.0 * s * np.eye(3), 0.0, 1.0)
+    rep = sf.spectral_flow(path)
+    assert rep.sf == 2 and len(rep.crossings) == 2
+    assert 0.0 < rep.delta_used < 0.5 * s
+    assert orient.transport_report(path) == orient.TransportReport(
+        eps_det=1, eps_sf=1, sf=2, stabilizer_dim=2
+    )
+
+
 def test_a_zero_path_has_singular_endpoints():
     # its endpoint floor is 0, and its least |eigenvalue| is not above it
     path = sf.HermitianPath.affine(np.zeros((3, 3)), np.zeros((3, 3)), 0.0, 1.0)

@@ -474,6 +474,41 @@ def test_hessian_block_diagonal_at_reducibles():
     assert np.max(np.abs(h[:ns, :ns] - dirac)) < 1e-12
 
 
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_hessian_by_blocks_is_the_assembled_hessian(cutoff):
+    # the blocks are the assembled Hessian's own entries: the defect is
+    # the dense one bit for bit, and the product differs only in the
+    # order of its sums
+    rng = np.random.default_rng(95)
+    tr = tm.TorusTruncation(cutoff)
+    for _ in range(2):
+        c = sl.random_configuration(tr, rng)
+        vec = rng.standard_normal(7 * tr.mode_count)
+        h = sl.sw_hessian(c)
+        defect, product = sl._hessian_by_blocks(c, vec)
+        want = h @ vec
+        assert defect == sfmod._sym_defect(h)
+        assert np.max(np.abs(product - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_hessian_defect_reads_a_coupling_block_off_its_mirror(monkeypatch):
+    rng = np.random.default_rng(96)
+    tr = tm.TorusTruncation(2)
+    c = sl.random_configuration(tr, rng)
+    blocks = sl._coupling_blocks
+    eps = 1e-9
+
+    def perturbed(trunc, psi, out=None):
+        got = blocks(trunc, psi, out)
+        got[2][5, 300] += eps
+        return got
+
+    vec = rng.standard_normal(7 * tr.mode_count)
+    assert sl._hessian_by_blocks(c, vec)[0] < 1e-15
+    monkeypatch.setattr(sl, "_coupling_blocks", perturbed)
+    assert sl._hessian_by_blocks(c, vec)[0] == pytest.approx(eps, rel=1e-6, abs=0.0)
+
+
 # ------------------------------------------------------------- gauge action
 
 

@@ -186,6 +186,27 @@ MUTANTS = [
         "= flat[idx][..., ::-1, :]",
         ("tests/test_swlocal.py::test_operators_match_dense_reference[1]",),
     ),
+    Mutant(
+        "hessian-product-drops-coupling",
+        "src/swflow/swlocal.py",
+        "product[: 4 * m] += block_a @ v_a",
+        "product[: 4 * m] += 0.0",
+        ("tests/test_swlocal.py::test_hessian_by_blocks_is_the_assembled_hessian[2]",),
+    ),
+    Mutant(
+        "kernel-split-unchecked",
+        "src/swflow/cli.py",
+        "split = not any(",
+        "split = True or not any(",
+        ("tests/test_cli.py::test_swcheck_kernel_record_fails_on_a_coupled_hessian",),
+    ),
+    Mutant(
+        "spectral-flow-scale-floored-at-one",
+        "src/swflow/specflow.py",
+        "scale = path.top\n",
+        "scale = max(1.0, path.top)\n",
+        ("tests/test_orient.py::test_the_flow_route_does_not_depend_on_the_path_scale",),
+    ),
 ]
 
 
