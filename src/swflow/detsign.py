@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specflow as sfmod
+
 __all__ = [
     "ExactnessError",
     "StabilizerError",
@@ -362,7 +364,7 @@ def stabilizer_composition_check(T, K1, K2, tol=1e-10, rng=None):
     return ok, {"route_split": split.coeff, "route_joint": joint.coeff, "diff": diff}
 
 
-def selfadjoint_det_pairing(T, coeff=1.0, sym_tol=1e-12):
+def selfadjoint_det_pairing(T, coeff=1.0):
     """Scalar obtained by pairing det(ker T) against its own dual.
 
     For symmetric T the input det(ker T) (x) (det ker T)* element with
@@ -372,9 +374,7 @@ def selfadjoint_det_pairing(T, coeff=1.0, sym_tol=1e-12):
     a = T.matrix
     if a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if a.size and np.abs(a - a.T).max() > sym_tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    sfmod._check_pair(sfmod._pair_defect(a, a), sfmod._max_abs(a), "matrix")
     n0 = T.kernel_dim
     exp = n0 * (n0 + 1) // 2
     return (-1.0 if exp % 2 else 1.0) * coeff

@@ -156,13 +156,14 @@ def _block_svds(path, K, times):
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _scan_stabilizer(path, K, scale, cfg):
+def _scan_stabilizer(path, K, scale):
     """Certify that [T_t K] stays surjective, or return directions to add.
 
     A probe triggers below a margin of 1e-6 scale (``scale`` as in
     ``_collect_stabilizer``) and collects the directions below 1e-3 scale.
-    Intervals are certified by move < (ml + mr) / 2, level by level, with
-    Newton points and the failing probe as in the module docstring.
+    Intervals are certified by move < (ml + mr) / 2, level by level up to
+    ``specflow.MAX_DEPTH`` levels, with Newton points and the failing
+    probe as in the module docstring.
 
     Returns (certified, new_directions, bases): on success ``bases``
     maps each probed time, in increasing order, to the kernel basis of
@@ -209,13 +210,16 @@ def _scan_stabilizer(path, K, scale, cfg):
     if dirs is not None:
         return False, dirs, None
     left, right, ml, mr = ts[:-1], ts[1:], margins[:-1], margins[1:]
-    for depth in range(cfg.refine_max_depth + 1):
+    for depth in range(sfmod.MAX_DEPTH + 1):
         # the half keeps each kernel acute to its left end's (module docstring)
         split = ~(path.chord_norms(left, right) < 0.5 * (ml + mr))
         if not split.any():
             return True, None, dict(sorted(bases.items()))
-        if depth == cfg.refine_max_depth:
-            raise OrientationTransportError("cannot certify the stabilizer: refinement depth exceeded")
+        if depth == sfmod.MAX_DEPTH:
+            raise OrientationTransportError(
+                "cannot certify the stabilizer: depth %d exceeded at trigger %.3g (no shift); %s"
+                % (sfmod.MAX_DEPTH, trigger, sfmod._open(left[split], right[split]))
+            )
         left, right, ml, mr = (x[split] for x in (left, right, ml, mr))
         mid = 0.5 * (left + right)
         mm, dirs = probe(mid)
@@ -231,7 +235,7 @@ def _span(columns):
     return u[:, : int(detsign._rank(s))]
 
 
-def _collect_stabilizer(path, cfg, scale, V):
+def _collect_stabilizer(path, scale, V):
     """Constant stabilizer covering every near-singular parameter, grown
     from V (orthonormal columns) as in the module docstring; ``scale`` is
     the largest entry magnitude of the samples.  The scan
@@ -240,7 +244,7 @@ def _collect_stabilizer(path, cfg, scale, V):
     bases) with ``bases`` as from a certifying ``_scan_stabilizer``."""
     while True:
         K = scale * V
-        certified, dirs, bases = _scan_stabilizer(path, K, scale, cfg)
+        certified, dirs, bases = _scan_stabilizer(path, K, scale)
         if certified:
             return K, bases
         if V.shape[1] == path.n:
@@ -271,31 +275,29 @@ def _transport_frame(path, K, bases, scale):
     return float(det_a), float(det_b * sign)
 
 
-def _transport_det(path, cfg, start=None):
+def _transport_det(path, start=None):
     """(sign, stabilizer rank) of the kernel-bundle route, with the
     stabilizer grown from ``start`` (orthonormal columns; none when None)."""
     scale = path.top
-    floor = cfg.kernel_threshold_rel * scale
+    floor = sfmod.KERNEL_REL * scale
     # not above the floor: a zero path, whose floor is 0, is singular too
     if not np.abs(sfmod._end_spectra(path)).min() > floor:
         raise ValueError("endpoint is singular: kernel-bundle route undefined")
     V = np.zeros((path.n, 0)) if start is None else start
-    K, bases = _collect_stabilizer(path, cfg, scale, V)
+    K, bases = _collect_stabilizer(path, scale, V)
     det_a, det_b = _transport_frame(path, K, bases, scale)
     if abs(det_a) < 1e-12 or abs(det_b) < 1e-12:
         raise OrientationTransportError("stabilizer block is numerically singular")
     return (1 if det_a * det_b > 0 else -1), K.shape[1]
 
 
-def orientation_transport_det(path, cfg=None):
+def orientation_transport_det(path):
     """Transported orientation sign via the kernel-bundle trivialization.
 
     Requires invertible endpoints.  The sign depends neither on the
     stabilizer nor on the initial kernel frame (module docstring); a
     stabilizer that cannot be certified raises OrientationTransportError."""
-    if cfg is None:
-        cfg = sfmod.SpectralFlowConfig()
-    eps, _ = _transport_det(path, cfg)
+    eps, _ = _transport_det(path)
     return eps
 
 
@@ -305,12 +307,12 @@ def orientation_transport_sf(path, cfg=None):
     return 1 if flow % 2 == 0 else -1
 
 
-def _crossing_kernels(path, cfg, rep):
+def _crossing_kernels(path, rep):
     """Orthonormal basis of the union of the kernels of A - delta_used at
     the crossings recorded in ``rep``, or None when it records none."""
     if not rep.crossings:
         return None
-    floor = cfg.kernel_threshold_rel * path.top
+    floor = sfmod.KERNEL_REL * path.top
     frames = []
     for rec in rep.crossings:
         _, _, w, rows = sfmod._kernel_frame(path, floor, rep.delta_used, t=rec.t)
@@ -331,10 +333,8 @@ def transport_report(path, cfg=None):
     does not depend on the stabilizer (module docstring).  So
     ``stabilizer_dim`` is the rank of the seeded stabilizer, which may
     exceed the rank that ``orientation_transport_det`` grows to."""
-    if cfg is None:
-        cfg = sfmod.SpectralFlowConfig()
     rep = sfmod.spectral_flow(path, cfg)
-    eps_det, vdim = _transport_det(path, cfg, _crossing_kernels(path, cfg, rep))
+    eps_det, vdim = _transport_det(path, _crossing_kernels(path, rep))
     return TransportReport(
         eps_det=eps_det,
         eps_sf=1 if rep.sf % 2 == 0 else -1,

@@ -256,13 +256,18 @@ class _DegenerateCrossing(Exception):
     pass
 
 
+# Tolerances no caller sets: the kernel floor relative to the largest
+# entry, the delta halvings of a spectral_flow call, and the refinement
+# depth (also of orient's stabilizer scan).
+KERNEL_REL = 1e-8
+MAX_HALVINGS = 20
+MAX_DEPTH = 80
+
+
 @dataclass
 class SpectralFlowConfig:
     delta_cap: float = 0.5
-    max_halvings: int = 20
-    kernel_threshold_rel: float = 1e-8
     bisection_tol: float = 1e-10
-    refine_max_depth: int = 80
     endpoint_count_only: bool = False
 
 
@@ -303,30 +308,28 @@ def _max_abs(a):
     return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
 
-def _sym_defect(m, tile=256):
-    """max |m - m^T| of a square matrix, or over a stack of them
-    (..., n, n), NaN when m holds a NaN.
-
-    Up to ``tile`` rows this is one m - m^T.  A larger m is visited by
-    tile x tile blocks of its upper triangle, each against its mirror,
-    so every pair (i, j) is seen once and no temporary is larger than a
-    tile; |m_ij - m_ji| is exact and symmetric in i and j, so the
-    maximum is the same bit for bit."""
-    n = m.shape[-1]
-    if n <= tile:
-        return _max_abs(m - np.swapaxes(m, -1, -2))
-    if m.ndim > 2:
-        return float(np.max([_sym_defect(x) for x in m.reshape((-1, n, n))]))
-    starts = range(0, n, tile)
-    return float(np.max([
-        _max_abs(m[i : i + tile, j : j + tile] - m[j : j + tile, i : i + tile].T)
-        for i in starts
-        for j in starts
-        if j >= i
-    ]))
+def _pair_defect(block, mirror, tile=256):
+    """max |block - mirror^H| over real and imaginary parts of (..., r, c)
+    and (..., c, r) stacks, NaN when either holds a NaN; (m, m) gives m's
+    symmetric defect.  Taken ``tile`` rows at a time, so no temporary is
+    the size of the block; each entry is exact, so the maximum is the
+    whole one bit for bit.  ``.conj()`` returns a real array uncopied."""
+    tiles = (np.s_[i : i + tile] for i in range(0, block.shape[-2], tile))
+    return float(np.max(
+        [_max_abs((block[..., r, :] - np.swapaxes(mirror[..., r], -1, -2).conj()).view(float)) for r in tiles],
+        initial=0.0,
+    ))
 
 
-def _check_symmetric(values, tol=1e-12):
+def _check_pair(defect, top, what):
+    """The one symmetry tolerance: reject a ``_pair_defect`` that is not at
+    most 1e-12 max(1, top), top the operator's largest entry magnitude;
+    ``what`` names the operator in the error."""
+    if not defect <= 1e-12 * max(1.0, top):
+        raise ValueError("%s: not symmetric within tolerance (defect %.3g, largest entry %.3g)" % (what, defect, top))
+
+
+def _check_symmetric(values):
     """Reject samples that are not finite or not symmetric, and return
     their largest entry magnitude.
 
@@ -335,15 +338,14 @@ def _check_symmetric(values, tol=1e-12):
     Entries off the blocks are zero, so over blocks the largest entry and
     the defect are those of the whole matrices, and the decision is the
     same bit for bit.  The defect is taken one sample at a time by
-    ``_sym_defect``, so the only temporary is the size of one sample at
+    ``_pair_defect``, so the only temporary is the size of one sample at
     most; 1 x 1 blocks take none."""
     stacks = values if isinstance(values, list) else [values[None] if values.ndim == 2 else values]
     top = float(np.max([_max_abs(s) for s in stacks]))
     if not np.isfinite(top):
         raise ValueError("path samples are not finite")
-    defect = max((_sym_defect(v) for s in stacks if s.shape[-1] > 1 for v in s), default=0.0)
-    if defect > tol * max(1.0, top):
-        raise ValueError("path samples are not symmetric within tolerance")
+    defect = max((_pair_defect(v, v) for s in stacks if s.shape[-1] > 1 for v in s), default=0.0)
+    _check_pair(defect, top, "path samples")
     return top
 
 
@@ -391,7 +393,7 @@ class HermitianPath:
     its derivative A'(t) and a bound gamma >= sup ||A''||_2 on its
     curvature (``slope_norms``), all three or none.  Values and
     derivatives are the callable's, or else come from the stored (const,
-    linear) or the samples (``block_values``, ``slope_at``).  Complex
+    linear) or the samples (``block_values``, ``derivative_at``).  Complex
     Hermitian input is converted on ingest to the doubled real symmetric
     form and flagged, and checked in that form (R - R^T holds the entries
     of v - v^H).
@@ -586,13 +588,6 @@ class HermitianPath:
         size a (samples, count, size, size) stack, a view of the store."""
         return [s[part] for s in self._samples]
 
-    def derivative_at(self, t):
-        """A'(t): the derivative of a curved path, else the slope of an
-        affine or interpolated path (``slope_at`` on every row)."""
-        if self._derivative is not None:
-            return np.asarray(self._derivative(t), dtype=float)
-        return self.slope_at(t, np.arange(self.n))
-
     def slope_norms(self):
         """A bound beta_seg >= sup ||dA/dt||_2 on each sample segment.
 
@@ -640,24 +635,27 @@ class HermitianPath:
         i = int(np.searchsorted(self.t_samples, t, side="right")) - 1
         return min(max(i, 0), self.t_samples.size - 2)
 
-    def slope_at(self, t, rows):
-        """A'(t) on rows x rows, with ``rows`` indices of whole blocks: the
-        slope of a path made by ``affine``, the slope of t's sample segment
-        on an interpolated path, else ``derivative_at(t)`` on a curved
-        path."""
+    def derivative_at(self, t, rows=None):
+        """A'(t), on rows x rows when ``rows`` (indices of whole blocks) is
+        given: the derivative of a curved path, else the slope of a path
+        made by ``affine``, or that of t's sample segment on an
+        interpolated path."""
+        if self._derivative is not None:
+            d = np.asarray(self._derivative(t), dtype=float)
+            return d if rows is None else d[np.ix_(rows, rows)]
+        if rows is None:
+            rows = np.arange(self.n)
         if self._affine is not None:
             return self._affine[1][np.ix_(rows, rows)]
-        if self._func is None:
-            ts, i = self.t_samples, self.segment(t)
-            out = np.zeros((len(rows), len(rows)))
-            hosts = np.zeros(self.n, dtype=bool)
-            hosts[rows] = True
-            for idx, s in zip(self.blocks, self._samples):
-                host = hosts[idx[:, 0]]
-                at = np.searchsorted(rows, idx[host])
-                out[at[:, :, None], at[:, None, :]] = (s[i + 1, host] - s[i, host]) / (ts[i + 1] - ts[i])
-            return out
-        return self.derivative_at(t)[np.ix_(rows, rows)]
+        ts, i = self.t_samples, self.segment(t)
+        out = np.zeros((len(rows), len(rows)))
+        hosts = np.zeros(self.n, dtype=bool)
+        hosts[rows] = True
+        for idx, s in zip(self.blocks, self._samples):
+            host = hosts[idx[:, 0]]
+            at = np.searchsorted(rows, idx[host])
+            out[at[:, :, None], at[:, None, :]] = (s[i + 1, host] - s[i, host]) / (ts[i + 1] - ts[i])
+        return out
 
 
 def _sample(func, grid):
@@ -852,7 +850,7 @@ def crossing_operator(path, t, tol, delta=0.0):
     tol; the result is the k x k symmetric matrix of the compressed
     derivative (empty when A(t) - delta is invertible)."""
     _, _, w, rows = _kernel_frame(path, tol, delta, t=t)
-    return _compressed(w, path.slope_at(t, rows))
+    return _compressed(w, path.derivative_at(t, rows))
 
 
 def _signature(eigs, floor):
@@ -872,7 +870,9 @@ def _window(eigs, ker, form, beta, tol):
     c = float(np.abs(form).min())
     if not (4.0 * m < c * tol and 4.0 * m < g):
         return 0.0
-    h = min(g / (4.0 * beta), c * g / (8.0 * beta * beta)) if beta else np.inf
+    # c / beta times g / (8 beta): c g and beta^2 each underflow to 0 on a
+    # path of scale below about 1e-154, the ratios do not
+    h = min(g / (4.0 * beta), c / beta * (g / (8.0 * beta))) if beta else np.inf
     return h if h > 0.5 * tol else 0.0
 
 
@@ -887,7 +887,7 @@ def _make_record(path, tstar, net, delta, kernel_floor, tol, seg=None):
     k = int(np.count_nonzero(ker))
     if k == 0:
         raise _DegenerateCrossing("no numerical kernel at a located crossing")
-    ceigs = np.linalg.eigvalsh(_compressed(w, path.slope_at(tstar, rows)))
+    ceigs = np.linalg.eigvalsh(_compressed(w, path.derivative_at(tstar, rows)))
     mags = np.abs(ceigs)
     # det scales as c^k, so compare the smallest magnitude, not det
     if mags.max() == 0.0 or mags.min() < 1e-10 * mags.max():
@@ -923,7 +923,7 @@ def _sample_window(path, tstar, rec, delta, kernel_floor, tol):
         return None
     h = []
     for seg in (j - 1, j):
-        form = np.linalg.eigvalsh(_compressed(w, path.slope_at(0.5 * (ts[seg] + ts[seg + 1]), rows)))
+        form = np.linalg.eigvalsh(_compressed(w, path.derivative_at(0.5 * (ts[seg] + ts[seg + 1]), rows)))
         if _signature(form, 0.0) != rec.crossing_signature:
             return None
         h.append(_window(eigs, ker, form, float(path.slope_norms()[seg]), tol))
@@ -941,9 +941,9 @@ def _below(eigs, delta):
 
 def _initial_shift(eigs_a, eigs_b, scale, cfg):
     """Half the smallest endpoint eigenvalue magnitude above the kernel
-    floor cfg.kernel_threshold_rel * scale, capped at cfg.delta_cap / 2."""
+    floor KERNEL_REL * scale, capped at cfg.delta_cap / 2."""
     mags = np.abs(np.concatenate([eigs_a, eigs_b]))
-    nonzero = mags[mags > cfg.kernel_threshold_rel * scale]
+    nonzero = mags[mags > KERNEL_REL * scale]
     return 0.5 * min(float(nonzero.min()) if nonzero.size else cfg.delta_cap, cfg.delta_cap)
 
 
@@ -953,8 +953,8 @@ def _endpoint_flow(eigs_a, eigs_b, scale, cfg):
     Returns (sf, delta): the shift of ``_initial_shift`` and
     sf = N(a) - N(b), N counting eigenvalues below it.  ``scale`` is the
     caller's largest entry magnitude (``spectral_flow`` reads the path's,
-    unfloored), and the spectra need not be sorted.  Only
-    cfg.kernel_threshold_rel and cfg.delta_cap are read."""
+    unfloored), and the spectra need not be sorted.  Only cfg.delta_cap
+    is read."""
     delta = _initial_shift(eigs_a, eigs_b, scale, cfg)
     return _below(eigs_a, delta) - _below(eigs_b, delta), delta
 
@@ -993,13 +993,19 @@ def _secant(spectra, partner, l, r, i, delta):
     return l + (r - l) * (fl / (fl - fr))
 
 
+def _open(left, right):
+    """The intervals [left[j], right[j]] still open, for an error: their
+    number and span."""
+    return "%d intervals open on [%.17g, %.17g]" % (left.size, left.min(initial=np.inf), right.max(initial=-np.inf))
+
+
 def _flow_with_delta(path, delta, cfg, scale, spectra):
     """One refinement pass at shift delta, breadth-first (module docstring).
 
     ``path`` carries slope bounds.  ``spectra`` maps each probed time,
     every sample among them, to its eigenvalues; it outlives the delta
     halvings of one spectral_flow call."""
-    kernel_floor = cfg.kernel_threshold_rel * scale
+    kernel_floor = KERNEL_REL * scale
     tol = cfg.bisection_tol
     ts = path.t_samples
     left, right = ts[:-1], ts[1:]
@@ -1031,7 +1037,10 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
         for j in np.flatnonzero(narrow & (nl != nr)):
             mid = 0.5 * (left[j] + right[j])
             seg = path.segment(mid) if affine else None
-            rec, h = _make_record(path, float(mid), int(nl[j] - nr[j]), delta, kernel_floor, tol, seg)
+            try:
+                rec, h = _make_record(path, float(mid), int(nl[j] - nr[j]), delta, kernel_floor, tol, seg)
+            except _DegenerateCrossing as exc:
+                raise _DegenerateCrossing("%s at t = %.17g; %s" % (exc, mid, _open(left, right))) from None
             crossings.append(rec)
             window = _sample_window(path, mid, rec, delta, kernel_floor, tol) if interpolated else None
             if window is None and h > 0.0:
@@ -1063,8 +1072,11 @@ def _flow_with_delta(path, delta, cfg, scale, spectra):
         split = cross | ~(path.chord_norms(left, right) + allowance < reach)
         if not split.any() and not used:
             break
-        if depth >= cfg.refine_max_depth:
-            raise SpectralFlowError("adaptive refinement depth exceeded")
+        if depth >= MAX_DEPTH:
+            raise SpectralFlowError(
+                "adaptive refinement depth %d exceeded at delta %.17g; %s"
+                % (MAX_DEPTH, delta, _open(left[split], right[split]))
+            )
         # an interval whose end counts differ is split at its secant
         # point (module docstring)
         sec = cross & ~halve
@@ -1113,9 +1125,9 @@ def spectral_flow(path, cfg=None):
     """Spectral flow of a symmetric-matrix path, with crossing records.
 
     The shift starts at half the smallest nonzero endpoint eigenvalue
-    magnitude (capped by cfg.delta_cap) and halves, at most
-    cfg.max_halvings times, whenever a located crossing of the shifted
-    path is numerically degenerate.  The report's sf always equals the
+    magnitude (capped by cfg.delta_cap) and halves, at most MAX_HALVINGS
+    times, whenever a located crossing of the shifted path is numerically
+    degenerate.  The report's sf always equals the
     sum of recorded crossing signatures; in endpoint-count mode only the
     endpoint eigenvalue counts are used and no crossings are recorded,
     and the report's method reads "endpoint-count".
@@ -1136,7 +1148,7 @@ def spectral_flow(path, cfg=None):
     spectra.update(zip(path.t_samples[1:-1].tolist(), eigs))
     delta0 = _initial_shift(eigs_a, eigs_b, scale, cfg)
     err = None
-    for halving in range(cfg.max_halvings + 1):
+    for halving in range(MAX_HALVINGS + 1):
         delta = delta0 / 2.0**halving
         try:
             report = _flow_with_delta(path, delta, cfg, scale, spectra)
@@ -1144,9 +1156,7 @@ def spectral_flow(path, cfg=None):
             err = exc
             continue
         return report
-    raise SpectralFlowError(
-        "no admissible shift after %d halvings: %s" % (cfg.max_halvings, err)
-    )
+    raise SpectralFlowError("no admissible shift after %d halvings, last delta %.17g: %s" % (MAX_HALVINGS, delta, err))
 
 
 def sf_direct_sum(p1, p2, cfg=None):

@@ -41,7 +41,7 @@ range), the number of eigenvalues of H below tau is
 with C_r = C Q_r and C_0 = C Q_0, taken block by block; S has size
 4M + 4.  H is not
 assembled: one eigvalsh of S at tau* = c's own kernel floor
-(kernel_threshold_rel times H's largest entry, floored at 1) gives the
+(specflow.KERNEL_REL times H's largest entry, floored at 1) gives the
 count, and a certificate extends it to an interval of shifts.  dS/dtau
 <= -I, and for |tau| <= min|Lam_r|/2 its norm is at most
 L = 1 + 4 ||C||_F^2 / min|Lam_r|^2, so every eigenvalue of S falls with
@@ -51,7 +51,7 @@ over the negative and over the non-negative eigenvalues of S, each less
 a rounding allowance of order n eps (||S||_F plus the products' and F's
 eigenbasis' rounding); an end keeps only (top, count, interval).
 
-The window.  For a pair of ends, floor = kernel_threshold_rel * scale;
+The window.  For a pair of ends, floor = specflow.KERNEL_REL * scale;
 delta is at least min(floor, delta_cap)/2, and every end eigenvalue above
 the floor in magnitude is at least 2 delta.  So an end's count below
 delta equals its count below every shift of W = [min(floor,
@@ -733,19 +733,6 @@ def extended_hessian(c):
     return _assemble_hessian(c, extended=True)
 
 
-def _pair_defect(block, mirror, tile=256):
-    """max |block - mirror^H| over the real and imaginary parts, NaN when
-    either holds a NaN.  Taken ``tile`` rows of block at a time, so no
-    temporary is the size of the block."""
-    return float(np.max(
-        [
-            sfmod._max_abs((block[i : i + tile] - mirror[:, i : i + tile].T.conj()).view(float))
-            for i in range(0, block.shape[0], tile)
-        ],
-        initial=0.0,
-    ))
-
-
 def _hessian_by_blocks(c, vec):
     """(defect, product) of ``sw_hessian(c)``, from the blocks that
     ``_assemble_hessian`` writes into it: D_A, block_a and block_q of
@@ -753,7 +740,7 @@ def _hessian_by_blocks(c, vec):
 
     Each pair (i, j) of the Hessian is a pair of D_A - D_A^H (the
     realification holds its real and imaginary parts), of block_a -
-    block_q^T, or of -*d - (-*d)^T, so the defect is specflow._sym_defect
+    block_q^T, or of -*d - (-*d)^T, so the defect is specflow._pair_defect
     of the Hessian bit for bit.  For vec = (x, y, v_a) the product is
     ([Re z, Im z] + block_a v_a, block_q (x, y) + (-*d) v_a), z = D_A (x + i y).
     """
@@ -764,7 +751,7 @@ def _hessian_by_blocks(c, vec):
     block_a, _, block_q, _ = _coupling_blocks(tr, c.psi, out=out)
     minus_star_d = _first_order(tr).minus_star_d
     defect = float(np.max([
-        _pair_defect(d, d), _pair_defect(block_a, block_q), _pair_defect(minus_star_d, minus_star_d)
+        sfmod._pair_defect(d, d), sfmod._pair_defect(block_a, block_q), sfmod._pair_defect(minus_star_d, minus_star_d)
     ]))
     spinor, v_a = vec[: 4 * m], vec[4 * m :]
     z = d @ (spinor[: 2 * m] + 1j * spinor[2 * m :])
@@ -902,17 +889,16 @@ def _schur_count(r, c, basis, tau):
 
 def _dirac_block(c):
     """(stacks, top): the blocks of D_A on its mode partition
-    (``_dirac_blocks``), checked Hermitian to the tolerance
-    specflow._check_symmetric applies to D_A's realification R, and R's
-    largest entry magnitude.  R's entries are those of Re D_A and Im D_A,
-    and R - R^T those of D_A - D_A^H.  Every entry off the blocks is zero,
-    so over the blocks the largest entry and the defect are those of the
-    whole matrix, and the decision is the same bit for bit."""
+    (``_dirac_blocks``), checked Hermitian by specflow._check_pair as D_A's
+    realification R, and R's largest entry magnitude.  R's entries are
+    those of Re D_A and Im D_A, and R - R^T those of D_A - D_A^H.  Every
+    entry off the blocks is zero, so over the blocks the largest entry and
+    the defect are those of the whole matrix, and the decision is the same
+    bit for bit."""
     _, stacks = _dirac_blocks(c)
     top = max(sfmod._max_abs(b.view(float)) for b in stacks)
-    defect = max(sfmod._max_abs((b - np.conj(np.swapaxes(b, -1, -2))).view(float)) for b in stacks)
-    if defect > 1e-12 * max(1.0, top):
-        raise ValueError("Dirac block is not Hermitian within tolerance")
+    defect = float(np.max([sfmod._pair_defect(b, b) for b in stacks]))
+    sfmod._check_pair(defect, top, "realified Dirac block")
     return stacks, top
 
 
@@ -999,14 +985,7 @@ def _reducible_endpoint(c, dirac=None):
     )
 
 
-def _check_transposed(block, mirror, scale):
-    """Reject a coupling block that is not the transpose of its mirror to
-    the tolerance of specflow._check_symmetric at ``scale``."""
-    if _pair_defect(block, mirror) > 1e-12 * max(1.0, scale):
-        raise ValueError("extended Hessian is not symmetric within tolerance")
-
-
-def _irreducible_endpoint(c, d, r_top, cfg):
+def _irreducible_endpoint(c, d, r_top):
     """The ``_Endpoint`` of an irreducible c from its blocks; H is not
     assembled.  d is c's Dirac matrix, whose blocks ``_dirac_block`` has
     checked, and r_top its realification's largest entry; each
@@ -1020,11 +999,11 @@ def _irreducible_endpoint(c, d, r_top, cfg):
         [r_top, form.top]
         + [sfmod._max_abs(b) for b in (block_a, block_f, block_q, block_v)]
     )
-    _check_transposed(block_q, block_a, top)
-    _check_transposed(block_v, block_f, top)
+    defect = float(np.max([sfmod._pair_defect(block_q, block_a), sfmod._pair_defect(block_v, block_f)]))
+    sfmod._check_pair(defect, top, "extended Hessian")
     coupling = np.hstack([block_a, block_f])
     del block_a, block_f, block_q, block_v
-    tau = cfg.kernel_threshold_rel * max(1.0, top)
+    tau = sfmod.KERNEL_REL * max(1.0, top)
     count, lo, hi = _schur_count(sfmod.realify_matrix(d), coupling, form, tau)
     return _Endpoint(
         top,
@@ -1034,7 +1013,7 @@ def _irreducible_endpoint(c, d, r_top, cfg):
     )
 
 
-def _scaling_ends(c, cfg):
+def _scaling_ends(c):
     """Both ends of the spinor-scaling path of c, its reducible point
     (0, A) and c itself, as ``_Endpoint``s that share one checked
     ``_dirac_block``: the reducible end reads only its top, and no end
@@ -1047,10 +1026,10 @@ def _scaling_ends(c, cfg):
         return start, start
     stacks, top = dirac
     d = stacks[0][0] if stacks[0].shape[-1] == 2 * c.trunc.mode_count else _dirac_matrix(c)
-    return start, _irreducible_endpoint(c, d, top, cfg)
+    return start, _irreducible_endpoint(c, d, top)
 
 
-def _parity(start, end, cfg):
+def _parity(start, end):
     """(-1)^SF of the affine path between two ``_Endpoint``s.
 
     SF is the endpoint count below delta of specflow._endpoint_flow.  It
@@ -1061,30 +1040,32 @@ def _parity(start, end, cfg):
     is read.  Otherwise both spectra are taken whole (module
     docstring)."""
     scale = max(1.0, start.top, end.top)
-    floor = cfg.kernel_threshold_rel * scale
-    window = (0.5 * min(floor, cfg.delta_cap), floor)
+    floor = sfmod.KERNEL_REL * scale
+    window = (0.5 * min(floor, _SHIFT_CFG.delta_cap), floor)
     n0, n1 = start.count_on(*window), end.count_on(*window)
     if n0 is None or n1 is None:
-        sf, _ = sfmod._endpoint_flow(start.spectrum(), end.spectrum(), scale, cfg)
+        sf, _ = sfmod._endpoint_flow(start.spectrum(), end.spectrum(), scale, _SHIFT_CFG)
     else:
         sf = n0 - n1
     return 1 if sf % 2 == 0 else -1
 
 
-def _sign(ends, base, cfg):
+def _sign(ends, base):
     """Sign from the ``_scaling_ends`` of a configuration: the parity of
     its scaling path, checked against the parity from ``base`` when one
     is given."""
     start, end = ends
-    eps = _parity(start, end, cfg)
-    if base is not None and _parity(_reducible_endpoint(base), end, cfg) != eps:
+    eps = _parity(start, end)
+    if base is not None and _parity(_reducible_endpoint(base), end) != eps:
         raise RuntimeError("base-point route disagrees with the default route")
     return eps
 
 
 # the shift choice of spectral_flow; the sign layer reads only its
-# kernel_threshold_rel and delta_cap
+# delta_cap
 _SHIFT_CFG = sfmod.SpectralFlowConfig()
+
+
 
 
 def configuration_sign(c, base=None):
@@ -1111,7 +1092,7 @@ def configuration_sign(c, base=None):
     """
     if base is not None and not base.reducible:
         raise ValueError("base configuration must be reducible")
-    return _sign(_scaling_ends(c, _SHIFT_CFG), base, _SHIFT_CFG)
+    return _sign(_scaling_ends(c), base)
 
 
 def signed_count(configs):
@@ -1132,10 +1113,10 @@ def signed_count(configs):
             raise ValueError("signed counts are defined for irreducible configurations")
     if not configs:
         return 0
-    ends = [_scaling_ends(c, _SHIFT_CFG) for c in configs]
-    signs = [_sign(pair, None, _SHIFT_CFG) for pair in ends]
+    ends = [_scaling_ends(c) for c in configs]
+    signs = [_sign(pair, None) for pair in ends]
     total = sum(signs)
-    rel = signs[0] * sum(_parity(ends[0][1], end, _SHIFT_CFG) for _, end in ends)
+    rel = signs[0] * sum(_parity(ends[0][1], end) for _, end in ends)
     if rel != total:
         raise RuntimeError("relative count disagrees with the direct sum")
     return total

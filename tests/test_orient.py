@@ -5,6 +5,8 @@ stabilizer, and parity of the spectral flow) are mutual oracles: they
 must agree on every path with invertible endpoints.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,24 +81,22 @@ def test_interior_singularity_found_with_coarse_grid():
 def test_stabilizer_enlargement_invariance():
     # the stabilizer loop grows from random orthonormal extras
     rng = np.random.default_rng(61)
-    cfg = sf.SpectralFlowConfig()
     for _ in range(15):
         path = random_invertible_endpoint_path(rng, 4)
         base = orient.orientation_transport_det(path)
         for extra in (1, 2, 3):
             start, _ = np.linalg.qr(rng.standard_normal((path.n, extra)))
-            got, _ = orient._transport_det(path, cfg, start)
+            got, _ = orient._transport_det(path, start)
             assert got == base
 
 
 def test_initial_frame_randomization_invariance():
     # a random rotation of the first kernel basis leaves the sign alone
     rng = np.random.default_rng(62)
-    cfg = sf.SpectralFlowConfig()
     for _ in range(15):
         path = random_invertible_endpoint_path(rng, 5)
         base = orient.orientation_transport_det(path)
-        K, bases = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
+        K, bases = orient._collect_stabilizer(path, path.top, np.zeros((path.n, 0)))
         v = K.shape[1]
         if v:
             q, _ = np.linalg.qr(rng.standard_normal((v, v)))
@@ -108,11 +108,10 @@ def test_initial_frame_randomization_invariance():
 
 def test_full_space_stabilizer_matches():
     rng = np.random.default_rng(63)
-    cfg = sf.SpectralFlowConfig()
     for _ in range(10):
         path = random_invertible_endpoint_path(rng, 4)
         base = orient.orientation_transport_det(path)
-        full, _ = orient._transport_det(path, cfg, np.eye(path.n))
+        full, _ = orient._transport_det(path, np.eye(path.n))
         assert full == base
 
 
@@ -125,7 +124,7 @@ def test_large_paths_transport_with_the_flow_sign(c):
     path = sf.HermitianPath.affine(c * np.diag([-1.0, -0.5, 2.0]), 2.0 * c * np.eye(3), 0.0, 1.0)
     rep = orient.transport_report(path)
     assert (rep.sf, rep.eps_det, rep.eps_sf) == (2, 1, 1)
-    full, _ = orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3))
+    full, _ = orient._transport_det(path, np.eye(3))
     assert full == 1
 
 
@@ -138,20 +137,21 @@ def test_the_determinant_route_does_not_depend_on_the_path_scale(s):
     # block below 1e-12.  Two eigenvalues cross 0.
     path = sf.HermitianPath.affine(s * np.diag([-1.0, -0.5, 2.0]), 2.0 * s * np.eye(3), 0.0, 1.0)
     assert orient.orientation_transport_det(path) == 1
-    assert orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3)) == (1, 3)
+    assert orient._transport_det(path, np.eye(3)) == (1, 3)
     # a generic 6 x 6 affine path, whose flow is odd at every scale
     a, b = (m + m.T for m in np.random.default_rng(0).standard_normal((2, 6, 6)))
     assert orient.orientation_transport_det(sf.HermitianPath.affine(s * a, s * b, -1.0, 1.0)) == -1
 
 
-@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-4, 1e-2, 1.0, 1e9])
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-9, 1e-6, 1e-4, 1e-2, 1.0, 1e9])
 def test_the_flow_route_does_not_depend_on_the_path_scale(s):
-    # The kernel floor is kernel_threshold_rel * path.top, with no floor at
-    # 1.  A floor at 1 would put every endpoint eigenvalue of s = 1e-9
-    # below 1e-8, and the shift would fall back to delta_cap / 2, above
-    # the whole spectrum: sf 0.  The crossing kernels that seed the
+    # The kernel floor is KERNEL_REL * path.top, with no floor at 1.  A
+    # floor at 1 would put every endpoint eigenvalue of s = 1e-9 below
+    # 1e-8, and the shift would fall back to delta_cap / 2, above the
+    # whole spectrum: sf 0.  The crossing kernels that seed the
     # determinant route read the same floor; at 1e-8 the kernel at the
-    # crossing would be the whole space.
+    # crossing would be the whole space.  At s = 1e-300 and 1e-200 the
+    # crossing window's c g / (8 beta^2) would underflow to 0 / 0.
     path = sf.HermitianPath.affine(s * np.diag([-1.0, -0.5, 2.0]), 2.0 * s * np.eye(3), 0.0, 1.0)
     rep = sf.spectral_flow(path)
     assert rep.sf == 2 and len(rep.crossings) == 2
@@ -159,6 +159,20 @@ def test_the_flow_route_does_not_depend_on_the_path_scale(s):
     assert orient.transport_report(path) == orient.TransportReport(
         eps_det=1, eps_sf=1, sf=2, stabilizer_dim=2
     )
+
+
+def test_a_scan_depth_error_names_the_limit_and_the_open_span(monkeypatch):
+    # corpus path 303/0 takes more than 2 levels to certify its empty
+    # stabilizer: under a limit of 2 the scan stops with the limit, its
+    # trigger and the intervals it left open
+    path = frozen_paths()[0]
+    monkeypatch.setattr(sf, "MAX_DEPTH", 2)
+    with pytest.raises(orient.OrientationTransportError, match="depth 2 exceeded") as err:
+        orient.orientation_transport_det(path)
+    message = str(err.value)
+    assert "trigger %.3g" % (1e-6 * path.top) in message
+    found = re.search(r"(\d+) intervals open on \[(\S+), (\S+)\]", message)
+    assert int(found.group(1)) >= 1 and path.a <= float(found.group(2)) < float(found.group(3)) <= path.b
 
 
 def test_a_zero_path_has_singular_endpoints():
@@ -173,13 +187,13 @@ def test_full_rank_stabilizer_that_fails_raises(monkeypatch):
     # loop takes the full space, and a full-rank stabilizer that fails
     # raises the typed error, from the full space and on the default
     # route alike
-    def failing(path, K, scale, cfg):
+    def failing(path, K, scale):
         return False, np.eye(path.n)[:, :1], None
 
     monkeypatch.setattr(orient, "_scan_stabilizer", failing)
     path = sf.HermitianPath.affine(np.diag([-1.0, -0.5, 2.0]), 2.0 * np.eye(3), 0.0, 1.0)
     with pytest.raises(orient.OrientationTransportError):
-        orient._transport_det(path, sf.SpectralFlowConfig(), np.eye(3))
+        orient._transport_det(path, np.eye(3))
     with pytest.raises(orient.OrientationTransportError):
         orient.orientation_transport_det(path)
 
@@ -202,11 +216,10 @@ def test_default_route_scans_once_per_stabilizer_direction(monkeypatch):
     # unseeded route adds one direction per failed scan, and the last
     # scan certifies
     scans = count_scans(monkeypatch)
-    cfg = sf.SpectralFlowConfig()
     rng = np.random.default_rng(303)
     for i in range(40):
         before = scans[0]
-        _, vdim = orient._transport_det(cli._random_symmetric_path(rng, 4 + i % 7), cfg)
+        _, vdim = orient._transport_det(cli._random_symmetric_path(rng, 4 + i % 7))
         assert scans[0] - before == vdim + 1
 
 
@@ -380,7 +393,7 @@ def test_frozen_crossing_corpus():
         rep = orient.transport_report(path, cfg)
         assert (rep.sf, rep.eps_det, rep.eps_sf) == (flow, eps_det, eps_sf)
         # the frozen rank is the unseeded route's
-        assert orient._transport_det(path, cfg) == (eps_det, vdim)
+        assert orient._transport_det(path) == (eps_det, vdim)
         got = sf.spectral_flow(path, cfg)
         assert got.sf == flow
         assert got.delta_used == pytest.approx(delta, rel=1e-12)
@@ -422,7 +435,7 @@ def test_paths_that_cross_delta_but_never_zero_transport_with_the_seed(monkeypat
         rep = orient.transport_report(paths[i], cfg)
         assert scans[0] - before == 1
         assert (rep.sf, rep.eps_det, rep.eps_sf, rep.stabilizer_dim) == (flow, eps_det, eps_sf, len(records))
-        assert orient._transport_det(paths[i], cfg) == (eps_det, 0)
+        assert orient._transport_det(paths[i]) == (eps_det, 0)
 
 
 def test_a_seed_that_cannot_help_grows_to_the_flow_sign(monkeypatch):
@@ -445,7 +458,7 @@ def test_a_seed_that_cannot_help_grows_to_the_flow_sign(monkeypatch):
             seeds = []
             m.setattr(orient, "_crossing_kernels", lambda *args: seeds.append(args) or rot.T[:, 3:4])
             rep = orient.transport_report(path, cfg)
-            assert len(seeds) == 1 and len(seeds[0][2].crossings) == 3
+            assert len(seeds) == 1 and len(seeds[0][1].crossings) == 3
             assert (scans[0], rep.stabilizer_dim) == (1 + 4, 4)
             assert (rep.sf, rep.eps_det, rep.eps_sf) == (1, -1, -1)
 
@@ -462,10 +475,9 @@ def test_scan_certifies_a_quarter_of_the_end_margins_on_affine_paths():
     # sigma_min >= (ml + mr - move) / 2 > (ml + mr) / 4 inside every
     # certified interval of an affine path
     rng = np.random.default_rng(67)
-    cfg = sf.SpectralFlowConfig()
     for _ in range(30):
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)))
-        K, bases = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
+        K, bases = orient._collect_stabilizer(path, path.top, np.zeros((path.n, 0)))
         grid = list(bases)
         margins = [smallest_singular_value(path, K, t) for t in grid]
         for l, r, ml, mr in zip(grid, grid[1:], margins, margins[1:]):
@@ -494,7 +506,6 @@ def test_failing_scan_reaches_its_trigger_in_few_svds(monkeypatch):
     # stacked eigvalsh per level and SVDs only near the trigger: 58
     # decomposition calls over these five paths, where the best-first
     # scan took 121 single SVDs and the depth-first scan 326.
-    cfg = sf.SpectralFlowConfig()
     rng = np.random.default_rng(70)
     paths = []
     while len(paths) < 5:
@@ -504,7 +515,7 @@ def test_failing_scan_reaches_its_trigger_in_few_svds(monkeypatch):
             paths.append(path)
     calls = count_decompositions(monkeypatch)
     for path in paths:
-        certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((6, 0)), path.top, cfg)
+        certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((6, 0)), path.top)
         assert not certified and dirs.shape[1] >= 1
     assert calls["svd"] <= 160
     assert calls["svd"] + calls["eigvalsh"] <= 64
@@ -520,7 +531,6 @@ def test_newton_probe_fails_the_scan_at_its_point(monkeypatch):
     # 19 levels.
     path = sf.HermitianPath.affine(np.diag([-0.3, 2.0]), np.diag([1.0, 0.0]), 0.0, 1.0)
     assert [idx.shape for idx in path.blocks] == [(2, 1)]
-    cfg = sf.SpectralFlowConfig()
     probed, levels, dense = [], [], []
     block_svds, spectra, whole = orient._block_svds, sf._spectra, sf._dense
 
@@ -540,7 +550,7 @@ def test_newton_probe_fails_the_scan_at_its_point(monkeypatch):
     monkeypatch.setattr(sf, "_spectra", counted)
     monkeypatch.setattr(sf, "_dense", scattered)
     calls = count_decompositions(monkeypatch)
-    certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((2, 0)), 2.0, cfg)
+    certified, dirs, _ = orient._scan_stabilizer(path, np.zeros((2, 0)), 2.0)
     assert not certified
     assert np.allclose(np.abs(dirs[:, 0]), [1.0, 0.0])
     # only the two SVD probes evaluate the whole matrix, one time each
@@ -556,7 +566,7 @@ def test_newton_probe_fails_the_scan_at_its_point(monkeypatch):
 # ------------------------------------------------ frame transport oracle
 
 
-def polar_transport(path, K, bases, cfg):
+def polar_transport(path, K, bases):
     """Reference frame transport: carry the kernel frame itself from probe
     to probe by projection and symmetric re-orthonormalization (the polar
     factor), halving a step whose projection has a singular value below
@@ -569,7 +579,7 @@ def polar_transport(path, K, bases, cfg):
         u, s, wt = np.linalg.svd(basis @ (basis.T @ frame), full_matrices=False)
         if s.min() >= 0.5:
             return u @ wt
-        assert depth < cfg.refine_max_depth
+        assert depth < sf.MAX_DEPTH
         mid = 0.5 * (t_cur + t_next)
         return advance(advance(frame, mid, t_cur, depth + 1), t_next, mid, depth + 1, basis)
 
@@ -585,17 +595,16 @@ def test_overlap_signs_give_the_polar_transport():
     # the product of sgn det O_k gives the end determinant of the frame
     # carried by polar steps, on the scan's own probes, with the
     # unseeded stabilizer and with the full space
-    cfg = sf.SpectralFlowConfig()
     rng = np.random.default_rng(71)
     checked = 0
     while checked < 12:
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)), ["affine", "smooth"][checked % 2])
-        unseeded = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
+        unseeded = orient._collect_stabilizer(path, path.top, np.zeros((path.n, 0)))
         if unseeded[0].shape[1] == 0:
             continue
         checked += 1
-        for K, bases in (unseeded, orient._collect_stabilizer(path, cfg, path.top, np.eye(path.n))):
-            want = polar_transport(path, K, bases, cfg)
+        for K, bases in (unseeded, orient._collect_stabilizer(path, path.top, np.eye(path.n))):
+            want = polar_transport(path, K, bases)
             got = orient._transport_frame(path, K, bases, path.top)
             assert np.sign(got[0] * got[1]) == np.sign(want[0] * want[1])
             assert np.allclose(np.abs(got), np.abs(want), rtol=1e-8)
@@ -623,12 +632,11 @@ def test_kernels_stay_acute_inside_every_certified_interval():
     # at interior times t of each certified interval [l, r] the projector
     # bound sin Theta(N(t), N(l)) <= ||T(t) - T(l)||_2 / max(ml, sigma(t))
     # holds, and the scan's rule keeps it below 1 (module docstring)
-    cfg = sf.SpectralFlowConfig()
     rng = np.random.default_rng(73)
     checked = worst = 0
     while checked < 8:
         path = random_invertible_endpoint_path(rng, int(rng.integers(3, 8)), ["affine", "smooth"][checked % 2])
-        K, bases = orient._collect_stabilizer(path, cfg, path.top, np.zeros((path.n, 0)))
+        K, bases = orient._collect_stabilizer(path, path.top, np.zeros((path.n, 0)))
         if K.shape[1] == 0:
             continue
         checked += 1

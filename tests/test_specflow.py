@@ -9,6 +9,7 @@ contribute nothing.
 
 import itertools
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -668,7 +669,7 @@ def test_callable_without_curvature_is_refined_as_its_interpolant():
         assert rep.method == "crossing"
         assert rep.sf == sf.spectral_flow(path, count).sf
         # every record is a crossing of the path's own values
-        floor = cfg.kernel_threshold_rel * max(1.0, np.abs(path.values).max())
+        floor = sf.KERNEL_REL * max(1.0, np.abs(path.values).max())
         for rec in rep.crossings:
             eigs = np.linalg.eigvalsh(path.evaluate(rec.t))
             assert np.abs(eigs - rep.delta_used).min() < floor
@@ -884,6 +885,47 @@ def test_corpus_probes_per_located_crossing(monkeypatch):
     crossings = sum(len(sf.spectral_flow(path).crossings) for *_, path in corpus_paths())
     assert crossings == 91
     assert probed[0] <= 7312
+
+
+def open_span(message):
+    """(count, lo, hi) of the intervals an error names as still open."""
+    found = re.search(r"(\d+) intervals open on \[(\S+), (\S+)\]", message)
+    return int(found.group(1)), float(found.group(2)), float(found.group(3))
+
+
+def test_a_depth_error_names_the_limit_delta_and_the_open_span(monkeypatch):
+    # corpus path 303/0 needs depth 8: under a limit of 2 the refinement
+    # stops with the limit, its delta and the intervals it left open
+    path = next(p for seed, i, _, p in corpus_paths() if (seed, i) == (303, 0))
+    rep = sf.spectral_flow(path)
+    assert rep.refinement_depth == 8
+    monkeypatch.setattr(sf, "MAX_DEPTH", 2)
+    with pytest.raises(sf.SpectralFlowError, match="depth 2 exceeded") as err:
+        sf.spectral_flow(path)
+    message = str(err.value)
+    assert "delta %.17g" % rep.delta_used in message
+    count, lo, hi = open_span(message)
+    assert count >= 1 and path.a <= lo < hi <= path.b
+
+
+def test_a_halving_error_names_the_limit_the_last_delta_and_the_open_span(monkeypatch):
+    # every located crossing degenerate: each halving fails at its first
+    # record, and the error names the last delta and where it failed
+    path = sf.HermitianPath.affine(np.diag([-1.0, -0.5, 2.0]), 2.0 * np.eye(3), 0.0, 1.0)
+    delta0 = sf.spectral_flow(path).delta_used
+
+    def degenerate(*args):
+        raise sf._DegenerateCrossing("crossing operator is numerically singular")
+
+    monkeypatch.setattr(sf, "_make_record", degenerate)
+    monkeypatch.setattr(sf, "MAX_HALVINGS", 3)
+    with pytest.raises(sf.SpectralFlowError, match="after 3 halvings") as err:
+        sf.spectral_flow(path)
+    message = str(err.value)
+    assert "last delta %.17g" % (delta0 / 8.0) in message
+    assert "numerically singular at t = " in message
+    count, lo, hi = open_span(message)
+    assert count >= 1 and path.a <= lo < hi <= path.b
 
 
 def block_path(rng, kind):
@@ -1282,9 +1324,10 @@ def test_rejects_non_finite_samples(bad, complex_input):
 
 @pytest.mark.parametrize("n", [5, 256, 257, 600, 2401])
 def test_sym_defect_is_the_dense_defect_bit_for_bit(n):
-    # rounding-sized asymmetry everywhere and the largest defect below the
-    # diagonal in the last tile, which is ragged unless n is a multiple
-    # of the tile
+    # ``_pair_defect`` against max |block - mirror^H| taken whole.  A
+    # square m against itself: rounding-sized asymmetry everywhere and the
+    # largest defect below the diagonal in the last tile, which is ragged
+    # unless n is a multiple of the tile
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n))
     m += m.T
@@ -1294,16 +1337,72 @@ def test_sym_defect_is_the_dense_defect_bit_for_bit(n):
     m[i, j] += 1e-9 * (1.0 + rng.random())
     want = sf._max_abs(m - m.T)
     assert want > 1e-9
-    assert sf._sym_defect(m).hex() == want.hex()
+    assert sf._pair_defect(m, m).hex() == want.hex()
+    # a non-square pair sees each entry once: the largest defect sits in
+    # the last row of the first tile
+    k = n // 2 + 1
+    block = rng.standard_normal((n, k))
+    mirror = block.T + 1e-14 * rng.standard_normal((k, n))
+    mirror[k // 2, min(n, 256) - 1] += 2e-9
+    want = sf._max_abs(block - mirror.T)
+    assert want > 1e-9
+    assert sf._pair_defect(block, mirror).hex() == want.hex()
+    # a complex stack against itself, over the real and imaginary parts
+    size = min(n, 300)
+    z = rng.standard_normal((3, size, size)) + 1j * rng.standard_normal((3, size, size))
+    z += np.conj(np.swapaxes(z, -1, -2))
+    assert sf._pair_defect(z, z) == 0.0
+    z[2, size - 1, 0] += 2e-9j
+    diff = z - np.conj(np.swapaxes(z, -1, -2))
+    want = max(sf._max_abs(diff.real), sf._max_abs(diff.imag))
+    assert want > 1e-9
+    assert sf._pair_defect(z, z).hex() == want.hex()
     m[j, i] = np.nan
-    assert np.isnan(sf._sym_defect(m))
+    assert np.isnan(sf._pair_defect(m, m))
 
 
 def test_sym_defect_propagates_a_nan_after_a_finite_tile():
-    # the first tiles are exactly symmetric; the NaN sits in a later one
+    # the first tiles are exactly symmetric; the NaN sits in a later one,
+    # of a square matrix, of either side of a non-square pair, and of one
+    # matrix of a complex stack
     h = np.zeros((600, 600))
     h[300, 500] = np.nan
-    assert np.isnan(sf._sym_defect(h))
+    assert np.isnan(sf._pair_defect(h, h))
+    block, mirror = np.zeros((600, 3)), np.zeros((3, 600))
+    block[520, 1] = np.nan
+    assert np.isnan(sf._pair_defect(block, mirror))
+    assert np.isnan(sf._pair_defect(mirror.T.copy(), block.T.copy()))
+    z = np.zeros((2, 300, 300), dtype=complex)
+    z[1, 299, 5] = complex(0.0, np.nan)
+    assert np.isnan(sf._pair_defect(z, z))
+
+
+def test_a_nan_defect_is_rejected():
+    # the one tolerance rule rejects what it cannot compare
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        sf._check_pair(np.nan, 1.0, "a matrix")
+    sf._check_pair(0.9e-12, 1.0, "a matrix")
+
+
+def test_derivative_on_rows_is_the_whole_derivative_restricted():
+    # derivative_at(t, rows), rows the indices of whole blocks, is
+    # derivative_at(t) on rows x rows, on affine, interpolated and curved
+    # paths; the sample times and the middles of segments are both probed
+    rng = np.random.default_rng(81)
+    a, b = (m + m.T for m in rng.standard_normal((2, 4, 4)))
+    gamma = float(np.abs(np.linalg.eigvalsh(b)).max())
+    curved = sf.HermitianPath.from_callable(
+        lambda t: a + np.sin(t) * b, -1.0, 1.0, 5, derivative=lambda t: np.cos(t) * b, curvature=gamma
+    )
+    paths = [block_path(rng, "affine")[0], block_path(rng, "interpolated")[0], curved]
+    for path in paths:
+        blocks = [block for idx in path.blocks for block in idx]
+        assert len(blocks) > 1 or path is curved
+        for t in np.concatenate([path.t_samples, 0.5 * (path.t_samples[1:] + path.t_samples[:-1])]).tolist():
+            whole = path.derivative_at(t)
+            for take in range(1, len(blocks) + 1):
+                rows = np.sort(np.concatenate(blocks[:take]))
+                assert np.array_equal(path.derivative_at(t, rows), whole[np.ix_(rows, rows)])
 
 
 def test_from_callable_builds_in_one_copy_of_the_samples():

@@ -487,7 +487,7 @@ def test_hessian_by_blocks_is_the_assembled_hessian(cutoff):
         h = sl.sw_hessian(c)
         defect, product = sl._hessian_by_blocks(c, vec)
         want = h @ vec
-        assert defect == sfmod._sym_defect(h)
+        assert defect == sfmod._pair_defect(h, h)
         assert np.max(np.abs(product - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -507,6 +507,47 @@ def test_hessian_defect_reads_a_coupling_block_off_its_mirror(monkeypatch):
     assert sl._hessian_by_blocks(c, vec)[0] < 1e-15
     monkeypatch.setattr(sl, "_coupling_blocks", perturbed)
     assert sl._hessian_by_blocks(c, vec)[0] == pytest.approx(eps, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("rel", [0.9, 2.0])
+def test_every_symmetry_check_takes_the_one_tolerance(rel, monkeypatch):
+    # a path sample, a stack of D_A's blocks and a coupling pair are each
+    # checked by specflow._check_pair: a defect of 0.9e-12 top passes, one
+    # of 2e-12 top is rejected, and the error names the operator
+    def check(what, call):
+        if rel < 1.0:
+            return call()
+        with pytest.raises(ValueError, match=what + ": not symmetric within tolerance"):
+            call()
+
+    vals = np.array([np.diag([4.0, -1.0, 2.0]), np.diag([-4.0, 1.0, 2.0])])
+    vals[1, 0, 1] += rel * 1e-12 * 4.0
+    check("path samples", lambda: sfmod.HermitianPath(np.linspace(0.0, 1.0, 2), vals))
+
+    rng = np.random.default_rng(97)
+    tr = tm.TorusTruncation(2)
+    c = sl.random_configuration(tr, rng)
+    _, end = sl._scaling_ends(c)
+    _, r_top = sl._dirac_block(c)
+    dirac_blocks, coupling_blocks = sl._dirac_blocks, sl._coupling_blocks
+
+    def perturbed_dirac(*args, **kwargs):
+        parts, stacks = dirac_blocks(*args, **kwargs)
+        stacks[-1][0, 0, 1] += rel * 1e-12 * max(1.0, r_top)
+        return parts, stacks
+
+    with monkeypatch.context() as m:
+        m.setattr(sl, "_dirac_blocks", perturbed_dirac)
+        check("realified Dirac block", lambda: sl._dirac_block(c))
+
+    def perturbed_coupling(trunc, psi, out=None):
+        got = coupling_blocks(trunc, psi, out)
+        got[2][5, 300] += rel * 1e-12 * max(1.0, end.top)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(sl, "_coupling_blocks", perturbed_coupling)
+        check("extended Hessian", lambda: sl._scaling_ends(c))
 
 
 # ------------------------------------------------------------- gauge action
@@ -1024,15 +1065,15 @@ def test_sign_route_makes_one_schur_solve_per_configuration(monkeypatch):
         assert assembled == []
 
 
-def ends_against_dense(c, cfg):
+def ends_against_dense(c):
     """The ends of c's scaling path and c's dense spectrum, after checking
     the inertia count against it: the count at c's own kernel floor, and
     no eigenvalue in the certified interval."""
-    start, end = sl._scaling_ends(c, cfg)
+    start, end = sl._scaling_ends(c)
     h = sl.extended_hessian(c)
     eigs = np.linalg.eigvalsh(h)
     assert end.top == sfmod._max_abs(h)
-    tau = cfg.kernel_threshold_rel * max(1.0, end.top)
+    tau = sfmod.KERNEL_REL * max(1.0, end.top)
     lo, hi = end.certified
     assert lo < tau < hi
     assert end.count == np.count_nonzero(eigs < tau)
@@ -1048,12 +1089,12 @@ def test_inertia_count_equals_dense_count(cutoff):
     configs = [sl.random_configuration(tr, rng) for _ in range(4)]
     if cutoff == 2:
         configs += scaled_configs(7)[0]
-    ends = [ends_against_dense(c, cfg) for c in configs]
+    ends = [ends_against_dense(c) for c in configs]
     # the scaling parities, and the relative parities of signed_count
     # between irreducible ends, all taken with no end diagonalized
     first = ends[0][1]
-    parities = [sl._parity(start, end, cfg) for start, end, _ in ends]
-    relative = [sl._parity(first, end, cfg) for _, end, _ in ends[1:]]
+    parities = [sl._parity(start, end) for start, end, _ in ends]
+    relative = [sl._parity(first, end) for _, end, _ in ends[1:]]
     assert all(start.eigs is None and end.eigs is None for start, end, _ in ends)
     # against the dense flow on whole spectra; a reducible end's count is
     # its count below its certified interval modulo 2
@@ -1101,9 +1142,9 @@ def test_eigenvalue_in_the_window_takes_the_dense_route():
 
     # the planted eigenvalue moves the largest entry by about 1e-8 of it
     top = sfmod._max_abs(assembled(0.0)[3])
-    r, c, f, h = assembled(0.8 * cfg.kernel_threshold_rel * top)
+    r, c, f, h = assembled(0.8 * sfmod.KERNEL_REL * top)
     top = sfmod._max_abs(h)
-    floor = cfg.kernel_threshold_rel * top
+    floor = sfmod.KERNEL_REL * top
     eigs = np.linalg.eigvalsh(h)
     # one eigenvalue inside the window W = [floor/2, floor]
     assert np.count_nonzero((eigs >= 0.5 * floor) & (eigs <= floor)) == 1
@@ -1122,7 +1163,7 @@ def test_eigenvalue_in_the_window_takes_the_dense_route():
     other = sl._Endpoint(top, eigs=np.array([-1.0, 1.2 * floor, 2.0]))
     sf, delta = sfmod._endpoint_flow(other.eigs, eigs, top, cfg)
     assert np.count_nonzero(eigs < delta) != count
-    assert sl._parity(other, end, cfg) == (-1) ** (sf % 2)
+    assert sl._parity(other, end) == (-1) ** (sf % 2)
     assert dense == [h.shape]
 
 
@@ -1137,13 +1178,13 @@ def test_a_dirac_eigenvalue_in_the_window_forces_no_dense_route(monkeypatch):
     tr = tm.TorusTruncation(1)
     m = tr.mode_count
     c = sl.random_configuration(tr, rng)
-    _, end = sl._scaling_ends(c, cfg)
+    _, end = sl._scaling_ends(c)
 
     def flat(a3):
         return sl.Configuration(tr, np.zeros((m, 2)), np.array([0.0, 0.0, a3]))
 
     scale = max(1.0, sl._reducible_endpoint(flat(0.0)).top, end.top)
-    floor = cfg.kernel_threshold_rel * scale
+    floor = sfmod.KERNEL_REL * scale
     base = flat(1.5 * floor)
     assert max(1.0, sl._reducible_endpoint(base).top, end.top) == scale
     eigs, _ = sl._reducible_spectrum(base)

@@ -104,7 +104,7 @@ MUTANTS = [
     Mutant(
         "block-symmetry-check-dropped",
         "src/swflow/specflow.py",
-        "if defect > tol * max(1.0, top):",
+        "if not defect <= 1e-12 * max(1.0, top):",
         "if False:",
         ("tests/test_specflow.py::test_from_blocks_rejects_a_bad_partition_and_bad_blocks",),
     ),
@@ -147,8 +147,8 @@ MUTANTS = [
     Mutant(
         "transport-seed-dropped",
         "src/swflow/orient.py",
-        "_transport_det(path, cfg, _crossing_kernels(path, cfg, rep))",
-        "_transport_det(path, cfg, None)",
+        "_transport_det(path, _crossing_kernels(path, rep))",
+        "_transport_det(path, None)",
         ("tests/test_orient.py::test_seeded_route_scans_once_on_every_path_with_a_crossing",),
     ),
     Mutant(
@@ -206,6 +206,20 @@ MUTANTS = [
         "scale = path.top\n",
         "scale = max(1.0, path.top)\n",
         ("tests/test_orient.py::test_the_flow_route_does_not_depend_on_the_path_scale",),
+    ),
+    Mutant(
+        "window-bound-underflows",
+        "src/swflow/specflow.py",
+        "c / beta * (g / (8.0 * beta))",
+        "c * g / (8.0 * beta * beta)",
+        ("tests/test_orient.py::test_the_flow_route_does_not_depend_on_the_path_scale[1e-300]",),
+    ),
+    Mutant(
+        "pair-defect-drops-a-tile-row",
+        "src/swflow/specflow.py",
+        "i : i + tile",
+        "i : i + tile - 1",
+        ("tests/test_specflow.py::test_sym_defect_is_the_dense_defect_bit_for_bit[600]",),
     ),
 ]
 
