@@ -125,7 +125,6 @@ __all__ = [
     "orientation_transport_det",
     "orientation_transport_sf",
     "transport_report",
-    "ot_axioms",
 ]
 
 
@@ -342,37 +341,3 @@ def transport_report(path, cfg=None):
         stabilizer_dim=vdim,
     )
 
-
-def ot_axioms(p1, p2, homotopy=None, cfg=None):
-    """Check multiplicativity under direct sum and concatenation, and
-    homotopy invariance of the transported sign.
-
-    Returns a dict with entries "direct_sum", "concat" (None when the
-    paths cannot be concatenated) and "homotopy" (None when no homotopy
-    is supplied); each entry holds both sides and an "ok" flag."""
-    e1 = orientation_transport_sf(p1, cfg)
-    e2 = orientation_transport_sf(p2, cfg)
-    report = {}
-    eps_sum = 1 if sfmod.sf_direct_sum(p1, p2, cfg) % 2 == 0 else -1
-    report["direct_sum"] = {"ok": eps_sum == e1 * e2, "lhs": eps_sum, "rhs": e1 * e2}
-    report["concat"] = None
-    if p1.n == p2.n and sfmod._joins(p1, p2):
-        eps_cat = 1 if sfmod.sf_concat(p1, p2, cfg) % 2 == 0 else -1
-        report["concat"] = {"ok": eps_cat == e1 * e2, "lhs": eps_cat, "rhs": e1 * e2}
-    report["homotopy"] = None
-    if homotopy is not None:
-        a, b = p1.a, p1.b
-        edges = [
-            sfmod.HermitianPath.from_callable(lambda t, s=s: homotopy(s, t), a, b)
-            for s in (0.0, 1.0)
-        ]
-        lo, hi = (e.values[[0, -1]] for e in edges)
-        if sfmod._max_abs(lo - hi) > 1e-12 * max(e.top for e in edges):
-            raise ValueError("homotopy does not fix the endpoints")
-        eps_edges = [orientation_transport_sf(e, cfg) for e in edges]
-        report["homotopy"] = {
-            "ok": eps_edges[0] == eps_edges[1],
-            "lhs": eps_edges[0],
-            "rhs": eps_edges[1],
-        }
-    return report

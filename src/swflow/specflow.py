@@ -308,13 +308,18 @@ def _max_abs(a):
     return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
 
-def _pair_defect(block, mirror, tile=256):
+# Rows of one tile of _pair_defect.
+_PAIR_TILE = 256
+
+
+def _pair_defect(block, mirror):
     """max |block - mirror^H| over real and imaginary parts of (..., r, c)
     and (..., c, r) stacks, NaN when either holds a NaN; (m, m) gives m's
-    symmetric defect.  Taken ``tile`` rows at a time, so no temporary is
-    the size of the block; each entry is exact, so the maximum is the
-    whole one bit for bit.  ``.conj()`` returns a real array uncopied."""
-    tiles = (np.s_[i : i + tile] for i in range(0, block.shape[-2], tile))
+    symmetric defect.  Taken ``_PAIR_TILE`` rows at a time, so no
+    temporary is the size of the block; each entry is exact, so the
+    maximum is the whole one bit for bit.  ``.conj()`` returns a real
+    array uncopied."""
+    tiles = (np.s_[i : i + _PAIR_TILE] for i in range(0, block.shape[-2], _PAIR_TILE))
     return float(np.max(
         [_max_abs((block[..., r, :] - np.swapaxes(mirror[..., r], -1, -2).conj()).view(float)) for r in tiles],
         initial=0.0,

@@ -11,10 +11,11 @@ Field representations share the truncation's mode labels:
   blocks so the operators below become real symmetric matrices.
 
 Quadratic expressions are evaluated by exact mode convolution over the
-sparse supports.  Value-producing operations raise MarginError when the
-true product would leave the truncation; operator assembly instead clips
-to the truncation, which is the orthogonal compression and keeps all the
-adjointness identities exact.  The operators are assembled over the
+sparse supports, each by one call of ``_convolve``.  Value-producing
+operations raise MarginError when the true product would leave the
+truncation; operator assembly instead clips to the truncation, which is
+the orthogonal compression and keeps all the adjointness identities
+exact.  The operators are assembled over the
 fields' supports as well: the Dirac operator adds its 1-form's Toeplitz
 blocks, and the coupling blocks form their entries, only where the
 field is nonzero, and the first-order blocks from their per-mode
@@ -367,33 +368,28 @@ def random_configuration(trunc, rng, radius=None):
 # ----------------------------------------------------- product kernels
 
 
-def _mul_form_spinor(trunc, b_hat, psi):
-    """Coefficients of (sum_j b_j sigma_j) psi; targets outside are clipped."""
-    tab = _tables(trunc)
-    out = np.zeros_like(psi)
-    sig_psi = np.einsum("jab,mb->jma", cl.PAULI, psi)
-    rows = _sparse_rows(psi)
-    if rows.size == 0:
-        return out
-    for q in _sparse_rows(b_hat):
-        tgts = tab.shift[rows, q]
-        ok = tgts >= 0
-        for j in range(3):
-            if b_hat[q, j] != 0:
-                np.add.at(out, tgts[ok], b_hat[q, j] * sig_psi[j, rows[ok]])
-    return out
+def _sigma(psi):
+    """(sigma_j psi_r) of spinor rows, (3, R, 2)."""
+    return np.einsum("jab,rb->jra", cl.PAULI, psi)
 
 
-def _mul_scalar_spinor(trunc, u_hat, psi, factor=1.0):
+def _convolve(trunc, x, y, terms, minus=False):
+    """Coefficients of a pointwise product of two fields, by one mode
+    convolution over their supports.
+
+    ``terms(x[r], y[q])`` gives the (Q, T, R, ...) stack of the products
+    of the support rows r of x and q of y, T terms per pair; each lands
+    on the mode k_r + k_q, or k_r - k_q when ``minus``.  Targets outside
+    the truncation are clipped, and the terms are added in the order q,
+    then the terms of a pair, then r."""
     tab = _tables(trunc)
-    out = np.zeros_like(psi)
-    rows = _sparse_rows(psi)
-    if rows.size == 0:
-        return out
-    for q in np.nonzero(u_hat != 0)[0]:
-        tgts = tab.shift[rows, q]
-        ok = tgts >= 0
-        np.add.at(out, tgts[ok], (factor * u_hat[q]) * psi[rows[ok]])
+    r, q = _sparse_rows(x), _sparse_rows(y)
+    stack = terms(x[r], y[q])
+    at = tab.shift[r[None, :], (tab.neg[q] if minus else q)[:, None]]
+    at = np.broadcast_to(at[:, None, :], stack.shape[:3])
+    ok = at >= 0
+    out = np.zeros((trunc.mode_count,) + stack.shape[3:], dtype=complex)
+    np.add.at(out, at[ok], stack[ok])
     return out
 
 
@@ -403,30 +399,18 @@ def _pair_to_form(trunc, psi, phi):
     Pointwise this is the symmetric polarization of the quadratic
     covector: component j equals (1/2) Re <sigma_j psi(x), phi(x)>.
     """
-    tab = _tables(trunc)
-    m = trunc.mode_count
-    sig_psi = np.einsum("jab,mb->jma", cl.PAULI, psi)
-    h = np.zeros((m, 3), dtype=complex)
-    rows1 = _sparse_rows(psi)
-    for k2 in _sparse_rows(phi):
-        tgts = tab.shift[rows1, tab.neg[k2]]
-        ok = tgts >= 0
-        vals = np.einsum("jma,a->mj", sig_psi[:, rows1], np.conj(phi[k2]))
-        np.add.at(h, tgts[ok], vals[ok])
-    return 0.25 * (h + np.conj(h[tab.neg]))
+    h = _convolve(
+        trunc, psi, phi, lambda s, p: np.einsum("jra,qa->qrj", _sigma(s), np.conj(p))[:, None], minus=True
+    )
+    return 0.25 * (h + np.conj(h[trunc.neg]))
 
 
 def _pair_to_scalar(trunc, phi, psi):
     """Complex coefficients of the real function -Im <phi(x), psi(x)>."""
-    tab = _tables(trunc)
-    w = np.zeros(trunc.mode_count, dtype=complex)
-    rows1 = _sparse_rows(phi)
-    for k2 in _sparse_rows(psi):
-        tgts = tab.shift[rows1, tab.neg[k2]]
-        ok = tgts >= 0
-        vals = phi[rows1] @ np.conj(psi[k2])
-        np.add.at(w, tgts[ok], vals[ok])
-    return 0.5j * (w - np.conj(w[tab.neg]))
+    w = _convolve(
+        trunc, phi, psi, lambda f, s: np.matmul(f, np.conj(s)[:, None, :, None])[..., 0], minus=True
+    )
+    return 0.5j * (w - np.conj(w[trunc.neg]))
 
 
 def _apply_dirac(c, psi):
@@ -434,7 +418,8 @@ def _apply_dirac(c, psi):
     vals = tr.modes + c.alpha / 2.0
     out = np.einsum("mj,jab,mb->ma", vals, cl.PAULI, psi)
     if np.any(c.a_field):
-        out = out + 0.5 * _mul_form_spinor(tr, real_to_complex(tr, c.a_field), psi)
+        b_hat = real_to_complex(tr, c.a_field)
+        out = out + 0.5 * _convolve(tr, psi, b_hat, lambda s, b: b[:, :, None, None] * _sigma(s))
     return out
 
 
@@ -512,7 +497,8 @@ def gauge_deriv(c, f_trig):
     f_trig = np.asarray(f_trig, dtype=float)
     if field_radius(tr, f_trig) + field_radius(tr, c.psi) > tr.cutoff:
         raise MarginError("gauge function times spinor leaves the truncation")
-    phi = _mul_scalar_spinor(tr, real_to_complex(tr, f_trig), c.psi, factor=-1j)
+    f_hat = real_to_complex(tr, f_trig)
+    phi = _convolve(tr, c.psi, f_hat, lambda s, u: (-1j * u)[:, None, None, None] * s)
     return TangentVector(phi, 2.0 * _d_scalar(tr, f_trig))
 
 
@@ -1167,11 +1153,12 @@ def crossing_coefficient(trunc, psi0, omega0, crossing_path=None):
     return kap
 
 
-def mode_zero_crossing_family(omega0, halfwidth=0.25):
-    """The level family of the zero mode under a constant covector sweep."""
+def mode_zero_crossing_family(omega0):
+    """The level family of the zero mode under a constant covector sweep,
+    on [-1/4, 1/4]."""
     block = 0.5 * np.einsum("j,jab->ab", np.asarray(omega0, dtype=float), cl.PAULI)
     lin = sfmod.realify_matrix(block)
-    return sfmod.HermitianPath.affine(np.zeros((4, 4)), lin, a=-halfwidth, b=halfwidth)
+    return sfmod.HermitianPath.affine(np.zeros((4, 4)), lin, a=-0.25, b=0.25)
 
 
 def crossing_matrix_b0(trunc, psi0):

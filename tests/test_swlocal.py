@@ -322,11 +322,84 @@ def test_form_times_spinor_matches_grid():
     tr = tm.TorusTruncation(2)
     c = sl.random_configuration(tr, rng)
     b = c.a_field
-    out = sl._mul_form_spinor(tr, sl.real_to_complex(tr, b), c.psi)
+    # D_A psi is the flat Dirac psi plus half the Clifford product
+    flat = sl.Configuration(tr, c.psi, c.alpha)
+    out = 2.0 * (sl._apply_dirac(c, c.psi) - sl._apply_dirac(flat, c.psi))
     got = spinor_grid(tr, out)
     bx = real_grid(tr, b)
     want = np.einsum("...j,jab,...b->...a", bx, cl.PAULI, spinor_grid(tr, c.psi))
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_gauge_action_on_the_spinor_matches_grid():
+    rng = np.random.default_rng(85)
+    tr = tm.TorusTruncation(2)
+    c = sl.random_configuration(tr, rng)
+    f = np.where(tr.radii <= 1, rng.standard_normal(tr.mode_count), 0.0)
+    got = spinor_grid(tr, sl.gauge_deriv(c, f).phi)
+    want = -1j * real_grid(tr, f)[..., None] * spinor_grid(tr, c.psi)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_value_level_dirac_clips_as_the_assembled_matrix(cutoff):
+    # on full-support fields the Clifford product leaves the truncation,
+    # and the value level drops those modes just as the assembly does
+    tr = tm.TorusTruncation(cutoff)
+    c = sl.random_configuration(tr, np.random.default_rng(86 + cutoff), radius=cutoff)
+    got = sl._apply_dirac(c, c.psi)
+    want = (sl._dirac_matrix(c) @ c.psi.reshape(-1)).reshape(-1, 2)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def loop_convolve(tr, x, y, terms, shape, minus=False):
+    """The per-mode loops that ``_convolve`` replaced: for each support
+    row q of y, one clipped np.add.at over the support rows of x for each
+    array in terms(rows, q)."""
+    tab = sl._tables(tr)
+    rows = sl._sparse_rows(x)
+    out = np.zeros(shape, dtype=complex)
+    for q in sl._sparse_rows(y):
+        at = tab.shift[rows, tab.neg[q] if minus else q]
+        ok = at >= 0
+        for vals in terms(rows, q):
+            np.add.at(out, at[ok], vals[ok])
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_products_equal_the_loops_over_modes_bit_for_bit(cutoff):
+    # the sums keep the loops' order, so every product is the same bytes,
+    # on fields of half the cutoff and on clipped full-support fields
+    tr = tm.TorusTruncation(cutoff)
+    m, neg = tr.mode_count, sl._tables(tr).neg
+    rng = np.random.default_rng(87 + cutoff)
+    for radius in (cutoff // 2, cutoff):
+        c = sl.random_configuration(tr, rng, radius=radius)
+        c.a_field[:, 1] = 0.0
+        phi = sl.random_configuration(tr, rng, radius=radius).psi
+        b = sl.real_to_complex(tr, c.a_field)
+        sig = np.einsum("jab,mb->jma", cl.PAULI, c.psi)
+
+        def clifford(rows, q):
+            return [b[q, j] * sig[j, rows] for j in range(3) if b[q, j] != 0]
+
+        flat = sl._apply_dirac(sl.Configuration(tr, c.psi, c.alpha), c.psi)
+        want = flat + 0.5 * loop_convolve(tr, c.psi, b, clifford, (m, 2))
+        assert sl._apply_dirac(c, c.psi).tobytes() == want.tobytes()
+        h = loop_convolve(
+            tr, c.psi, phi, lambda rows, q: [np.einsum("jma,a->mj", sig[:, rows], np.conj(phi[q]))], (m, 3), True
+        )
+        want = 0.25 * (h + np.conj(h[neg]))
+        assert sl._pair_to_form(tr, c.psi, phi).tobytes() == want.tobytes()
+        w = loop_convolve(tr, phi, c.psi, lambda rows, q: [phi[rows] @ np.conj(c.psi[q])], m, True)
+        want = 0.5j * (w - np.conj(w[neg]))
+        assert sl._pair_to_scalar(tr, phi, c.psi).tobytes() == want.tobytes()
+        if 2 * radius <= cutoff:
+            f = c.a_field[:, 0]
+            u = sl.real_to_complex(tr, f)
+            want = loop_convolve(tr, c.psi, u, lambda rows, q: [(-1j * u[q]) * c.psi[rows]], (m, 2))
+            assert sl.gauge_deriv(c, f).phi.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ sw map

@@ -88,13 +88,6 @@ MUTANTS = [
         ("tests/test_specflow.py::test_domain_and_join_checks_do_not_depend_on_scale",),
     ),
     Mutant(
-        "homotopy-ends-floored-at-one",
-        "src/swflow/orient.py",
-        "if sfmod._max_abs(lo - hi) > 1e-12 * max(e.top for e in edges):",
-        "if sfmod._max_abs(lo - hi) > 1e-12 * max(1.0, *(e.top for e in edges)):",
-        ("tests/test_orient.py::test_axioms_homotopy_endpoint_check_does_not_depend_on_scale",),
-    ),
-    Mutant(
         "frame-overlap-signs-dropped",
         "src/swflow/orient.py",
         "sign = np.prod(np.sign(np.linalg.det(overlap)))",
@@ -217,9 +210,38 @@ MUTANTS = [
     Mutant(
         "pair-defect-drops-a-tile-row",
         "src/swflow/specflow.py",
-        "i : i + tile",
-        "i : i + tile - 1",
+        "i : i + _PAIR_TILE",
+        "i : i + _PAIR_TILE - 1",
         ("tests/test_specflow.py::test_sym_defect_is_the_dense_defect_bit_for_bit[600]",),
+    ),
+    Mutant(
+        "convolve-difference-as-sum",
+        "src/swflow/swlocal.py",
+        "tab.neg[q] if minus else q",
+        "q",
+        ("tests/test_swlocal.py::test_quadratic_covector_field_matches_grid",
+         "tests/test_swlocal.py::test_pair_to_scalar_matches_grid"),
+    ),
+    Mutant(
+        "convolve-keeps-clipped-products",
+        "src/swflow/swlocal.py",
+        "ok = at >= 0",
+        "ok = at >= -1",
+        ("tests/test_swlocal.py::test_value_level_dirac_clips_as_the_assembled_matrix",),
+    ),
+    Mutant(
+        "gauge-action-sign-flipped",
+        "src/swflow/swlocal.py",
+        "(-1j * u)",
+        "(1j * u)",
+        ("tests/test_swlocal.py::test_gauge_action_on_the_spinor_matches_grid",),
+    ),
+    Mutant(
+        "convolve-sums-out-of-order",
+        "src/swflow/swlocal.py",
+        "np.add.at(out, at[ok], stack[ok])",
+        "np.add.at(out, at[ok][::-1], stack[ok][::-1])",
+        ("tests/test_swlocal.py::test_products_equal_the_loops_over_modes_bit_for_bit",),
     ),
 ]
 
