@@ -339,13 +339,13 @@ def cmd_swcheck(cfg):
         # Each reducible extended Hessian must split into the Dirac and form
         # blocks, so the four coupling blocks it is assembled from must be
         # zero; the spectra are then taken by blocks.  No Hessian is formed.
+        # The coupling blocks read only the spinor, which both reducible
+        # configurations share, so they are formed and checked once.
         rng = _substream(cfg.seed, 50_000)
         alphas = {"generic": rng.uniform(0.2, 0.8, size=3), "zero": np.zeros(3)}
-        configs = {
-            label: sl.Configuration(trunc, np.zeros((trunc.mode_count, 2)), alpha)
-            for label, alpha in alphas.items()
-        }
-        split = not any(np.any(b) for c in configs.values() for b in sl._coupling_blocks(trunc, c.psi))
+        psi = np.zeros((trunc.mode_count, 2), dtype=complex)
+        configs = {label: sl.Configuration(trunc, psi, alpha) for label, alpha in alphas.items()}
+        split = not any(np.any(b) for b in sl._coupling_blocks(trunc, psi))
         dims = {}
         for label, c in configs.items():
             eigs, _ = sl._reducible_spectrum(c)

@@ -544,10 +544,12 @@ def _dirac_blocks(c, whole=False):
     (count, 2 size) array of ascending spinor indices and ``stacks`` the
     (count, 2 size, 2 size) blocks of D_A on them: the flat mode blocks
     sigma . (k + alpha/2) (``fourier_dirac_blocks``) on the diagonal, then
-    the Toeplitz blocks (1/2) sigma . b_hat[k_t - k_p] of the 1-form,
-    added over its support one component j at a time.  Every entry off
-    the blocks is zero, so each block is the gather of ``_dirac_matrix``
-    on its indices, entry for entry."""
+    the Toeplitz blocks (1/2) sigma . b_hat[k_t - k_p] of the 1-form over
+    its support.  A part's Toeplitz entries are gathered once, the
+    components j = 0, 1, 2 are added to them in that order, and they are
+    scattered back once (t is fixed by (s, p), so no entry repeats).
+    Every entry off the blocks is zero, so each block is the gather of
+    ``_dirac_matrix`` on its indices, entry for entry."""
     tr = c.trunc
     m = tr.mode_count
     half_b = 0.5 * real_to_complex(tr, c.a_field)
@@ -576,8 +578,10 @@ def _dirac_blocks(c, whole=False):
         out[row[idx], col[idx], :, col[idx]] = flat[idx]
         on = part[p] == i
         at = (row[t[on]], col[t[on]], slice(None), col[p[on]])
+        toeplitz = out[at]
         for j in range(3):
-            out[at] += half_b[support, j, None, None][s[on]] * cl.PAULI[j]
+            toeplitz += half_b[support, j, None, None][s[on]] * cl.PAULI[j]
+        out[at] = toeplitz
         parts.append((2 * idx[:, :, None] + np.arange(2)).reshape(count, 2 * size))
         stacks.append(out.reshape(count, 2 * size, 2 * size))
     return parts, stacks
@@ -590,14 +594,25 @@ def _dirac_matrix(c):
 
 
 def _first_order(trunc):
+    """The configuration-free blocks -*d, d0 and d0^* of the Hessians,
+    built once per cutoff and read-only, and ``minus_star_d_defect``, the
+    ``specflow._pair_defect`` of -*d, which so cannot go stale.  The
+    defect is None until ``_hessian_by_blocks`` first takes it, not here,
+    so that its freed tile temporaries do not leave the first
+    ``extended_hessian`` more resident (glibc raises its mmap threshold
+    when a large temporary is freed)."""
     tab = _tables(trunc)
     if tab.first_order is None:
         d0 = _wedge_blocks(trunc.modes, 0)
-        tab.first_order = SimpleNamespace(
+        fo = SimpleNamespace(
             minus_star_d=_compress(tab, -tab.star_d),
             d0=_compress(tab, d0),
             cod1=_compress(tab, d0.conj().transpose(0, 2, 1)),
         )
+        for block in vars(fo).values():
+            block.setflags(write=False)
+        fo.minus_star_d_defect = None
+        tab.first_order = fo
     return tab.first_order
 
 
@@ -727,21 +742,23 @@ def _hessian_by_blocks(c, vec):
     Each pair (i, j) of the Hessian is a pair of D_A - D_A^H (the
     realification holds its real and imaginary parts), of block_a -
     block_q^T, or of -*d - (-*d)^T, so the defect is specflow._pair_defect
-    of the Hessian bit for bit.  For vec = (x, y, v_a) the product is
-    ([Re z, Im z] + block_a v_a, block_q (x, y) + (-*d) v_a), z = D_A (x + i y).
+    of the Hessian bit for bit.  The defect of -*d does not depend on c:
+    it is taken on the first call at a cutoff and cached with -*d.  For
+    vec = (x, y, v_a) the product is ([Re z, Im z] + block_a v_a,
+    block_q (x, y) + (-*d) v_a), z = D_A (x + i y).
     """
     tr = c.trunc
     m = tr.mode_count
     d = _dirac_matrix(c)
     out = (np.zeros((4 * m, 3 * m)), None, np.zeros((3 * m, 4 * m)), None)
     block_a, _, block_q, _ = _coupling_blocks(tr, c.psi, out=out)
-    minus_star_d = _first_order(tr).minus_star_d
-    defect = float(np.max([
-        sfmod._pair_defect(d, d), sfmod._pair_defect(block_a, block_q), sfmod._pair_defect(minus_star_d, minus_star_d)
-    ]))
+    fo = _first_order(tr)
+    if fo.minus_star_d_defect is None:
+        fo.minus_star_d_defect = sfmod._pair_defect(fo.minus_star_d, fo.minus_star_d)
+    defect = float(np.max([sfmod._pair_defect(d, d), sfmod._pair_defect(block_a, block_q), fo.minus_star_d_defect]))
     spinor, v_a = vec[: 4 * m], vec[4 * m :]
     z = d @ (spinor[: 2 * m] + 1j * spinor[2 * m :])
-    product = np.concatenate([z.real, z.imag, block_q @ spinor + minus_star_d @ v_a])
+    product = np.concatenate([z.real, z.imag, block_q @ spinor + fo.minus_star_d @ v_a])
     product[: 4 * m] += block_a @ v_a
     return defect, product
 
@@ -802,7 +819,8 @@ def _form_basis(trunc):
     Mode p has the coordinates (3p, 3p + 1, 3p + 2, 3M + p), and F pairs
     it only with -p: one 8x8 block per pair (k, -k) and the 4x4 block of
     the zero mode.  F's range eigenvalues are +-|k| and +-2|k| for k != 0,
-    and its kernel is the constant 1-forms and functions."""
+    and its kernel is the constant 1-forms and functions.  Its arrays are
+    read-only."""
     tab = _tables(trunc)
     if tab.form_basis is None:
         m = trunc.mode_count
@@ -813,6 +831,8 @@ def _form_basis(trunc):
         basis = _eigenbasis(_form_matrix(trunc), groups)
         if np.count_nonzero(basis.ker) != 4 or basis.gap < 1.0 - 1e-8:
             raise RuntimeError("form block spectrum: kernel not 4-dimensional or range below 1")
+        for arr in [basis.lam, basis.neg, basis.ker, basis.pos, *(a for part in basis.parts for a in part)]:
+            arr.setflags(write=False)
         tab.form_basis = basis
     return tab.form_basis
 

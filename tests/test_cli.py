@@ -5,9 +5,11 @@ byte-identical JSON payloads, and exit codes must encode the outcome
 (0 all pass, 1 assertion failures, 2 configuration or margin errors).
 """
 
+import collections
 import csv
 import hashlib
 import json
+import sys
 import threading
 import tracemalloc
 
@@ -164,6 +166,37 @@ def test_swcheck_at_cutoff_3_stays_below_one_dense_hessian(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2401**2 * 8
+
+
+def test_swcheck_records_count_their_block_checks(tmp_path, monkeypatch):
+    # counters of a warm call, the same on every host: a Hessian record
+    # takes the pair defects of D_A and of the coupling pair (-*d's is
+    # cached per cutoff), and the kernel record forms the coupling blocks
+    # of the one zero spinor once.  Each call is charged to the record
+    # whose frame in cli is nearest on the stack
+    args = ["swcheck", "--seed", "7", "--cutoff", "2", "--trials", "2", "--out", str(tmp_path / "s.json")]
+    assert run_cli(args) == 0
+    counts = collections.Counter()
+
+    def spy(module, name):
+        call = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename != cli.__file__:
+                frame = frame.f_back
+            counts[name, frame.f_code.co_name, frame.f_locals.get("i")] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(sfmod, "_pair_defect")
+    spy(cli.sl, "_coupling_blocks")
+    assert run_cli(args) == 0
+    for i in range(2):
+        assert counts["_pair_defect", "hessian", i] == 2
+        assert counts["_coupling_blocks", "hessian", i] == 1
+    assert counts["_coupling_blocks", "kernel", None] == 1
 
 
 def test_swcheck_small_cutoff_is_margin_error(tmp_path, capsys):

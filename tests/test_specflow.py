@@ -1377,6 +1377,33 @@ def test_sym_defect_propagates_a_nan_after_a_finite_tile():
     assert np.isnan(sf._pair_defect(z, z))
 
 
+@pytest.mark.parametrize("n", [255, 256, 257, 600])
+@pytest.mark.parametrize("kind", ["real", "complex", "real stack", "complex stack"])
+def test_self_pair_defect_from_half_the_tiles_is_the_all_tiles_defect(n, kind):
+    # ``_pair_defect(m, m)`` reads each tile of rows from its first row's
+    # column on; a copy as the mirror reads every tile whole.  A defect
+    # planted in a diagonal tile, in an upper tile (in the last row of the
+    # first tile) or in a lower tile gives the same maximum bit for bit,
+    # and a NaN at any of them gives NaN; one tile is all diagonal
+    rng = np.random.default_rng(n)
+    shape = (3, n, n) if "stack" in kind else (n, n)
+    m = rng.standard_normal(shape)
+    if "complex" in kind:
+        m = m + 1j * rng.standard_normal(shape)
+    m += np.conj(np.swapaxes(m, -1, -2))
+    m += 1e-14 * rng.standard_normal(shape)
+    sites = [(3, 100), (255, n - 1) if n > 256 else (0, n - 1), (n - 1, 10)]
+    for at in sites:
+        planted = m.copy()
+        planted[..., at[0], at[1]] += 2e-9 * (1.0 + 1j if "complex" in kind else 1.0)
+        want = sf._pair_defect(planted, planted.copy())
+        assert want > 1e-9
+        assert sf._pair_defect(planted, planted).hex() == want.hex()
+        for bad in (np.nan, complex(0.0, np.nan)) if "complex" in kind else (np.nan,):
+            planted[(-1,) * (m.ndim - 2) + at] = bad
+            assert np.isnan(sf._pair_defect(planted, planted))
+
+
 def test_a_nan_defect_is_rejected():
     # the one tolerance rule rejects what it cannot compare
     with pytest.raises(ValueError, match="not symmetric within tolerance"):

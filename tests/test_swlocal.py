@@ -582,6 +582,44 @@ def test_hessian_defect_reads_a_coupling_block_off_its_mirror(monkeypatch):
     assert sl._hessian_by_blocks(c, vec)[0] == pytest.approx(eps, rel=1e-6, abs=0.0)
 
 
+def test_hessian_defect_reads_the_cached_form_defect(monkeypatch):
+    # -*d's defect is taken once per cutoff and cached with the
+    # first-order blocks: an asymmetry put into -*d where they are built
+    # reaches the defect
+    rng = np.random.default_rng(97)
+    tr = tm.TorusTruncation(2)
+    c = sl.random_configuration(tr, rng)
+    vec = rng.standard_normal(7 * tr.mode_count)
+    compress = sl._compress
+    eps = 1e-9
+
+    def perturbed(tab, blocks):
+        got = compress(tab, blocks)
+        if blocks.shape[1:] == (3, 3):  # -*d, not d0 or its adjoint
+            got[5, 300] += eps
+        return got
+
+    monkeypatch.setattr(sl, "_CACHE", {})
+    assert sl._hessian_by_blocks(c, vec)[0] < 1e-15
+    monkeypatch.setattr(sl, "_CACHE", {})
+    monkeypatch.setattr(sl, "_compress", perturbed)
+    assert sl._hessian_by_blocks(c, vec)[0] == pytest.approx(eps, rel=1e-6, abs=0.0)
+    assert sl._first_order(tr).minus_star_d_defect == pytest.approx(eps, rel=1e-6, abs=0.0)
+
+
+def test_cached_form_blocks_are_read_only():
+    # the per-cutoff blocks and F's basis are shared by every caller, and
+    # -*d's defect is cached beside it, so a write into them raises
+    tr = tm.TorusTruncation(2)
+    fo = sl._first_order(tr)
+    basis = sl._form_basis(tr)
+    arrays = [fo.minus_star_d, fo.d0, fo.cod1, basis.lam, basis.neg, basis.ker, basis.pos]
+    arrays += [a for part in basis.parts for a in part]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+
 @pytest.mark.parametrize("rel", [0.9, 2.0])
 def test_every_symmetry_check_takes_the_one_tolerance(rel, monkeypatch):
     # a path sample, a stack of D_A's blocks and a coupling pair are each

@@ -243,6 +243,27 @@ MUTANTS = [
         "np.add.at(out, at[ok][::-1], stack[ok][::-1])",
         ("tests/test_swlocal.py::test_products_equal_the_loops_over_modes_bit_for_bit",),
     ),
+    Mutant(
+        "pair-defect-skips-diagonal-tile",
+        "src/swflow/specflow.py",
+        "c = np.s_[i:] if half",
+        "c = np.s_[i + _PAIR_TILE :] if half",
+        ("tests/test_specflow.py::test_self_pair_defect_from_half_the_tiles_is_the_all_tiles_defect",),
+    ),
+    Mutant(
+        "form-defect-dropped",
+        "src/swflow/swlocal.py",
+        "fo.minus_star_d_defect]))",
+        "0.0]))",
+        ("tests/test_swlocal.py::test_hessian_defect_reads_the_cached_form_defect",),
+    ),
+    Mutant(
+        "dirac-pauli-term-dropped",
+        "src/swflow/swlocal.py",
+        "for j in range(3):\n            toeplitz +=",
+        "for j in range(2):\n            toeplitz +=",
+        ("tests/test_swlocal.py::test_value_level_dirac_clips_as_the_assembled_matrix",),
+    ),
 ]
 
 
